@@ -19,7 +19,7 @@ from nematicflow import (
     bony_split,
     gradient,
     l2_norm,
-    multiply,
+    product,
     random_scalar,
     vector_l2_norm,
 )
@@ -51,9 +51,9 @@ print(f"Besov B^0_22 norm = {besov_norm(f, 0.0, 2, 2, partition):.6f}  "
       f"vs  L2 norm = {total:.6f}")
 
 t_fg, t_gf, remainder = bony_split(f, g, partition)
-product = multiply(f, g)
+fg = product(f, g)
 print(f"\nparaproduct split of fg:")
 print(f"  |T_f g| = {l2_norm(t_fg):.6f}, |T_g f| = {l2_norm(t_gf):.6f}, "
       f"|R(f,g)| = {l2_norm(remainder):.6f}")
 print(f"  split residual = "
-      f"{l2_norm(t_fg + t_gf + remainder - product):.3e}")
+      f"{l2_norm(t_fg + t_gf + remainder - fg):.3e}")

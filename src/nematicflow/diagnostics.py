@@ -41,12 +41,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .dyadic import DyadicPartition, hs_norm_vector
-from .dynamics import LeslieCoefficients, rhs, strain_and_vorticity
+from .dynamics import (
+    LeslieCoefficients,
+    _dissipation_terms,
+    rhs,
+    strain_and_vorticity,
+)
 from .grid import (
     TensorField22,
+    _sample_integral,
     divergence,
     divergence_residual,
     invert_laplacian,
@@ -59,9 +63,6 @@ from .grid import (
     vector_hs_norm_fourier,
     vector_l2_norm,
 )
-
-AREA = (2.0 * math.pi) ** 2
-
 
 class EnergyRecord(NamedTuple):
     """One time sample of the energy balance along a run."""
@@ -95,11 +96,6 @@ class UniquenessRecord(NamedTuple):
     f_hat: float
 
 
-def _mean_integral(samples):
-    """(2 pi)^2 times the grid mean: the torus integral of a sampled field."""
-    return AREA * float(np.mean(samples))
-
-
 def _physical(field):
     return to_physical(field, oversample=2)
 
@@ -121,7 +117,7 @@ def elastic_energy(state):
     grad_sq = sum(l2_norm(f) ** 2 for f in (j.xx, j.xy, j.yx, j.yy))
     d1, d2 = _vector_physical(state.d)
     q = d1 * d1 + d2 * d2 - 1.0
-    return 0.5 * grad_sq + _mean_integral(0.25 * q * q)
+    return 0.5 * grad_sq + _sample_integral(0.25 * q * q)
 
 
 def total_energy(state):
@@ -130,7 +126,7 @@ def total_energy(state):
 
 
 def _pointwise_strain_fields(state):
-    """Physical samples (2x grid) of d, A d, d.Ad, G = lap d - grad W."""
+    """Physical samples (2x grid) of A d, d.Ad, G = lap d - grad W."""
     a, _ = strain_and_vorticity(state.u)
     a11, a12, a22 = _physical(a.xx), _physical(a.xy), _physical(a.yy)
     d1, d2 = _vector_physical(state.d)
@@ -140,7 +136,7 @@ def _pointwise_strain_fields(state):
     q = d1 * d1 + d2 * d2 - 1.0
     g1 = _physical(laplacian(state.d.x)) - q * d1
     g2 = _physical(laplacian(state.d.y)) - q * d2
-    return (d1, d2), (ad1, ad2), dad, (g1, g2)
+    return (ad1, ad2), dad, (g1, g2)
 
 
 def total_dissipation(state, coeffs=None):
@@ -155,27 +151,8 @@ def total_dissipation(state, coeffs=None):
         coeffs = LeslieCoefficients.ansatz()
     j = jacobian(state.u)
     grad_u_sq = sum(l2_norm(f) ** 2 for f in (j.xx, j.xy, j.yx, j.yy))
-    _, (ad1, ad2), dad, (g1, g2) = _pointwise_strain_fields(state)
-    if coeffs.is_ansatz:
-        terms = (
-            coeffs.nu * grad_u_sq,
-            _mean_integral(dad * dad),
-            1.5 * _mean_integral(ad1 * ad1 + ad2 * ad2),
-            0.5 * _mean_integral(g1 * g1 + g2 * g2),
-            0.5 * _mean_integral((ad1 + g1) ** 2 + (ad2 + g2) ** 2),
-        )
-    else:
-        l1, l2 = coeffs.lambda1, coeffs.lambda2
-        n1 = -(l2 / l1) * ad1 - (1.0 / l1) * g1
-        n2 = -(l2 / l1) * ad2 - (1.0 / l1) * g2
-        terms = (
-            coeffs.mu1 * _mean_integral(dad * dad),
-            0.5 * coeffs.mu4 * grad_u_sq,
-            (coeffs.mu5 + coeffs.mu6) * _mean_integral(ad1 * ad1 + ad2 * ad2),
-            -l1 * _mean_integral(n1 * n1 + n2 * n2),
-            -(l2 - coeffs.mu2 - coeffs.mu3)
-            * _mean_integral(n1 * ad1 + n2 * ad2),
-        )
+    ad, dad, g = _pointwise_strain_fields(state)
+    terms = _dissipation_terms(coeffs, grad_u_sq, ad, dad, g)
     return float(sum(terms)), tuple(float(x) for x in terms)
 
 
@@ -263,12 +240,12 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
         s2 = _physical(partition.low_pass(d1.y, q - 1))
         v1 = b11 * s1 + b12 * s2
         v2 = b12 * s1 + b22 * s2
-        lp_vec += 2.0 ** (-q) * _mean_integral(v1 * v1 + v2 * v2)
+        lp_vec += 2.0 ** (-q) * _sample_integral(v1 * v1 + v2 * v2)
         t11 = _physical(partition.low_pass(ddt.xx, q - 1))
         t12 = _physical(partition.low_pass(ddt.xy, q - 1))
         t22 = _physical(partition.low_pass(ddt.yy, q - 1))
         contraction = b11 * t11 + 2.0 * b12 * t12 + b22 * t22
-        lp_ten += 2.0 ** (-q) * _mean_integral(contraction * contraction)
+        lp_ten += 2.0 ** (-q) * _sample_integral(contraction * contraction)
     return grad_du_sq, grad_dd_sq, lp_vec, lp_ten
 
 

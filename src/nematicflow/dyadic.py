@@ -30,7 +30,7 @@ from .grid import (
     SpectralField,
     l2_norm,
     lp_norm,
-    multiply,
+    product,
     require_same_grid,
 )
 
@@ -141,13 +141,6 @@ class DyadicPartition:
             acc += mults[k + 1]
         return acc
 
-    def low_pass_extended(self, field, q):
-        """S_q f with the zero extension for q <= -1 (used inside block sums)."""
-        self._check_grid(field)
-        if q <= -1:
-            return SpectralField.zero(field.grid)
-        return self.low_pass(field, q)
-
     def blocks(self, field):
         """All blocks Delta_{-1} f, ..., Delta_{q_max} f as a list."""
         return [self.delta(field, q) for q in self.q_range]
@@ -155,14 +148,6 @@ class DyadicPartition:
     def _check_grid(self, field):
         if field.grid.n_modes != self.grid.n_modes:
             raise DyadicError("field and partition live on different grids")
-
-
-def delta_q(field, q, partition):
-    return partition.delta(field, q)
-
-
-def s_q(field, q, partition):
-    return partition.low_pass(field, q)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -276,15 +261,15 @@ def bony_split(f, g, partition):
     t_gf = SpectralField.zero(f.grid)
     rem = SpectralField.zero(f.grid)
     for q in range(1, qm + 1):
-        t_fg = t_fg + multiply(partition.low_pass_extended(f, q - 1), block(gb, q))
-        t_gf = t_gf + multiply(partition.low_pass_extended(g, q - 1), block(fb, q))
+        t_fg = t_fg + product(partition.low_pass(f, q - 1), block(gb, q))
+        t_gf = t_gf + product(partition.low_pass(g, q - 1), block(fb, q))
     for q in range(-1, qm + 1):
         near = SpectralField.zero(f.grid)
         for j in (q - 1, q, q + 1):
             bj = block(gb, j)
             if bj is not None:
                 near = near + bj
-        rem = rem + multiply(block(fb, q), near)
+        rem = rem + product(block(fb, q), near)
     return t_fg, t_gf, rem
 
 
@@ -307,24 +292,28 @@ def bony_block_decompose(f, g, q, partition):
         raise DyadicError(f"block index must lie in [-1, {qm}], got {q}")
     zero = SpectralField.zero(f.grid)
 
+    def low_f(k):
+        # S_k f for any k <= q_max + 1; the multiplier is zero for k <= -1
+        return SpectralField(f.grid, f.coeffs * partition._low_mult(k), f.real)
+
     term1 = zero
     term2 = zero
     for j in range(max(-1, q - 5), min(qm, q + 5) + 1):
-        s_low = partition.low_pass_extended(f, j - 1)
+        s_low = low_f(j - 1)
         dg = partition.delta(g, j)
         # commutator [Delta_q, S_{j-1}f] Delta_j g
-        term1 = term1 + partition.delta(multiply(s_low, dg), q) - multiply(
+        term1 = term1 + partition.delta(product(s_low, dg), q) - product(
             s_low, partition.delta(dg, q)
         )
         if abs(j - q) <= 1:
             # farther pairs have Delta_q Delta_j = 0 exactly
-            diff = s_low - partition.low_pass_extended(f, q - 1)
-            term2 = term2 + multiply(diff, partition.delta(dg, q))
-    term3 = multiply(partition.low_pass_extended(f, q - 1), partition.delta(g, q))
+            diff = s_low - low_f(q - 1)
+            term2 = term2 + product(diff, partition.delta(dg, q))
+    term3 = product(low_f(q - 1), partition.delta(g, q))
     term4 = zero
     for j in range(max(-1, q - 5), qm + 1):
-        sg = partition.low_pass_extended(g, j + 2) if j + 2 <= qm + 1 else g
-        term4 = term4 + partition.delta(multiply(partition.delta(f, j), sg), q)
+        sg = partition.low_pass(g, j + 2) if j + 2 <= qm + 1 else g
+        term4 = term4 + partition.delta(product(partition.delta(f, j), sg), q)
     total = term1 + term2 + term3 + term4
     return {
         "commutator": term1,
@@ -332,7 +321,7 @@ def bony_block_decompose(f, g, q, partition):
         "paraproduct": term3,
         "remainder": term4,
         "sum": total,
-        "target": partition.delta(multiply(f, g), q),
+        "target": partition.delta(product(f, g), q),
     }
 
 
@@ -342,10 +331,10 @@ def bony_block_decompose(f, g, q, partition):
 def commutator_block(f, g, q, partition):
     """[Delta_q, f] g = Delta_q(fg) - f Delta_q g, truncated products."""
     require_same_grid(f, g)
-    return partition.delta(multiply(f, g), q) - multiply(f, partition.delta(g, q))
+    return partition.delta(product(f, g), q) - product(f, partition.delta(g, q))
 
 
 def commutator_lowpass(f, g, q, partition):
     """[S_q, f] g = S_q(fg) - f S_q g, truncated products."""
     require_same_grid(f, g)
-    return partition.low_pass(multiply(f, g), q) - multiply(f, partition.low_pass(g, q))
+    return partition.low_pass(product(f, g), q) - product(f, partition.low_pass(g, q))

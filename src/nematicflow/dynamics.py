@@ -32,17 +32,18 @@ lambda_2 = 2, for which the general path reduces to the formulas above.
 Time stepping is IMEX: the stiff diffusion (nu lap u, kappa lap d with
 kappa = -1/lambda_1) is integrated exactly per mode by an integrating factor,
 everything else explicitly.  "imex1" is the first-order baseline; "imex2" is
-a second-order integrating-factor Heun variant.  The inner loop runs on a
-dedicated half-spectrum (real-FFT) engine; the module-level operations
-(strain_and_vorticity, gl_gradient, leslie_stress, rhs) form the readable
-reference path the engine is tested against.
+a second-order integrating-factor Heun variant.  The inner loop is a batched
+half-spectrum engine that shares the grid module's real-FFT transform layer
+(the padded inverse and truncated forward transforms behind grid.product and
+grid.to_physical); the module-level operations (strain_and_vorticity,
+gl_gradient, leslie_stress, rhs) form the readable reference path the engine
+is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,11 @@ from .grid import (
     SpectralField,
     TensorField22,
     VectorField2,
+    _full_from_half,
+    _irfft_padded,
+    _rfft_tables,
+    _rfft_truncated,
+    _sample_integral,
     derivative,
     divergence_residual,
     jacobian,
@@ -314,38 +320,44 @@ def rhs(state, coeffs):
     return mom, direc
 
 
+# -- dissipation ------------------------------------------------------------------
+
+
+def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
+    """The five dissipation integrals from pointwise samples.
+
+    grad_u_int is int |grad u|^2; ad = (Ad_1, Ad_2), dad = d.Ad and
+    g = (G_1, G_2) with G = lap d - grad_d W are samples on a grid where
+    equal-weight quadrature is exact.  Default coefficients give the
+    five-square split (nu |grad u|^2, |d.Ad|^2, (3/2)|Ad|^2, |G|^2/2,
+    |Ad+G|^2/2); other coefficients the general form (mu_1 |d.Ad|^2,
+    (mu_4/2)|grad u|^2, (mu_5+mu_6)|Ad|^2, -lambda_1 |N|^2,
+    -(lambda_2-mu_2-mu_3) N.Ad) with N = -(lambda_2/lambda_1) Ad
+    - (1/lambda_1) G.
+    """
+    ad1, ad2 = ad
+    g1, g2 = g
+    if coeffs.is_ansatz:
+        return (
+            coeffs.nu * grad_u_int,
+            _sample_integral(dad * dad),
+            1.5 * _sample_integral(ad1 * ad1 + ad2 * ad2),
+            0.5 * _sample_integral(g1 * g1 + g2 * g2),
+            0.5 * _sample_integral((ad1 + g1) ** 2 + (ad2 + g2) ** 2),
+        )
+    l1, l2 = coeffs.lambda1, coeffs.lambda2
+    n1 = -(l2 / l1) * ad1 - (1.0 / l1) * g1
+    n2 = -(l2 / l1) * ad2 - (1.0 / l1) * g2
+    return (
+        coeffs.mu1 * _sample_integral(dad * dad),
+        0.5 * coeffs.mu4 * grad_u_int,
+        (coeffs.mu5 + coeffs.mu6) * _sample_integral(ad1 * ad1 + ad2 * ad2),
+        -l1 * _sample_integral(n1 * n1 + n2 * n2),
+        -(l2 - coeffs.mu2 - coeffs.mu3) * _sample_integral(n1 * ad1 + n2 * ad2),
+    )
+
+
 # -- half-spectrum stepping engine ------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _half_tables(n, m):
-    h = n // 2
-    kx = np.fft.fftfreq(n, 1.0 / n).astype(np.float64)[:, None]
-    ky = np.arange(h + 1, dtype=np.float64)[None, :]
-    k2 = kx * kx + ky * ky
-    k2_safe = k2.copy()
-    k2_safe[0, 0] = 1.0
-    nyq = (np.abs(kx) == h) | (ky == h)
-    return {"kx": kx, "ky": ky, "k2": k2, "k2_safe": k2_safe, "nyq": nyq,
-            "h": h, "mh": m // 2}
-
-
-def _embed_half(batch, n, m):
-    h = n // 2
-    k, _, _ = batch.shape
-    out = np.zeros((k, m, m // 2 + 1), dtype=np.complex128)
-    out[:, :h, :h] = batch[:, :h, :h]
-    out[:, m - h + 1:, :h] = batch[:, h + 1:, :h]
-    return out
-
-
-def _extract_half(batch, m, n):
-    h = n // 2
-    k = batch.shape[0]
-    out = np.zeros((k, n, n // 2 + 1), dtype=np.complex128)
-    out[:, :h, :h] = batch[:, :h, :h]
-    out[:, h + 1:, :h] = batch[:, m - h + 1:, :h]
-    return out
 
 
 def half_from_field(field):
@@ -356,16 +368,7 @@ def half_from_field(field):
 
 def field_from_half(grid, half):
     """Rebuild a real field's full coefficient array from the half spectrum."""
-    n = grid.n_modes
-    h = n // 2
-    full = np.zeros((n, n), dtype=np.complex128)
-    full[:, : h + 1] = half
-    rows = np.zeros(n, dtype=np.intp)
-    rows[0] = 0
-    rows[1:] = np.arange(n - 1, 0, -1)
-    # f(-kx, -ky) = conj(f(kx, ky)); columns h+1.. hold ky = -(h-1)..-1
-    full[:, h + 1:] = np.conj(full[rows][:, 1:h][:, ::-1])
-    return SpectralField(grid, full, True)
+    return SpectralField(grid, _full_from_half(half), True)
 
 
 class _Engine:
@@ -375,33 +378,20 @@ class _Engine:
         self.grid = grid
         self.coeffs = coeffs
         self.config = config
-        n = grid.n_modes
-        m = grid.padded_size
-        self.n = n
-        self.m = m
-        self.t = _half_tables(n, m)
+        self.n = grid.n_modes
+        self.m = grid.padded_size
+        self.t = _rfft_tables(self.n)
         dt = config.dt
-        self.exp_u = np.exp(-coeffs.nu * self.t["k2"] * dt)
-        self.exp_d = np.exp(-coeffs.kappa * self.t["k2"] * dt)
-        self.area = (2.0 * math.pi) ** 2
-
-    # -- layout helpers ----------------------------------------------------------
-
-    def to_padded_physical(self, batch):
-        emb = _embed_half(np.asarray(batch), self.n, self.m)
-        return np.fft.irfft2(emb, s=(self.m, self.m), axes=(-2, -1)) * (self.m * self.m)
-
-    def to_truncated_spectrum(self, batch):
-        c = np.fft.rfft2(np.asarray(batch), axes=(-2, -1)) / (self.m * self.m)
-        return _extract_half(c, self.m, self.n)
+        self.exp_u = np.exp(-coeffs.nu * self.t["n2"] * dt)
+        self.exp_d = np.exp(-coeffs.kappa * self.t["n2"] * dt)
 
     def project(self, uh):
         """Leray projection plus exact zero mean, half layout, in place."""
         t = self.t
-        kdot = (t["kx"] * uh[0] + t["ky"] * uh[1]) / t["k2_safe"]
+        kdot = (t["nx"] * uh[0] + t["ny"] * uh[1]) / t["n2_safe"]
         kdot[0, 0] = 0.0
-        uh[0] -= t["kx"] * kdot
-        uh[1] -= t["ky"] * kdot
+        uh[0] -= t["nx"] * kdot
+        uh[1] -= t["ny"] * kdot
         uh[0][0, 0] = 0.0
         uh[1][0, 0] = 0.0
         return uh
@@ -416,13 +406,13 @@ class _Engine:
         """
         co = self.coeffs
         t = self.t
-        ikx, iky = 1j * t["kx"], 1j * t["ky"]
+        ikx, iky = 1j * t["nx"], 1j * t["ny"]
         gu = np.stack([ikx * uh[0], iky * uh[0], ikx * uh[1], iky * uh[1]])
         gd = np.stack([ikx * dh[0], iky * dh[0], ikx * dh[1], iky * dh[1]])
-        ld = -t["k2"] * dh
+        ld = -t["n2"] * dh
 
         batch1 = np.concatenate([uh, gu, dh, gd, ld])  # 2+4+2+4+2 = 14
-        p = self.to_padded_physical(batch1)
+        p = _irfft_padded(batch1, self.m)
         u1, u2 = p[0], p[1]
         gu0, gu1, gu2, gu3 = p[2], p[3], p[4], p[5]
         d1, d2 = p[6], p[7]
@@ -458,7 +448,7 @@ class _Engine:
             e11, e12, e22, ad1, ad2, dad,
             d1 * d1, d1 * d2, d2 * d2, gw1, gw2,
         ])  # 17 fields
-        s1 = self.to_truncated_spectrum(out1)
+        s1 = _rfft_truncated(out1, self.n)
         advu_h, advd_h, st_h = s1[0:2], s1[2:4], s1[4:6]
         e_h = s1[6:9]
         ad_h = s1[9:11]
@@ -466,10 +456,10 @@ class _Engine:
         ddt_h = s1[12:15]
         gw_h = s1[15:17]
 
-        g_h = -t["k2"] * dh - gw_h  # resolved lap d - grad W
+        g_h = -t["n2"] * dh - gw_h  # resolved lap d - grad W
 
         batch2 = np.concatenate([dad_h, ddt_h, ad_h, g_h])  # 1+3+2+2 = 8
-        p2 = self.to_padded_physical(batch2)
+        p2 = _irfft_padded(batch2, self.m)
         dad_n = p2[0]
         ddt11, ddt12, ddt22 = p2[1], p2[2], p2[3]
         adn1, adn2 = p2[4], p2[5]
@@ -486,7 +476,7 @@ class _Engine:
             lf1 * d1, lf1 * d2, lf2 * d1, lf2 * d2,            # (mu2 N + mu5 Ad) x d
             d1 * rt1, d1 * rt2, d2 * rt1, d2 * rt2,            # d x (mu3 N + mu6 Ad)
         ])  # 11 fields
-        s2 = self.to_truncated_spectrum(out2)
+        s2 = _rfft_truncated(out2, self.n)
         mu1 = co.mu1
         sig11 = mu1 * s2[0] + s2[3] + s2[7]
         sig12 = mu1 * s2[1] + s2[4] + s2[8]
@@ -507,41 +497,19 @@ class _Engine:
 
         diag = None
         if want_diag:
-            mean = lambda arr: float(np.mean(arr))
-            area = self.area
-            e_kin = 0.5 * area * mean(u1 * u1 + u2 * u2)
-            e_grad = 0.5 * area * mean(
+            grad_u_int = _sample_integral(gu0 ** 2 + gu1 ** 2 + gu2 ** 2 + gu3 ** 2)
+            e_grad = 0.5 * _sample_integral(
                 gd0 * gd0 + gd1 * gd1 + gd2 * gd2 + gd3 * gd3
             )
-            e_w = area * mean(0.25 * q * q)
-            ge1 = ld1 - gw1
-            ge2 = ld2 - gw2
-            grad_u_sq = mean(gu0 ** 2 + gu1 ** 2 + gu2 ** 2 + gu3 ** 2)
-            if co.is_ansatz:
-                terms = (
-                    co.nu * area * grad_u_sq,
-                    area * mean(dad * dad),
-                    1.5 * area * mean(ad1 * ad1 + ad2 * ad2),
-                    0.5 * area * mean(ge1 * ge1 + ge2 * ge2),
-                    0.5 * area * mean((ad1 + ge1) ** 2 + (ad2 + ge2) ** 2),
-                )
-            else:
-                nvx1 = -(l2 / l1) * ad1 - (1.0 / l1) * ge1
-                nvx2 = -(l2 / l1) * ad2 - (1.0 / l1) * ge2
-                terms = (
-                    co.mu1 * area * mean(dad * dad),
-                    0.5 * co.mu4 * area * grad_u_sq,
-                    (co.mu5 + co.mu6) * area * mean(ad1 * ad1 + ad2 * ad2),
-                    -l1 * area * mean(nvx1 * nvx1 + nvx2 * nvx2),
-                    -(l2 - co.mu2 - co.mu3) * area
-                    * mean(nvx1 * ad1 + nvx2 * ad2),
-                )
-            div_res = float(np.max(np.abs(t["kx"] * uh[0] + t["ky"] * uh[1])))
             diag = {
-                "e_kin": e_kin,
-                "e_elastic": e_grad + e_w,
-                "d_terms": terms,
-                "div_residual": div_res,
+                "e_kin": 0.5 * _sample_integral(u1 * u1 + u2 * u2),
+                "e_elastic": e_grad + _sample_integral(0.25 * q * q),
+                "d_terms": _dissipation_terms(
+                    co, grad_u_int, (ad1, ad2), dad, (ld1 - gw1, ld2 - gw2)
+                ),
+                "div_residual": float(
+                    np.max(np.abs(t["nx"] * uh[0] + t["ny"] * uh[1]))
+                ),
             }
         return mom, direc, diag
 

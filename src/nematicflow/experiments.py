@@ -7,6 +7,7 @@ plus binary snapshots where a final state is worth keeping.
 
 from __future__ import annotations
 
+import csv
 import os
 
 from . import fields, snapshots
@@ -38,11 +39,14 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows):
-    """Write rows of mixed scalars with a header; 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write rows of mixed scalars with a header; 17 significant digits.
+
+    Fields holding a comma (parameter labels) are quoted.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _ensure_dir(path):

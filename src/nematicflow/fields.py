@@ -17,6 +17,7 @@ from .grid import (
     GridError,
     SpectralField,
     VectorField2,
+    _conj_flip,
     l2_norm,
     leray_project,
     vector_l2_norm,
@@ -83,9 +84,10 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
     amp_noise = rng.standard_normal((n, n))
     phase_noise = rng.standard_normal((n, n))
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    # Even/odd symmetrizations keep the coefficient array exactly Hermitian.
-    amp_jitter = 0.5 * (amp_noise + _conj_index_flip(amp_noise))
-    phase_jitter = 0.5 * (phase_noise - _conj_index_flip(phase_noise))
+    # Even/odd symmetrizations keep the coefficient array exactly Hermitian;
+    # on real arrays _conj_flip just reads the negated mode index.
+    amp_jitter = 0.5 * (amp_noise + _conj_flip(amp_noise))
+    phase_jitter = 0.5 * (phase_noise - _conj_flip(phase_noise))
     envelope = (1.0 + t["radius"]) ** (-float(decay)) * np.exp(0.05 * amp_jitter)
     angle = -(t["nx"] * focus[0] + t["ny"] * focus[1]) + 0.05 * phase_jitter
     coeffs = sign * envelope * np.exp(1j * angle)
@@ -98,12 +100,6 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
     if norm > 0.0:
         f = f * (amplitude / norm)
     return f
-
-
-def _conj_index_flip(values):
-    """values evaluated at the negated mode index on both axes."""
-    flipped = np.flip(values, axis=(0, 1))
-    return np.roll(flipped, shift=(1, 1), axis=(0, 1))
 
 
 def focused_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,

@@ -48,6 +48,8 @@ def _tables(n_modes):
     nx, ny = np.meshgrid(k, k, indexing="ij")
     n2 = (nx * nx + ny * ny).astype(np.float64)
     radius = np.sqrt(n2)
+    n2_safe = n2.copy()
+    n2_safe[0, 0] = 1.0  # for divisions by |n|^2 whose n = 0 result is zeroed
     nyquist = (np.abs(nx) == n // 2) | (np.abs(ny) == n // 2)
     # Phase relating samples on [-pi, pi)^2 to numpy's [0, 2pi)^2 convention.
     phase = np.where((nx + ny) % 2 == 0, 1.0, -1.0)
@@ -55,10 +57,18 @@ def _tables(n_modes):
         "nx": nx,
         "ny": ny,
         "n2": n2,
+        "n2_safe": n2_safe,
         "radius": radius,
         "nyquist": nyquist,
         "phase": phase,
     }
+
+
+@lru_cache(maxsize=32)
+def _rfft_tables(n_modes):
+    """The ny >= 0 columns 0..N/2 of the tables: the real-FFT half layout."""
+    return {key: np.ascontiguousarray(value[:, : n_modes // 2 + 1])
+            for key, value in _tables(n_modes).items()}
 
 
 @dataclass(frozen=True)
@@ -105,31 +115,6 @@ class GridSpec:
         m = self.n_modes * oversample
         x = -math.pi + TWO_PI * np.arange(m) / m
         return np.meshgrid(x, x, indexing="ij")
-
-
-def _embed(coeffs, n, m):
-    """Zero-pad FFT-ordered coefficients from an n-grid to an m-grid (m >= n)."""
-    out = np.zeros((m, m), dtype=np.complex128)
-    h = n // 2
-    out[:h, :h] = coeffs[:h, :h]
-    out[:h, m - h + 1:] = coeffs[:h, n - h + 1:]
-    out[m - h + 1:, :h] = coeffs[n - h + 1:, :h]
-    out[m - h + 1:, m - h + 1:] = coeffs[n - h + 1:, n - h + 1:]
-    return out
-
-
-def _extract(coeffs, m, n):
-    """Truncate FFT-ordered coefficients from an m-grid to an n-grid (m >= n).
-
-    The n-grid Nyquist lines are left at zero, matching field construction.
-    """
-    out = np.zeros((n, n), dtype=np.complex128)
-    h = n // 2
-    out[:h, :h] = coeffs[:h, :h]
-    out[:h, n - h + 1:] = coeffs[:h, m - h + 1:]
-    out[n - h + 1:, :h] = coeffs[m - h + 1:, :h]
-    out[n - h + 1:, n - h + 1:] = coeffs[m - h + 1:, m - h + 1:]
-    return out
 
 
 class SpectralField:
@@ -257,6 +242,71 @@ def require_same_grid(*fields):
 
 
 # -- transforms ---------------------------------------------------------------
+#
+# Every transform runs on half spectra: the ny >= 0 columns 0..N/2 of a real
+# field's coefficients, which fix the rest through f_{-n} = conj(f_n).  A
+# complex field is carried as its real and imaginary parts.
+
+
+def _irfft_padded(half, m):
+    """Samples on the M x M grid of N-grid half spectra, zero-padded.
+
+    half has shape (..., N, N/2 + 1); leading axes form one batched
+    transform.  The samples start at 0, not at -pi (see _samples).
+    """
+    h = half.shape[-2] // 2
+    padded = np.zeros(half.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+    padded[..., :h, :h] = half[..., :h, :h]
+    padded[..., m - h + 1:, :h] = half[..., h + 1:, :h]
+    return np.fft.irfft2(padded, s=(m, m), axes=(-2, -1)) * (m * m)
+
+
+def _rfft_truncated(values, n):
+    """N-grid half spectra of real M x M samples (any leading axes).
+
+    The N-grid Nyquist row and column are left at zero.
+    """
+    m = values.shape[-1]
+    h = n // 2
+    c = np.fft.rfft2(values, axes=(-2, -1)) / (m * m)
+    out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
+    out[..., :h, :h] = c[..., :h, :h]
+    out[..., h + 1:, :h] = c[..., m - h + 1:, :h]
+    return out
+
+
+def _full_from_half(half):
+    """Full FFT-ordered coefficients from half spectra; ny < 0 by symmetry."""
+    n = half.shape[-2]
+    h = n // 2
+    full = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : h + 1] = half
+    # f(-nx, -ny) = conj(f(nx, ny)); columns h+1.. hold ny = -(h-1)..-1
+    full[..., h + 1:] = np.conj(full[..., _flip_index(n), 1:h][..., ::-1])
+    return full
+
+
+def _samples(fields, m, phase=False):
+    """Samples of fields on an M x M grid from one batched inverse transform.
+
+    With phase=True they sit at the points() of the box; without it the
+    grid is shifted by (pi, pi), which pointwise products do not see.
+    """
+    n = fields[0].grid.n_modes
+    parts = []
+    for f in fields:
+        c = f.coeffs
+        if f.real:
+            parts.append(c)
+        else:
+            flip = _conj_flip(c)
+            parts += [0.5 * (c + flip), -0.5j * (c - flip)]
+    half = np.stack([c[:, : n // 2 + 1] for c in parts])
+    if phase:
+        half *= _rfft_tables(n)["phase"]
+    values = iter(_irfft_padded(half, m))
+    return [next(values) if f.real else next(values) + 1j * next(values)
+            for f in fields]
 
 
 def to_physical(field, oversample=1):
@@ -264,33 +314,7 @@ def to_physical(field, oversample=1):
 
     Returns a real array for real-valued fields, complex otherwise.
     """
-    grid = field.grid
-    n = grid.n_modes
-    m = n * oversample
-    if oversample == 1:
-        c = field.coeffs * grid.tables()["phase"]
-    else:
-        c = _embed(field.coeffs, n, m)
-        kx, ky = np.meshgrid(np.fft.fftfreq(m, 1.0 / m).astype(np.int64),
-                             np.fft.fftfreq(m, 1.0 / m).astype(np.int64), indexing="ij")
-        c *= np.where((kx + ky) % 2 == 0, 1.0, -1.0)
-    values = np.fft.ifft2(c) * (m * m)
-    return values.real if field.real else values
-
-
-def transform(obj, direction, grid=None):
-    """Dispatch between sample and coefficient representations.
-
-    direction="forward" takes physical samples (with grid) to a SpectralField;
-    direction="inverse" takes a SpectralField back to samples.
-    """
-    if direction == "forward":
-        if grid is None:
-            raise GridError("forward transform needs a grid")
-        return SpectralField.from_samples(grid, obj)
-    if direction == "inverse":
-        return to_physical(obj)
-    raise GridError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return _samples([field], field.grid.n_modes * oversample, phase=True)[0]
 
 
 # -- calculus -----------------------------------------------------------------
@@ -312,10 +336,7 @@ def laplacian(field):
 
 def invert_laplacian(field):
     """Solve lap(u) = f for the mean-zero u; the n = 0 mode is set to zero."""
-    t = field.grid.tables()
-    n2 = t["n2"].copy()
-    n2[0, 0] = 1.0  # avoid 0/0; the mean is zeroed below
-    coeffs = -field.coeffs / n2
+    coeffs = -field.coeffs / field.grid.tables()["n2_safe"]
     coeffs[0, 0] = 0.0
     return SpectralField(field.grid, coeffs, field.real)
 
@@ -427,10 +448,8 @@ def leray_project(vec):
     Idempotent, annihilates gradients, keeps real fields real.
     """
     t = vec.grid.tables()
-    n2 = t["n2"].copy()
-    n2[0, 0] = 1.0
     nx, ny = t["nx"], t["ny"]
-    ndotu = (nx * vec.x.coeffs + ny * vec.y.coeffs) / n2
+    ndotu = (nx * vec.x.coeffs + ny * vec.y.coeffs) / t["n2_safe"]
     ndotu[0, 0] = 0.0
     real = vec.x.real and vec.y.real
     return VectorField2(
@@ -448,48 +467,27 @@ def divergence_residual(vec):
 # -- products -----------------------------------------------------------------
 
 
-def _padded_physical(fields, grid):
-    """Physical arrays of several fields on the grid's padded product grid."""
-    m = grid.padded_size
-    n = grid.n_modes
-    out = []
-    for f in fields:
-        c = _embed(f.coeffs, n, m) if m != n else f.coeffs.copy()
-        v = np.fft.ifft2(c) * (m * m)
-        out.append(v.real if f.real else v)
-    return out
-
-
-def _from_padded_physical(values, grid, real):
-    m = grid.padded_size
-    n = grid.n_modes
-    c = np.fft.fft2(values) / (m * m)
-    c = _extract(c, m, n) if m != n else c.copy()
-    c[grid.tables()["nyquist"]] = 0.0
-    return SpectralField(grid, c, real)
-
-
 def product(*fields):
     """Pointwise product of fields, truncated once to the mode grid.
 
     Exact (equal to the L2 projection of the true product) for two factors at
     padding >= 1.5 and for three factors at padding 2.  More factors alias;
-    stage them pairwise instead.
+    stage them pairwise instead.  Real products are exactly Hermitian.
     """
     grid = require_same_grid(*fields)
-    phys = _padded_physical(fields, grid)
-    acc = phys[0]
-    for p in phys[1:]:
-        acc = acc * p
+    values = _samples(fields, grid.padded_size)
+    acc = values[0]
+    for v in values[1:]:
+        acc = acc * v
+    n = grid.n_modes
     real = all(f.real for f in fields)
-    if not real:
-        acc = acc.astype(np.complex128)
-    return _from_padded_physical(acc, grid, real)
-
-
-def multiply(f, g):
-    """Truncated pointwise product of two fields."""
-    return product(f, g)
+    half = _rfft_truncated(acc[None] if real else np.stack([acc.real, acc.imag]), n)
+    # the ny = 0 column holds both n and -n: average the pair so that
+    # f_{-n} = conj(f_n) holds exactly there too
+    col = half[..., 0]
+    half[..., 0] = 0.5 * (col + np.conj(col[..., _flip_index(n)]))
+    full = _full_from_half(half)
+    return SpectralField(grid, full[0] if real else full[0] + 1j * full[1], real)
 
 
 # -- integrals and norms -------------------------------------------------------
@@ -499,6 +497,11 @@ def integral(field):
     """int f dx over the box: (2 pi)^2 times the n = 0 coefficient."""
     v = field.coeffs[0, 0] * TWO_PI ** 2
     return v.real if field.real else v
+
+
+def _sample_integral(samples):
+    """(2 pi)^2 times the grid mean: the torus integral of sampled values."""
+    return TWO_PI ** 2 * float(np.mean(samples))
 
 
 def inner(f, g):

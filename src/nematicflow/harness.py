@@ -52,6 +52,7 @@ from .dyadic import DyadicPartition, hs_norm
 from .grid import (
     GridSpec,
     VectorField2,
+    _sample_integral,
     derivative,
     hs_norm_fourier,
     jacobian,
@@ -61,7 +62,6 @@ from .grid import (
     to_physical,
 )
 
-AREA = (2.0 * math.pi) ** 2
 UNIFORMITY_CAP = 10.0
 
 
@@ -153,10 +153,6 @@ class _Collector:
                            max_ratio, n_trials)
 
 
-def _quad_mean(samples):
-    return AREA * float(np.mean(samples))
-
-
 def _magnitude_lp(components, p, oversample=2):
     """L^p norm of the pointwise euclidean magnitude of a component tuple."""
     sq = None
@@ -166,7 +162,7 @@ def _magnitude_lp(components, p, oversample=2):
     mag = np.sqrt(sq)
     if p == np.inf:
         return float(np.max(mag))
-    return float(_quad_mean(mag ** p) ** (1.0 / p))
+    return float(_sample_integral(mag ** p) ** (1.0 / p))
 
 
 def _safe_ratio(num, den, skip_below=1e-290):
@@ -386,10 +382,6 @@ def _physical_tensor(tensor, oversample=2):
                  (tensor.xx, tensor.xy, tensor.yx, tensor.yy))
 
 
-def _physical_vector(vec, oversample=2):
-    return to_physical(vec.x, oversample), to_physical(vec.y, oversample)
-
-
 def _block_tensor(part, tensor, q):
     from .grid import TensorField22
 
@@ -435,11 +427,11 @@ def verify_cancellation(spec):
             s2 = to_physical(part.low_pass(d1.y, q - 1), 2)
             w1 = to_physical(part.delta(lap_dd.x, q), 2)
             w2 = to_physical(part.delta(lap_dd.y, q), 2)
-            i3 -= 2.0 ** (-q) * _quad_mean(
+            i3 -= 2.0 ** (-q) * _sample_integral(
                 (a11 * s1 + a12 * s2) * w1 + (a21 * s1 + a22 * s2) * w2
             )
             # transpose route: (s x w) : grad^T du, entries (i,j) -> s_i w_j
-            j3 += 2.0 ** (-q) * _quad_mean(
+            j3 += 2.0 ** (-q) * _sample_integral(
                 s1 * w1 * a11 + s1 * w2 * a21 + s2 * w1 * a12 + s2 * w2 * a22
             )
         scale = max(abs(i3), abs(j3), 1e-290)
@@ -484,8 +476,8 @@ def verify_skew_symmetry(spec):
             t12 = v1 * m2 + m1 * v2
             t22 = 2.0 * v2 * m2
             contraction = t11 * w11 + t12 * w12 + t12 * w21 + t22 * w22
-            num = abs(_quad_mean(contraction))
-            den = _quad_mean(
+            num = abs(_sample_integral(contraction))
+            den = _sample_integral(
                 np.sqrt(t11 ** 2 + 2 * t12 ** 2 + t22 ** 2)
                 * np.sqrt(w11 ** 2 + w12 ** 2 + w21 ** 2 + w22 ** 2)
             )

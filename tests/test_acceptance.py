@@ -29,8 +29,8 @@ from nematicflow import (
     generate_initial,
     l2_norm,
     mu_control,
-    multiply,
     osgood_divergence_certificate,
+    product,
     random_scalar,
     run,
     run_all,
@@ -79,12 +79,12 @@ def test_criterion_1_dyadic_identities_on_100_random_fields(grid64):
         sumsq = sum(l2_norm(b) ** 2 for b in blocks)
         assert 0.5 * norm ** 2 <= sumsq <= norm ** 2 * (1.0 + 1e-12)
         g = draws[(i + 1) % len(draws)]
-        product = multiply(f, g)
-        scale = l2_norm(product)
+        fg = product(f, g)
+        scale = l2_norm(fg)
         t_fg, t_gf, remainder = bony_split(f, g, part)
         worst["bony"] = max(
             worst["bony"],
-            l2_norm(t_fg + t_gf + remainder - product) / scale)
+            l2_norm(t_fg + t_gf + remainder - fg) / scale)
         q = q_values[i % len(q_values)]
         dec = bony_block_decompose(f, g, q, part)
         worst["four_term"] = max(

@@ -19,7 +19,7 @@ from nematicflow import (
     hs_inner,
     hs_norm,
     l2_norm,
-    multiply,
+    product,
     random_scalar,
 )
 
@@ -152,14 +152,14 @@ class TestBony:
         f, g = _rand(grid64, rng), _rand(grid64, rng)
         t_fg, t_gf, rem = bony_split(f, g, part)
         recon = t_fg + t_gf + rem
-        target = multiply(f, g)
+        target = product(f, g)
         assert l2_norm(recon - target) <= REL * l2_norm(target)
 
     def test_four_term_block_identity(self, grid64, rng):
         """The commutator/gap/paraproduct/remainder split matches Delta_q(fg)."""
         part = DyadicPartition(grid64)
         f, g = _rand(grid64, rng), _rand(grid64, rng)
-        scale = l2_norm(multiply(f, g))
+        scale = l2_norm(product(f, g))
         for q in (0, 2, part.q_max - 1):
             parts = bony_block_decompose(f, g, q, part)
             resid = l2_norm(parts["sum"] - parts["target"])
@@ -170,7 +170,7 @@ class TestBony:
         part = DyadicPartition(grid64)
         f, g = _rand(grid64, rng), _rand(grid64, rng)
         q = 3
-        direct = part.delta(multiply(f, g), q) - multiply(f, part.delta(g, q))
+        direct = part.delta(product(f, g), q) - product(f, part.delta(g, q))
         assert l2_norm(commutator_block(f, g, q, part) - direct) == 0.0
 
     def test_commutator_lowpass_vanishes_at_the_top(self, grid64, rng):
@@ -183,7 +183,7 @@ class TestBony:
         part = DyadicPartition(grid64)
         f, g = _rand(grid64, rng), _rand(grid64, rng)
         top = commutator_lowpass(f, g, part.q_max + 1, part)
-        assert l2_norm(top) <= REL * l2_norm(multiply(f, g))
+        assert l2_norm(top) <= REL * l2_norm(product(f, g))
 
 
 class TestBesovAndSobolev:

@@ -16,6 +16,7 @@ from nematicflow import (
     VectorField2,
     constant_vector,
     divergence_residual,
+    energy_record,
     ericksen_stress,
     generate_initial,
     gl_force,
@@ -42,6 +43,9 @@ class _GeneralView(LeslieCoefficients):
     @property
     def is_ansatz(self):
         return False
+
+
+GENERAL_COEFFS = LeslieCoefficients(0.5, -2.0, 0.0, 1.0, 1.5, 0.75)
 
 
 def _random_state(grid, seed=0):
@@ -209,18 +213,38 @@ class TestStepping:
 
         Dual route: the production half-spectrum engine against an
         independently assembled exp(-nu k^2 dt) (u_hat + dt P N(u))_hat step
-        built from the documented operators.
+        built from the documented operators, for the default coefficients
+        and for a general set that takes the engine's non-default branch.
         """
         state = _random_state(grid32, seed=1)
-        coeffs = LeslieCoefficients.ansatz()
         dt = 1e-3
         cfg = SolverConfig(dt=dt, t_end=dt, scheme="imex1")
-        engine_state = step(state, coeffs, cfg)
-        ref_state = _reference_imex1(state, coeffs, dt)
         scale = vector_l2_norm(state.u) + vector_l2_norm(state.d)
-        assert _vector_diff(engine_state.u, ref_state.u) <= 1e-13 * scale
-        assert _vector_diff(engine_state.d, ref_state.d) <= 1e-13 * scale
-        assert engine_state.t == pytest.approx(dt)
+        for coeffs in (LeslieCoefficients.ansatz(), GENERAL_COEFFS):
+            engine_state = step(state, coeffs, cfg)
+            ref_state = _reference_imex1(state, coeffs, dt)
+            assert _vector_diff(engine_state.u, ref_state.u) <= 1e-13 * scale
+            assert _vector_diff(engine_state.d, ref_state.d) <= 1e-13 * scale
+            assert engine_state.t == pytest.approx(dt)
+
+    def test_run_records_match_energy_record(self, grid32):
+        """The engine's first record equals energy_record of the initial state.
+
+        The engine evaluates energies and the five dissipation terms from its
+        own padded samples; energy_record goes through Parseval and
+        to_physical.  Both coefficient branches are checked.
+        """
+        state = _random_state(grid32, seed=9)
+        cfg = SolverConfig(dt=1e-3, t_end=2e-3)
+        for coeffs in (LeslieCoefficients.ansatz(), GENERAL_COEFFS):
+            _, records = run(state, coeffs, cfg)
+            rec, ref = records[0], energy_record(state, coeffs)
+            assert rec.t == ref.t
+            for name in ("e_total", "e_kin", "e_elastic", "d_total"):
+                assert getattr(rec, name) == pytest.approx(
+                    getattr(ref, name), rel=1e-13, abs=0.0)
+            assert rec.d_terms == pytest.approx(ref.d_terms, rel=1e-13, abs=0.0)
+            assert max(rec.div_residual, ref.div_residual) <= 1e-14
 
     def test_two_stage_scheme_matches_its_reference(self, grid32):
         """The Heun-type variant equals its two-evaluation reference."""

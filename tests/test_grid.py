@@ -22,12 +22,11 @@ from nematicflow import (
     laplacian,
     leray_project,
     lp_norm,
-    multiply,
     product,
     tensor_divergence,
     to_physical,
 )
-from nematicflow.grid import hs_norm_fourier, transform
+from nematicflow.grid import hs_norm_fourier
 
 from _frozen import TORUS_AREA
 
@@ -107,14 +106,6 @@ class TestTransforms:
         x, _ = grid16.points()
         f = SpectralField.from_samples(grid16, np.cos(8 * x))
         assert l2_norm(f) <= 1e-13
-
-    def test_transform_dispatch(self, grid16):
-        """transform() dispatches forward/inverse and validates direction."""
-        values = _smooth_samples(grid16)
-        f = transform(values, "forward", grid16)
-        assert np.max(np.abs(transform(f, "inverse") - values)) <= 1e-13
-        with pytest.raises(GridError):
-            transform(values, "sideways", grid16)
 
     def test_mean_reads_the_zero_mode(self, grid16):
         """The mean property is the n = 0 coefficient."""
@@ -210,13 +201,6 @@ class TestProducts:
         h = product(f, f, f)
         expected = SpectralField.from_mode(grid32, (6, 0))
         assert np.max(np.abs(h.coeffs - expected.coeffs)) <= 1e-14
-
-    def test_multiply_is_the_binary_product(self, grid32):
-        """multiply(f, g) and product(f, g) agree."""
-        x, y = grid32.points()
-        f = SpectralField.from_samples(grid32, np.sin(x))
-        g = SpectralField.from_samples(grid32, np.cos(y))
-        assert l2_norm(multiply(f, g) - product(f, g)) == 0.0
 
 
 class TestVectorOps:

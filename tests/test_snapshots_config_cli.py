@@ -288,12 +288,16 @@ class TestCli:
         cfg.write_text("[verify]\nn_trials = 30\nseed = 11\ngrids = 16\n")
         out = tmp_path / "out"
         rc = cli.main(["verify", "--config", str(cfg), "--out", str(out),
-                       "--checks", "cancel,skew", "--quiet"])
+                       "--checks", "cancel,skew,product", "--quiet"])
         assert rc == 0
         header, rows = _read_csv(out / "verify_16.csv")
         assert header == ["lemma", "param", "ratio_max", "ratio_median",
                           "verdict"]
         assert rows
+        # product_rule labels such as "sobolev product|(0.0, 0.5)" hold commas
+        assert all(len(r) == len(header) for r in rows)
+        assert {r[0] for r in rows} == {"cancellation", "skew_symmetry",
+                                        "product_rule"}
         assert all(r[4] == "true" for r in rows)
 
     def test_verify_unknown_check_is_a_config_error(self, tmp_path):
