@@ -6,8 +6,8 @@ Subcommands:
   verify     run the inequality/identity verifier ensembles, write CSV verdicts
   decompose  dyadic block spectrum of a snapshot or the configured initial state
 
-Exit codes: 0 success, 2 configuration error, 3 numeric divergence during
-time stepping, 4 a verification verdict failed.
+Exit codes: 0 success, 2 configuration or snapshot error, 3 numeric
+divergence during time stepping, 4 a verification verdict failed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from . import experiments
 from .configio import ConfigError, parse_config
 from .dynamics import DivergenceError
+from .snapshots import SnapshotFormatError, SnapshotSizeError
 
 
 def _build_parser():
@@ -82,6 +83,9 @@ def main(argv=None):
                                              quiet=args.quiet)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (SnapshotFormatError, SnapshotSizeError) as exc:
+        print(f"snapshot error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)

@@ -381,9 +381,15 @@ class _Engine:
         self.n = grid.n_modes
         self.m = grid.padded_size
         self.t = _rfft_tables(self.n)
+        self.ik = np.stack([1j * self.t["nx"], 1j * self.t["ny"]])
         dt = config.dt
         self.exp_u = np.exp(-coeffs.nu * self.t["n2"] * dt)
         self.exp_d = np.exp(-coeffs.kappa * self.t["n2"] * dt)
+        # transform batches, rewritten by every nonlinear() call
+        n, h, m = self.n, self.n // 2 + 1, self.m
+        self.in1 = np.empty((14, n, h), dtype=np.complex128)
+        self.in2 = np.empty((8, n, h), dtype=np.complex128)
+        self.products = np.empty((17, m, m))
 
     def project(self, uh):
         """Leray projection plus exact zero mean, half layout, in place."""
@@ -406,17 +412,16 @@ class _Engine:
         """
         co = self.coeffs
         t = self.t
-        ikx, iky = 1j * t["nx"], 1j * t["ny"]
-        gu = np.stack([ikx * uh[0], iky * uh[0], ikx * uh[1], iky * uh[1]])
-        gd = np.stack([ikx * dh[0], iky * dh[0], ikx * dh[1], iky * dh[1]])
-        ld = -t["n2"] * dh
-
-        batch1 = np.concatenate([uh, gu, dh, gd, ld])  # 2+4+2+4+2 = 14
-        p = _irfft_padded(batch1, self.m)
-        u1, u2 = p[0], p[1]
-        gu0, gu1, gu2, gu3 = p[2], p[3], p[4], p[5]
-        d1, d2 = p[6], p[7]
-        gd0, gd1, gd2, gd3 = p[8], p[9], p[10], p[11]
+        m = self.m
+        b1 = self.in1  # u, d, their first derivatives, lap d: 2+2+8+2 = 14
+        b1[0:2] = uh
+        b1[2:4] = dh
+        np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, self.n, -1))
+        np.multiply(-t["n2"], dh, out=b1[12:14])
+        p = _irfft_padded(b1, m)
+        u1, u2, d1, d2 = p[0:4]
+        grad = p[4:12].reshape(4, 2, m, m)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
+        (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
         ld1, ld2 = p[12], p[13]
 
         a11, a22 = gu0, gu3
@@ -428,61 +433,49 @@ class _Engine:
         q = d1 * d1 + d2 * d2 - 1.0
         gw1, gw2 = q * d1, q * d2
 
-        adv_u1 = u1 * gu0 + u2 * gu1
-        adv_u2 = u1 * gu2 + u2 * gu3
-        adv_d1 = u1 * gd0 + u2 * gd1
-        adv_d2 = u1 * gd2 + u2 * gd3
+        o1 = self.products  # 17 products
+        np.multiply(u1, grad[:, 0], out=o1[0:4])  # u.grad of u1, u2, d1, d2
+        o1[0:4] += u2 * grad[:, 1]
         if co.is_ansatz:
-            st1 = 1.5 * (gu0 * d1 + gu1 * d2) + 0.5 * (gu0 * d1 + gu2 * d2)
-            st2 = 1.5 * (gu2 * d1 + gu3 * d2) + 0.5 * (gu1 * d1 + gu3 * d2)
+            o1[4] = 1.5 * (gu0 * d1 + gu1 * d2) + 0.5 * (gu0 * d1 + gu2 * d2)
+            o1[5] = 1.5 * (gu2 * d1 + gu3 * d2) + 0.5 * (gu1 * d1 + gu3 * d2)
         else:
             c = -co.lambda2 / co.lambda1
-            st1 = w12 * d2 + c * ad1
-            st2 = -w12 * d1 + c * ad2
-        e11 = gd0 * gd0 + gd2 * gd2
-        e12 = gd0 * gd1 + gd2 * gd3
-        e22 = gd1 * gd1 + gd3 * gd3
-
-        out1 = np.stack([
-            adv_u1, adv_u2, adv_d1, adv_d2, st1, st2,
-            e11, e12, e22, ad1, ad2, dad,
-            d1 * d1, d1 * d2, d2 * d2, gw1, gw2,
-        ])  # 17 fields
-        s1 = _rfft_truncated(out1, self.n)
+            o1[4] = w12 * d2 + c * ad1
+            o1[5] = -w12 * d1 + c * ad2
+        o1[6] = gd0 * gd0 + gd2 * gd2
+        o1[7] = gd0 * gd1 + gd2 * gd3
+        o1[8] = gd1 * gd1 + gd3 * gd3
+        o1[9], o1[10], o1[11] = ad1, ad2, dad
+        o1[12], o1[13], o1[14] = d1 * d1, d1 * d2, d2 * d2
+        o1[15], o1[16] = gw1, gw2
+        s1 = _rfft_truncated(o1, self.n)
         advu_h, advd_h, st_h = s1[0:2], s1[2:4], s1[4:6]
         e_h = s1[6:9]
-        ad_h = s1[9:11]
-        dad_h = s1[11:12]
-        ddt_h = s1[12:15]
         gw_h = s1[15:17]
 
-        g_h = -t["n2"] * dh - gw_h  # resolved lap d - grad W
-
-        batch2 = np.concatenate([dad_h, ddt_h, ad_h, g_h])  # 1+3+2+2 = 8
-        p2 = _irfft_padded(batch2, self.m)
-        dad_n = p2[0]
-        ddt11, ddt12, ddt22 = p2[1], p2[2], p2[3]
-        adn1, adn2 = p2[4], p2[5]
-        gn1, gn2 = p2[6], p2[7]
+        b2 = self.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
+        b2[0:6] = s1[9:15]
+        np.subtract(b1[12:14], gw_h, out=b2[6:8])  # resolved lap d - grad W
+        p2 = _irfft_padded(b2, m)
+        adn, dad_n, ddt, gn = p2[0:2], p2[2], p2[3:6], p2[6:8]
         l1, l2 = co.lambda1, co.lambda2
-        nv1 = -(l2 / l1) * adn1 - (1.0 / l1) * gn1
-        nv2 = -(l2 / l1) * adn2 - (1.0 / l1) * gn2
-        lf1 = co.mu2 * nv1 + co.mu5 * adn1
-        lf2 = co.mu2 * nv2 + co.mu5 * adn2
-        rt1 = co.mu3 * nv1 + co.mu6 * adn1
-        rt2 = co.mu3 * nv2 + co.mu6 * adn2
-        out2 = np.stack([
-            dad_n * ddt11, dad_n * ddt12, dad_n * ddt22,       # mu1 part (sym)
-            lf1 * d1, lf1 * d2, lf2 * d1, lf2 * d2,            # (mu2 N + mu5 Ad) x d
-            d1 * rt1, d1 * rt2, d2 * rt1, d2 * rt2,            # d x (mu3 N + mu6 Ad)
-        ])  # 11 fields
-        s2 = _rfft_truncated(out2, self.n)
+        nv = -(l2 / l1) * adn - (1.0 / l1) * gn
+        lf = co.mu2 * nv + co.mu5 * adn
+        rt = co.mu3 * nv + co.mu6 * adn
+        o2 = self.products[:11]  # 11 products; o1 is spent once s1 exists
+        np.multiply(dad_n, ddt, out=o2[0:3])  # mu1 part (sym)
+        # (mu2 N + mu5 Ad) x d, then d x (mu3 N + mu6 Ad)
+        np.multiply(lf[:, None], p[None, 2:4], out=o2[3:7].reshape(2, 2, m, m))
+        np.multiply(p[2:4, None], rt[None], out=o2[7:11].reshape(2, 2, m, m))
+        s2 = _rfft_truncated(o2, self.n)
         mu1 = co.mu1
         sig11 = mu1 * s2[0] + s2[3] + s2[7]
         sig12 = mu1 * s2[1] + s2[4] + s2[8]
         sig21 = mu1 * s2[1] + s2[5] + s2[9]
         sig22 = mu1 * s2[2] + s2[6] + s2[10]
 
+        ikx, iky = self.ik
         mom = np.empty_like(uh)
         mom[0] = -advu_h[0] + ikx * (sig11 - e_h[0]) + iky * (sig12 - e_h[1])
         mom[1] = -advu_h[1] + ikx * (sig21 - e_h[1]) + iky * (sig22 - e_h[2])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 TWO_PI = 2.0 * math.pi
 _ALLOWED_PADDING = (1.0, 1.5, 2.0)
@@ -246,6 +247,29 @@ def require_same_grid(*fields):
 # Every transform runs on half spectra: the ny >= 0 columns 0..N/2 of a real
 # field's coefficients, which fix the rest through f_{-n} = conj(f_n).  A
 # complex field is carried as its real and imaginary parts.
+#
+# The padded inverse is pruned.  Of the M x M half spectrum only the columns
+# ny = 0..N/2-1 can be nonzero, so the pad holds just those N/2 columns.
+# numpy.fft.irfft2 runs its axis -2 pass on the columns it is given and
+# zero-extends them to M/2 + 1 inside the last-axis irfft, so the empty
+# columns are never transformed.  scipy.fft.irfft2 would zero-extend first
+# and transform them all, so the inverse stays on numpy.  The forward goes
+# through scipy.fft.rfft2, which is faster than numpy.fft.rfft2 on batches
+# of real arrays with one worker; its output is then cut to the N grid.  Both
+# use norm="forward" (1/M^2 on the forward side): for a power-of-two M this
+# gives the same bits as scaling after an unnormalized transform.  The FFT
+# functions are looked up on their modules at call time, and only their 2-D
+# entry points are used.
+#
+# Pad buffers are kept per shape (at most 16) and only their two data bands
+# are rewritten on each call, so the rest stays zero.  A buffer never leaves
+# _irfft_padded, whose results are fresh arrays.
+
+
+@lru_cache(maxsize=16)
+def _pad_buffer(shape):
+    """A zero complex array of this shape, shared by every call that pads to it."""
+    return np.zeros(shape, dtype=np.complex128)
 
 
 def _irfft_padded(half, m):
@@ -255,10 +279,10 @@ def _irfft_padded(half, m):
     transform.  The samples start at 0, not at -pi (see _samples).
     """
     h = half.shape[-2] // 2
-    padded = np.zeros(half.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
-    padded[..., :h, :h] = half[..., :h, :h]
-    padded[..., m - h + 1:, :h] = half[..., h + 1:, :h]
-    return np.fft.irfft2(padded, s=(m, m), axes=(-2, -1)) * (m * m)
+    pad = _pad_buffer(half.shape[:-2] + (m, h))
+    pad[..., :h, :] = half[..., :h, :h]
+    pad[..., m - h + 1:, :] = half[..., h + 1:, :h]
+    return np.fft.irfft2(pad, s=(m, m), axes=(-2, -1), norm="forward")
 
 
 def _rfft_truncated(values, n):
@@ -268,7 +292,7 @@ def _rfft_truncated(values, n):
     """
     m = values.shape[-1]
     h = n // 2
-    c = np.fft.rfft2(values, axes=(-2, -1)) / (m * m)
+    c = scipy.fft.rfft2(values, axes=(-2, -1), norm="forward")
     out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
     out[..., :h, :h] = c[..., :h, :h]
     out[..., h + 1:, :h] = c[..., m - h + 1:, :h]

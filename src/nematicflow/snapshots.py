@@ -11,6 +11,7 @@ down to the last bit.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -47,7 +48,11 @@ def write_snapshot(path, fields, n_modes):
 
 
 def read_snapshot(path):
-    """Read an LCSF file; returns (list of complex arrays, n_modes)."""
+    """Read an LCSF file; returns (list of complex arrays, n_modes).
+
+    The header is checked before any of the body is read: N must be even
+    and >= 8, and the declared payload must fit in the rest of the file.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -59,12 +64,19 @@ def read_snapshot(path):
             raise SnapshotFormatError(f"bad magic {magic!r} at offset 0")
         if version != VERSION:
             raise SnapshotFormatError(f"unsupported version {version} at offset 4")
-        if n_modes <= 0 or ncomp <= 0:
+        if n_modes < 8 or n_modes % 2 != 0 or ncomp == 0:
             raise SnapshotFormatError(
                 f"invalid dimensions N={n_modes}, components={ncomp} at offset 8"
+                " (N must be even and >= 8)"
+            )
+        per_comp = n_modes * n_modes * 16
+        size = os.fstat(fh.fileno()).st_size
+        fitting = (size - _HEADER.size) // per_comp
+        if fitting < ncomp:
+            raise SnapshotFormatError(
+                f"truncated component {fitting}: file ends at offset {size}"
             )
         out = []
-        per_comp = n_modes * n_modes * 16
         for k in range(ncomp):
             raw = fh.read(per_comp)
             if len(raw) < per_comp:

@@ -1,9 +1,11 @@
 """Coupled velocity/director dynamics: coefficients, operators, stepping."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nematicflow import (
     CoefficientError,
@@ -33,6 +35,7 @@ from nematicflow import (
     to_physical,
     vector_l2_norm,
 )
+from nematicflow.dynamics import _Engine, state_to_half
 
 from _frozen import GL_FORCE_AT_2, ODE_Y0
 
@@ -51,6 +54,18 @@ GENERAL_COEFFS = LeslieCoefficients(0.5, -2.0, 0.0, 1.0, 1.5, 0.75)
 def _random_state(grid, seed=0):
     u, d = generate_initial(grid, profile="random", seed=seed)
     return State(grid, u, d, 0.0)
+
+
+def _max_energy_residual(state, coeffs, dt, t_end):
+    """Worst |E(t) + int_0^t D ds - E(0)| along a cadence-1 imex1 run, and E(0)."""
+    cfg = SolverConfig(dt=dt, t_end=t_end, scheme="imex1", record_cadence=1)
+    _, records = run(state, coeffs, cfg)
+    t = np.array([r.t for r in records])
+    e = np.array([r.e_total for r in records])
+    d = np.array([r.d_total for r in records])
+    cum = np.concatenate(
+        ([0.0], np.cumsum(0.5 * np.diff(t) * (d[1:] + d[:-1]))))
+    return float(np.max(np.abs(e + cum - e[0]))), float(e[0])
 
 
 def _vector_diff(a, b):
@@ -245,6 +260,62 @@ class TestStepping:
                     getattr(ref, name), rel=1e-13, abs=0.0)
             assert rec.d_terms == pytest.approx(ref.d_terms, rel=1e-13, abs=0.0)
             assert max(rec.div_residual, ref.div_residual) <= 1e-14
+
+    def test_energy_law_for_the_general_coefficient_set(self, grid32):
+        """|E(t) + int D - E(0)| <= 5 dt E(0) for mu = (0.5, -2, 0, 1, 1.5,
+        0.75), and halving dt halves it (ratio in [1.7, 2.3]), as for the
+        default set in acceptance criterion 2."""
+        dt = 1e-3
+        for seed in (0, 1):
+            state = _random_state(grid32, seed=seed)
+            resid, e0 = _max_energy_residual(state, GENERAL_COEFFS, dt, 0.2)
+            resid_half, _ = _max_energy_residual(state, GENERAL_COEFFS,
+                                                 dt / 2.0, 0.2)
+            assert resid <= 5.0 * dt * e0
+            assert 1.7 <= resid / resid_half <= 2.3
+
+    def test_step_runs_the_counted_transforms(self, grid16, monkeypatch):
+        """One imex1 step runs 22 inverse and 28 forward 2-D transforms,
+        one imex2 step 44 and 56, all through the 2-D/n-D entry points of
+        numpy.fft and scipy.fft (the ones the benchmark counts)."""
+        counts = [0, 0]
+
+        def counted(fn, kind, default_axes):
+            @functools.wraps(fn)
+            def wrapper(x, *args, **kwargs):
+                out = fn(x, *args, **kwargs)
+                shape = kwargs.get("s", args[0] if args else None)
+                axes = kwargs.get("axes", args[1] if len(args) > 1 else default_axes)
+                real_space = out if kind == 0 else np.asarray(x)
+                if axes is None:  # n-D default: the last len(s) axes, or all
+                    axes = range(-len(shape), 0) if shape else range(out.ndim)
+                points = math.prod(real_space.shape[a] for a in axes)
+                counts[kind] += real_space.size // points
+                return out
+            return wrapper
+
+        for module in (np.fft, scipy.fft):
+            for kind, names in ((0, ("ifft2", "irfft2", "ifftn", "irfftn")),
+                                (1, ("fft2", "rfft2", "fftn", "rfftn"))):
+                for name in names:
+                    axes = (-2, -1) if name.endswith("2") else None
+                    monkeypatch.setattr(module, name,
+                                        counted(getattr(module, name), kind, axes))
+        state = _random_state(grid16, seed=3)
+        for scheme, expected in (("imex1", [22, 28]), ("imex2", [44, 56])):
+            counts[:] = [0, 0]
+            step(state, LeslieCoefficients.ansatz(),
+                 SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
+            assert counts == expected, scheme
+
+    def test_engine_results_do_not_alias_its_batches(self, grid16):
+        """Right sides from one evaluation survive the next evaluation."""
+        engine = _Engine(grid16, GENERAL_COEFFS, SolverConfig(dt=1e-3, t_end=1e-3))
+        mom, direc, _ = engine.nonlinear(*state_to_half(_random_state(grid16, 1)))
+        kept = (mom.copy(), direc.copy())
+        engine.nonlinear(*state_to_half(_random_state(grid16, 2)))
+        assert np.array_equal(mom, kept[0])
+        assert np.array_equal(direc, kept[1])
 
     def test_two_stage_scheme_matches_its_reference(self, grid32):
         """The Heun-type variant equals its two-evaluation reference."""

@@ -19,7 +19,7 @@ from nematicflow import (
     read_snapshot,
     write_snapshot,
 )
-from nematicflow import cli, experiments
+from nematicflow import cli, experiments, snapshots
 
 
 def _state(grid, seed=0, t=0.0):
@@ -103,6 +103,53 @@ class TestSnapshotErrors:
         path.write_bytes(struct.pack("<4sIII", b"LCSF", 1, 8, 1) + b"\x00" * 100)
         with pytest.raises(SnapshotFormatError, match="truncated component 0"):
             read_snapshot(path)
+
+    def test_huge_grid_size_is_a_format_error(self, tmp_path):
+        """N = 0xFFFFFFFF is refused by the header check, not by overflow."""
+        path = tmp_path / "huge.lcsf"
+        path.write_bytes(struct.pack("<4sIII", b"LCSF", 1, 0xFFFFFFFF, 5))
+        with pytest.raises(SnapshotFormatError, match="N=4294967295.*offset 8"):
+            read_snapshot(path)
+
+    def test_payload_beyond_the_file_fails_before_the_body_is_read(
+            self, tmp_path, monkeypatch):
+        """A moderate N whose payload (21 GB) exceeds the file reads no body."""
+        path = tmp_path / "big.lcsf"
+        path.write_bytes(struct.pack("<4sIII", b"LCSF", 1, 1 << 14, 5)
+                         + b"\x00" * 64)
+        reads = []
+
+        class ReadSpy:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def read(self, size):
+                reads.append(size)
+                return self.fh.read(size)
+
+        monkeypatch.setattr(snapshots, "open",
+                            lambda *a, **k: ReadSpy(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(SnapshotFormatError,
+                           match="truncated component 0: file ends at offset 80"):
+            read_snapshot(path)
+        assert reads == [16]
+
+    def test_grid_size_below_eight_is_a_format_error(self, tmp_path):
+        """N = 6 with a complete body fails in read_snapshot, not in GridSpec."""
+        path = tmp_path / "six.lcsf"
+        write_snapshot(path, [np.zeros((6, 6), dtype=complex)] * 5, 6)
+        with pytest.raises(SnapshotFormatError, match="N=6.*offset 8"):
+            load(path)
 
     def test_wrong_component_count_for_states(self, tmp_path):
         path = tmp_path / "c.lcsf"
@@ -299,6 +346,23 @@ class TestCli:
         assert {r[0] for r in rows} == {"cancellation", "skew_symmetry",
                                         "product_rule"}
         assert all(r[4] == "true" for r in rows)
+
+    def test_bad_snapshot_exits_2(self, tmp_path, grid32, capsys):
+        """Malformed and mismatched snapshots end in one line and exit 2."""
+        cfg = tmp_path / "d.ini"
+        _write_run_config(cfg)
+        bad = tmp_path / "bad.lcsf"
+        bad.write_bytes(struct.pack("<4sIII", b"LCSF", 1, 0xFFFFFFFF, 5))
+        other = tmp_path / "n32.lcsf"
+        persist(_state(grid32), other)
+        for snap, kind in ((bad, "offset 8"), (other, "does not match")):
+            rc = cli.main(["decompose", "--config", str(cfg), "--out",
+                           str(tmp_path / "out"), "--snapshot", str(snap),
+                           "--quiet"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("snapshot error: ") and kind in err
+            assert err.count("\n") == 1
 
     def test_verify_unknown_check_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "v.ini"

@@ -1,16 +1,21 @@
-"""Property tests of the transform layer against an independent oracle.
+"""Tests of the transform layer against independent oracles.
 
-The oracle is built here from full complex np.fft.fft2/ifft2 on a 3x-padded
-grid and from direct evaluation of the Fourier sum, never from grid helpers,
-so it stays independent of the half-spectrum transforms that products, the
-stepping engine and to_physical share.
+The product and sampling oracles are built here from full complex
+np.fft.fft2/ifft2 on a 3x-padded grid and from direct evaluation of the
+Fourier sum, never from grid helpers, so they stay independent of the
+half-spectrum transforms that products, the stepping engine and
+to_physical share.  The transform pair itself is checked against its
+earlier formulation: a full (M, M/2 + 1) pad, numpy.fft only, scaling
+after the transform.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nematicflow import GridSpec, SpectralField, product, to_physical
+from nematicflow.grid import _irfft_padded, _rfft_truncated
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -123,3 +128,76 @@ def test_to_physical_of_single_modes_matches_direct_evaluation(
     expected = amplitude * np.exp(1j * (nx * x[:, None] + ny * x[None, :]))
     values = to_physical(f, oversample)
     assert np.max(np.abs(values - expected)) <= 1e-12 * abs(amplitude)
+
+
+# -- the transform pair against its full-pad formulation ------------------------
+
+
+def _full_pad_irfft(half, m):
+    """Zero-pad half spectra to the full (M, M/2 + 1) layout, then irfft2."""
+    h = half.shape[-2] // 2
+    padded = np.zeros(half.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+    padded[..., :h, :h] = half[..., :h, :h]
+    padded[..., m - h + 1:, :h] = half[..., h + 1:, :h]
+    return np.fft.irfft2(padded, s=(m, m), axes=(-2, -1)) * (m * m)
+
+
+def _full_rfft_truncate(values, n):
+    """numpy rfft2 of the samples, scaled by 1/M^2, then cut to N-grid halves."""
+    m = values.shape[-1]
+    h = n // 2
+    c = np.fft.rfft2(values, axes=(-2, -1)) / (m * m)
+    out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
+    out[..., :h, :h] = c[..., :h, :h]
+    out[..., h + 1:, :h] = c[..., m - h + 1:, :h]
+    return out
+
+
+def _random_halves(rng, lead, n):
+    shape = lead + (n, n // 2 + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+PAIR_GRIDS = [(16, 32), (64, 128), (128, 256), (16, 24), (64, 96)]
+
+
+@pytest.mark.parametrize("n, m", PAIR_GRIDS)
+@pytest.mark.parametrize("lead", [(1,), (2, 3)])
+def test_transform_pair_matches_the_full_pad_formulation(n, m, lead):
+    """Bitwise equal for power-of-two M; within 1e-15 relative otherwise."""
+    rng = np.random.default_rng(n * m + len(lead))
+    half = _random_halves(rng, lead, n)
+    values = rng.standard_normal(lead + (m, m))
+    inverse, forward = _irfft_padded(half, m), _rfft_truncated(values, n)
+    inverse_ref = _full_pad_irfft(half, m)
+    forward_ref = _full_rfft_truncate(values, n)
+    assert inverse.shape == lead + (m, m) and forward.shape == half.shape
+    if m & (m - 1) == 0:
+        assert np.array_equal(inverse, inverse_ref)
+        assert np.array_equal(forward, forward_ref)
+    else:
+        assert _relative(inverse, inverse_ref) <= 1e-15
+        assert _relative(forward, forward_ref) <= 1e-15
+
+
+@pytest.mark.parametrize("n, m", [(16, 32), (16, 24), (16, 16)])
+def test_reused_pad_buffers_carry_nothing_between_calls(n, m):
+    """Batch B after batch A gives B's own result; returned arrays stay put."""
+    rng = np.random.default_rng(5)
+    a, b = _random_halves(rng, (3,), n), _random_halves(rng, (3,), n)
+    first = _irfft_padded(a, m)
+    kept = first.copy()
+    second = _irfft_padded(b, m)
+    assert np.array_equal(second, _irfft_padded(b.copy(), m))
+    assert _relative(second, _full_pad_irfft(b, m)) <= 1e-15
+    assert np.array_equal(_irfft_padded(np.zeros_like(a), m), np.zeros((3, m, m)))
+    assert np.array_equal(first, kept)
+    values = rng.standard_normal((3, m, m))
+    spectra = _rfft_truncated(values, n)
+    kept = spectra.copy()
+    _rfft_truncated(rng.standard_normal((3, m, m)), n)
+    assert np.array_equal(spectra, kept)
