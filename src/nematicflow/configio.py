@@ -16,7 +16,7 @@ Sections and keys (all optional unless noted):
   [output]        dir = .
 
 Unknown sections or keys raise ConfigError (catching typos beats silently
-ignoring them).
+ignoring them).  Values are literal: there is no %(name)s interpolation.
 """
 
 from __future__ import annotations
@@ -105,11 +105,12 @@ def _grids(raw):
 
 def parse_config(path):
     """Read an experiment configuration file into an ExperimentConfig."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc

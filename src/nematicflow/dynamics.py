@@ -37,7 +37,9 @@ half-spectrum engine that shares the grid module's real-FFT transform layer
 (the padded inverse and truncated forward transforms behind grid.product and
 grid.to_physical); the module-level operations (strain_and_vorticity,
 gl_gradient, leslie_stress, rhs) form the readable reference path the engine
-is tested against.
+is tested against.  One engine evaluation runs 20 padded inverse and 16
+forward transforms (22 inverse when it also records energies), so an imex1
+step costs 20 + 16 and an imex2 step 40 + 32.
 """
 
 from __future__ import annotations
@@ -178,14 +180,14 @@ class SolverConfig:
     record_cadence: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         if self.scheme not in ("imex1", "imex2"):
             raise ValueError(f"scheme must be 'imex1' or 'imex2', got {self.scheme!r}")
         if self.record_cadence < 1:
             raise ValueError("record_cadence must be >= 1")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if steps == math.inf or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_end must be an integer multiple of dt")
 
     @property
@@ -389,7 +391,7 @@ class _Engine:
         n, h, m = self.n, self.n // 2 + 1, self.m
         self.in1 = np.empty((14, n, h), dtype=np.complex128)
         self.in2 = np.empty((8, n, h), dtype=np.complex128)
-        self.products = np.empty((17, m, m))
+        self.products = np.empty((16, m, m))
 
     def project(self, uh):
         """Leray projection plus exact zero mean, half layout, in place."""
@@ -408,88 +410,61 @@ class _Engine:
         """Explicit right sides (momentum projected) and optional diagnostics.
 
         The diffusion terms are not included here; the stepper integrates them
-        exactly through the per-mode factors.
+        exactly through the per-mode factors.  Terms that share a right side
+        are summed on the padded grid before one forward transform
+        (truncation is linear): 12 + 8 padded inverses, 12 + 4 forwards, and
+        2 more inverses (lap d) only when diagnostics are wanted.
         """
         co = self.coeffs
         t = self.t
         m = self.m
-        b1 = self.in1  # u, d, their first derivatives, lap d: 2+2+8+2 = 14
+        b1 = self.in1  # u, d, their first derivatives (, lap d): 2+2+8 (+2)
         b1[0:2] = uh
         b1[2:4] = dh
         np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, self.n, -1))
-        np.multiply(-t["n2"], dh, out=b1[12:14])
-        p = _irfft_padded(b1, m)
+        if want_diag:
+            np.multiply(-t["n2"], dh, out=b1[12:14])
+        p = _irfft_padded(b1 if want_diag else b1[:12], m)
         u1, u2, d1, d2 = p[0:4]
         grad = p[4:12].reshape(4, 2, m, m)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
         (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
-        ld1, ld2 = p[12], p[13]
 
-        a11, a22 = gu0, gu3
-        a12 = 0.5 * (gu1 + gu2)
-        w12 = 0.5 * (gu1 - gu2)
-        ad1 = a11 * d1 + a12 * d2
-        ad2 = a12 * d1 + a22 * d2
-        dad = d1 * ad1 + d2 * ad2
-        q = d1 * d1 + d2 * d2 - 1.0
-        gw1, gw2 = q * d1, q * d2
-
-        o1 = self.products  # 17 products
-        np.multiply(u1, grad[:, 0], out=o1[0:4])  # u.grad of u1, u2, d1, d2
-        o1[0:4] += u2 * grad[:, 1]
-        if co.is_ansatz:
-            o1[4] = 1.5 * (gu0 * d1 + gu1 * d2) + 0.5 * (gu0 * d1 + gu2 * d2)
-            o1[5] = 1.5 * (gu2 * d1 + gu3 * d2) + 0.5 * (gu1 * d1 + gu3 * d2)
-        else:
-            c = -co.lambda2 / co.lambda1
-            o1[4] = w12 * d2 + c * ad1
-            o1[5] = -w12 * d1 + c * ad2
-        o1[6] = gd0 * gd0 + gd2 * gd2
-        o1[7] = gd0 * gd1 + gd2 * gd3
-        o1[8] = gd1 * gd1 + gd3 * gd3
-        o1[9], o1[10], o1[11] = ad1, ad2, dad
-        o1[12], o1[13], o1[14] = d1 * d1, d1 * d2, d2 * d2
-        o1[15], o1[16] = gw1, gw2
-        s1 = _rfft_truncated(o1, self.n)
-        advu_h, advd_h, st_h = s1[0:2], s1[2:4], s1[4:6]
-        e_h = s1[6:9]
-        gw_h = s1[15:17]
-
-        b2 = self.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
-        b2[0:6] = s1[9:15]
-        np.subtract(b1[12:14], gw_h, out=b2[6:8])  # resolved lap d - grad W
-        p2 = _irfft_padded(b2, m)
-        adn, dad_n, ddt, gn = p2[0:2], p2[2], p2[3:6], p2[6:8]
-        l1, l2 = co.lambda1, co.lambda2
-        nv = -(l2 / l1) * adn - (1.0 / l1) * gn
-        lf = co.mu2 * nv + co.mu5 * adn
-        rt = co.mu3 * nv + co.mu6 * adn
-        o2 = self.products[:11]  # 11 products; o1 is spent once s1 exists
-        np.multiply(dad_n, ddt, out=o2[0:3])  # mu1 part (sym)
-        # (mu2 N + mu5 Ad) x d, then d x (mu3 N + mu6 Ad)
-        np.multiply(lf[:, None], p[None, 2:4], out=o2[3:7].reshape(2, 2, m, m))
-        np.multiply(p[2:4, None], rt[None], out=o2[7:11].reshape(2, 2, m, m))
-        s2 = _rfft_truncated(o2, self.n)
-        mu1 = co.mu1
-        sig11 = mu1 * s2[0] + s2[3] + s2[7]
-        sig12 = mu1 * s2[1] + s2[4] + s2[8]
-        sig21 = mu1 * s2[1] + s2[5] + s2[9]
-        sig22 = mu1 * s2[2] + s2[6] + s2[10]
-
-        ikx, iky = self.ik
-        mom = np.empty_like(uh)
-        mom[0] = -advu_h[0] + ikx * (sig11 - e_h[0]) + iky * (sig12 - e_h[1])
-        mom[1] = -advu_h[1] + ikx * (sig21 - e_h[1]) + iky * (sig22 - e_h[2])
-        self.project(mom)
-
-        # the lap d part of g_h duplicates the integrating factor's diffusion,
-        # so the explicit side carries only the potential force -kappa grad W
-        if co.is_ansatz:
-            direc = -advd_h + st_h - gw_h
-        else:
-            direc = -advd_h + st_h - co.kappa * gw_h
+        # 0-1 u.grad u, 2-3 director side, 4-5 grad W, 6-7 Ad, 8 d.Ad,
+        # 9-11 d x d, the 12 planes of the first forward batch; 12-14 scratch,
+        # then the Ericksen planes, kept for stage 2; 15 |d|^2 - 1, then scratch
+        o = self.products
+        np.multiply(u1, grad[:, 0], out=o[0:4])  # u.grad of u1, u2, d1, d2
+        o[0:4] += np.multiply(u2, grad[:, 1], out=o[12:16])
+        np.multiply(d1, p[2:4], out=o[9:11])
+        np.multiply(d2, d2, out=o[11])
+        q = o[15]
+        np.add(o[9], o[11], out=q)
+        q -= 1.0
+        np.multiply(q, p[2:4], out=o[4:6])  # grad W = (|d|^2 - 1) d
+        a12, w12, t1 = o[12], o[13], o[14]
+        np.add(gu1, gu2, out=a12)
+        a12 *= 0.5
+        ad1, ad2, dad = o[6], o[7], o[8]
+        np.multiply(gu0, d1, out=ad1)
+        ad1 += np.multiply(a12, d2, out=t1)
+        np.multiply(a12, d1, out=ad2)
+        ad2 += np.multiply(gu3, d2, out=t1)
+        np.multiply(d1, ad1, out=dad)
+        dad += np.multiply(d2, ad2, out=t1)
+        # director side -u.grad d + W d + c A d with c = -lambda_2/lambda_1;
+        # the default set has c = 2, where W d + 2 A d is the stretch
+        # (3/2)(grad u) d + (1/2)(grad u)^T d of its director equation
+        side = o[2:4]
+        cad = np.multiply(-co.lambda2 / co.lambda1, o[6:8], out=o[12:14])
+        np.subtract(cad, side, out=side)
+        np.subtract(gu1, gu2, out=w12)
+        w12 *= 0.5
+        side[0] += np.multiply(w12, d2, out=t1)
+        side[1] -= np.multiply(w12, d1, out=t1)
 
         diag = None
         if want_diag:
+            gw1, gw2 = o[4], o[5]
             grad_u_int = _sample_integral(gu0 ** 2 + gu1 ** 2 + gu2 ** 2 + gu3 ** 2)
             e_grad = 0.5 * _sample_integral(
                 gd0 * gd0 + gd1 * gd1 + gd2 * gd2 + gd3 * gd3
@@ -498,12 +473,55 @@ class _Engine:
                 "e_kin": 0.5 * _sample_integral(u1 * u1 + u2 * u2),
                 "e_elastic": e_grad + _sample_integral(0.25 * q * q),
                 "d_terms": _dissipation_terms(
-                    co, grad_u_int, (ad1, ad2), dad, (ld1 - gw1, ld2 - gw2)
+                    co, grad_u_int, (ad1, ad2), dad, (p[12] - gw1, p[13] - gw2)
                 ),
                 "div_residual": float(
                     np.max(np.abs(t["nx"] * uh[0] + t["ny"] * uh[1]))
                 ),
             }
+
+        e11, e12, e22 = o[12], o[13], o[14]  # grad d o. grad d
+        np.multiply(gd0, gd0, out=e11)
+        e11 += np.multiply(gd2, gd2, out=o[15])
+        np.multiply(gd0, gd1, out=e12)
+        e12 += np.multiply(gd2, gd3, out=o[15])
+        np.multiply(gd1, gd1, out=e22)
+        e22 += np.multiply(gd3, gd3, out=o[15])
+        s1 = _rfft_truncated(o[0:12], self.n)
+        advu_h, gw_h = s1[0:2], s1[4:6]
+
+        b2 = self.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
+        b2[0:6] = s1[6:12]
+        np.multiply(-t["n2"], dh, out=b2[6:8])
+        b2[6:8] -= gw_h  # resolved lap d - grad W
+        p2 = _irfft_padded(b2, m)
+        adn, dad_n, ddt, nv = p2[0:2], p2[2], p2[3:6], p2[6:8]
+        l1, l2 = co.lambda1, co.lambda2
+        nv *= -1.0 / l1
+        nv += (-l2 / l1) * adn  # N = -(lambda_2/lambda_1) Ad - (1/lambda_1) G
+        lf = co.mu2 * nv + co.mu5 * adn
+        rt = co.mu3 * nv + co.mu6 * adn
+        # S = mu1 (d.Ad) d x d + (mu2 N + mu5 Ad) x d + d x (mu3 N + mu6 Ad) - E
+        ddt *= co.mu1 * dad_n
+        s = o[0:4]  # S11, S12, S21, S22; stage-1 planes 0-11 are spent
+        np.subtract(ddt[0], e11, out=s[0])
+        np.subtract(ddt[1], e12, out=s[1])
+        s[2] = s[1]
+        np.subtract(ddt[2], e22, out=s[3])
+        outer = o[4:8].reshape(2, 2, m, m)
+        s += np.multiply(lf[:, None], p[None, 2:4], out=outer).reshape(4, m, m)
+        s += np.multiply(p[2:4, None], rt[None], out=outer).reshape(4, m, m)
+        sh = _rfft_truncated(s, self.n)
+
+        ikx, iky = self.ik
+        mom = np.empty_like(uh)
+        mom[0] = -advu_h[0] + ikx * sh[0] + iky * sh[1]
+        mom[1] = -advu_h[1] + ikx * sh[2] + iky * sh[3]
+        self.project(mom)
+
+        # the lap d part of G duplicates the integrating factor's diffusion,
+        # so the explicit side carries only the potential force -kappa grad W
+        direc = s1[2:4] - co.kappa * gw_h
         return mom, direc, diag
 
     # -- steps ----------------------------------------------------------------------

@@ -52,42 +52,51 @@ def read_snapshot(path):
 
     The header is checked before any of the body is read: N must be even
     and >= 8, and the declared payload must fit in the rest of the file.
+    A file that cannot be opened or read raises SnapshotFormatError too.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
+    try:
+        with open(path, "rb") as fh:
+            return _read_lcsf(fh)
+    except OSError as exc:
+        raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from exc
+
+
+def _read_lcsf(fh):
+    """The body of read_snapshot, on an open binary file."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise SnapshotFormatError(
+            f"truncated header: {len(head)} bytes at offset 0"
+        )
+    magic, version, n_modes, ncomp = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise SnapshotFormatError(f"bad magic {magic!r} at offset 0")
+    if version != VERSION:
+        raise SnapshotFormatError(f"unsupported version {version} at offset 4")
+    if n_modes < 8 or n_modes % 2 != 0 or ncomp == 0:
+        raise SnapshotFormatError(
+            f"invalid dimensions N={n_modes}, components={ncomp} at offset 8"
+            " (N must be even and >= 8)"
+        )
+    per_comp = n_modes * n_modes * 16
+    size = os.fstat(fh.fileno()).st_size
+    fitting = (size - _HEADER.size) // per_comp
+    if fitting < ncomp:
+        raise SnapshotFormatError(
+            f"truncated component {fitting}: file ends at offset {size}"
+        )
+    out = []
+    for k in range(ncomp):
+        raw = fh.read(per_comp)
+        if len(raw) < per_comp:
+            offset = _HEADER.size + k * per_comp + len(raw)
             raise SnapshotFormatError(
-                f"truncated header: {len(head)} bytes at offset 0"
+                f"truncated component {k}: file ends at offset {offset}"
             )
-        magic, version, n_modes, ncomp = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r} at offset 0")
-        if version != VERSION:
-            raise SnapshotFormatError(f"unsupported version {version} at offset 4")
-        if n_modes < 8 or n_modes % 2 != 0 or ncomp == 0:
-            raise SnapshotFormatError(
-                f"invalid dimensions N={n_modes}, components={ncomp} at offset 8"
-                " (N must be even and >= 8)"
-            )
-        per_comp = n_modes * n_modes * 16
-        size = os.fstat(fh.fileno()).st_size
-        fitting = (size - _HEADER.size) // per_comp
-        if fitting < ncomp:
-            raise SnapshotFormatError(
-                f"truncated component {fitting}: file ends at offset {size}"
-            )
-        out = []
-        for k in range(ncomp):
-            raw = fh.read(per_comp)
-            if len(raw) < per_comp:
-                offset = _HEADER.size + k * per_comp + len(raw)
-                raise SnapshotFormatError(
-                    f"truncated component {k}: file ends at offset {offset}"
-                )
-            out.append(
-                np.frombuffer(raw, dtype="<c16").reshape(n_modes, n_modes).copy()
-            )
-        return out, int(n_modes)
+        out.append(
+            np.frombuffer(raw, dtype="<c16").reshape(n_modes, n_modes).copy()
+        )
+    return out, int(n_modes)
 
 
 def persist(state, path):

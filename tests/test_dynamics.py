@@ -229,7 +229,8 @@ class TestStepping:
         Dual route: the production half-spectrum engine against an
         independently assembled exp(-nu k^2 dt) (u_hat + dt P N(u))_hat step
         built from the documented operators, for the default coefficients
-        and for a general set that takes the engine's non-default branch.
+        (whose reference director equation is written in its own form) and
+        for a general set.
         """
         state = _random_state(grid32, seed=1)
         dt = 1e-3
@@ -275,9 +276,10 @@ class TestStepping:
             assert 1.7 <= resid / resid_half <= 2.3
 
     def test_step_runs_the_counted_transforms(self, grid16, monkeypatch):
-        """One imex1 step runs 22 inverse and 28 forward 2-D transforms,
-        one imex2 step 44 and 56, all through the 2-D/n-D entry points of
-        numpy.fft and scipy.fft (the ones the benchmark counts)."""
+        """One imex1 step runs 20 inverse and 16 forward 2-D transforms,
+        one imex2 step 40 and 32, and an evaluation with diagnostics 22 and
+        16, all through the 2-D/n-D entry points of numpy.fft and scipy.fft
+        (the ones the benchmark counts)."""
         counts = [0, 0]
 
         def counted(fn, kind, default_axes):
@@ -302,11 +304,40 @@ class TestStepping:
                     monkeypatch.setattr(module, name,
                                         counted(getattr(module, name), kind, axes))
         state = _random_state(grid16, seed=3)
-        for scheme, expected in (("imex1", [22, 28]), ("imex2", [44, 56])):
+        for scheme, expected in (("imex1", [20, 16]), ("imex2", [40, 32])):
             counts[:] = [0, 0]
             step(state, LeslieCoefficients.ansatz(),
                  SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
             assert counts == expected, scheme
+        engine = _Engine(grid16, LeslieCoefficients.ansatz(),
+                         SolverConfig(dt=1e-3, t_end=1e-3))
+        halves = state_to_half(state)
+        counts[:] = [0, 0]
+        engine.nonlinear(*halves, want_diag=True)
+        assert counts == [22, 16]
+
+    def test_diagnostics_do_not_change_the_right_sides(self, grid32):
+        """Asking for diagnostics leaves mom and direc bitwise unchanged."""
+        halves = state_to_half(_random_state(grid32, seed=10))
+        for coeffs in (LeslieCoefficients.ansatz(), GENERAL_COEFFS):
+            engine = _Engine(grid32, coeffs, SolverConfig(dt=1e-3, t_end=1e-3))
+            mom, direc, diag = engine.nonlinear(*halves, want_diag=True)
+            mom_plain, direc_plain, no_diag = engine.nonlinear(*halves)
+            assert diag is not None and no_diag is None
+            assert np.array_equal(mom, mom_plain)
+            assert np.array_equal(direc, direc_plain)
+
+    def test_recording_does_not_change_the_trajectory(self, grid32):
+        """run(record=True) and run(record=False) end in the same bits."""
+        for coeffs in (LeslieCoefficients.ansatz(), GENERAL_COEFFS):
+            cfg = SolverConfig(dt=1e-3, t_end=5e-3, scheme="imex2")
+            recorded, records = run(_random_state(grid32, seed=11), coeffs, cfg)
+            plain, no_records = run(_random_state(grid32, seed=11), coeffs,
+                                    cfg, record=False)
+            assert len(records) == cfg.n_steps + 1 and no_records == []
+            for a, b in ((recorded.u, plain.u), (recorded.d, plain.d)):
+                assert np.array_equal(a.x.coeffs, b.x.coeffs)
+                assert np.array_equal(a.y.coeffs, b.y.coeffs)
 
     def test_engine_results_do_not_alias_its_batches(self, grid16):
         """Right sides from one evaluation survive the next evaluation."""
@@ -417,7 +448,10 @@ class TestStepping:
             run(state, LeslieCoefficients.ansatz(), cfg, record=False)
 
     def test_solver_config_validation(self):
-        """Bad dt, t_end, scheme, cadence, or incompatible t_end/dt raise."""
+        """Bad dt, t_end, scheme, cadence, or incompatible t_end/dt raise.
+
+        Non-finite times and a step count that overflows are bad too.
+        """
         with pytest.raises(ValueError):
             SolverConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
@@ -428,6 +462,9 @@ class TestStepping:
             SolverConfig(dt=1e-3, t_end=1.0, record_cadence=0)
         with pytest.raises(ValueError):
             SolverConfig(dt=3e-3, t_end=1.0)
+        for dt, t_end in ((1e-3, math.inf), (math.nan, 1.0), (1e-308, 1e308)):
+            with pytest.raises(ValueError):
+                SolverConfig(dt=dt, t_end=t_end)
         assert SolverConfig(dt=1e-3, t_end=1.0).n_steps == 1000
 
 

@@ -364,6 +364,34 @@ class TestCli:
             assert err.startswith("snapshot error: ") and kind in err
             assert err.count("\n") == 1
 
+    def test_absent_snapshot_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "d.ini"
+        _write_run_config(cfg)
+        rc = cli.main(["decompose", "--config", str(cfg), "--out",
+                       str(tmp_path / "out"), "--snapshot",
+                       str(tmp_path / "absent.lcsf"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("snapshot error: cannot read snapshot ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(b"[grid]\nn = 16 # \xe9t\xe9\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("configuration error: ")
+
+    def test_percent_in_a_config_value_exits_2(self, tmp_path, capsys):
+        """Values are taken literally: no %(name)s interpolation."""
+        cfg = tmp_path / "percent.ini"
+        _write_run_config(cfg, extra="[twin]\nmode = %(x)s\n")
+        rc = cli.main(["twin", "--config", str(cfg), "--out", str(tmp_path),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "'%(x)s'" in err
+
     def test_verify_unknown_check_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "v.ini"
         cfg.write_text("[verify]\nn_trials = 30\ngrids = 16\n")
