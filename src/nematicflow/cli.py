@@ -6,8 +6,9 @@ Subcommands:
   verify     run the inequality/identity verifier ensembles, write CSV verdicts
   decompose  dyadic block spectrum of a snapshot or the configured initial state
 
-Exit codes: 0 success, 2 configuration or snapshot error, 3 numeric
-divergence during time stepping, 4 a verification verdict failed.
+Exit codes: 0 success, 2 configuration or snapshot error or an output
+directory that cannot be created, 3 numeric divergence during time
+stepping, 4 a verification verdict failed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def _build_parser():
 
     def add_common(p):
         p.add_argument("--config", required=True, help="path to a config file")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: [output] dir)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured initial-data seed")
         p.add_argument("--quiet", action="store_true",
@@ -59,25 +61,26 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
+        out = config.output_dir if args.out is None else args.out
         if args.command == "run":
-            experiments.run_experiment(config, args.out,
+            experiments.run_experiment(config, out,
                                        seed_override=args.seed,
                                        quiet=args.quiet)
         elif args.command == "twin":
-            experiments.twin_experiment(config, args.out,
+            experiments.twin_experiment(config, out,
                                         seed_override=args.seed,
                                         quiet=args.quiet)
         elif args.command == "verify":
             checks = tuple(c.strip() for c in args.checks.split(",")
                            if c.strip())
-            ok = experiments.verify_experiment(config, args.out,
+            ok = experiments.verify_experiment(config, out,
                                                checks=checks,
                                                quiet=args.quiet)
             if not ok:
                 print("verification failed", file=sys.stderr)
                 return 4
         elif args.command == "decompose":
-            experiments.decompose_experiment(config, args.out,
+            experiments.decompose_experiment(config, out,
                                              snapshot_path=args.snapshot,
                                              seed_override=args.seed,
                                              quiet=args.quiet)

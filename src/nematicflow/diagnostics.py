@@ -29,7 +29,11 @@ and the dissipation-distance functional
             + 2 sum_q 2^{-q} int |Delta_q delta A  S_{q-1} d_1|^2
             +   sum_q 2^{-q} int |Delta_q delta A : S_{q-1}(d_1 x d_1)|^2,
 
-all Sobolev norms in the dyadic-block (lp) form.  The bound function F_hat
+all Sobolev norms in the dyadic-block (lp) form, evaluated as weighted sums
+over the modes (dyadic.hs_norm).  Each block Delta_q delta A and its
+low-passes S_{q-1} d_1, S_{q-1}(d_1 x d_1) are transformed together on a
+band-sized grid, the smallest on which the sampled integral of the squared
+integrands is exact, not on the 2N grid.  The bound function F_hat
 is a polynomial in standard norms of the two states (f1 + f2 + f3 + f4
 below, every hidden constant set to 1) that multiplies mu(Phi) in the
 two-state comparison inequality; the fitted-constant check lives in the
@@ -41,7 +45,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dyadic import DyadicPartition, hs_norm_vector
+import numpy as np
+
+from .dyadic import DyadicPartition, _block_subgrids, _lp_weight, hs_norm_vector
 from .dynamics import (
     LeslieCoefficients,
     _dissipation_terms,
@@ -49,15 +55,21 @@ from .dynamics import (
     strain_and_vorticity,
 )
 from .grid import (
-    TensorField22,
+    TWO_PI,
+    SpectralField,
+    _full_from_half,
+    _irfft_padded,
+    _rfft_truncated,
     _sample_integral,
+    _samples,
+    _symmetrize_ny0,
+    _tables,
     divergence,
     divergence_residual,
     invert_laplacian,
     jacobian,
     l2_norm,
     laplacian,
-    product,
     require_same_grid,
     to_physical,
     vector_hs_norm_fourier,
@@ -192,20 +204,29 @@ def phi(state1, state2, partition=None):
     )
 
 
-def _tensor_lp_norm_sq(tensor, s, partition):
-    """sum over entries of the lp-form H^s norm squared."""
-    from .dyadic import hs_norm
-
-    return sum(
-        hs_norm(f, s, form="lp", partition=partition) ** 2
-        for f in (tensor.xx, tensor.xy, tensor.yx, tensor.yy)
-    )
-
-
 def _strain_difference(state1, state2):
     a1, _ = strain_and_vorticity(state1.u)
     a2, _ = strain_and_vorticity(state2.u)
     return a1 - a2
+
+
+def _grad_lp_norm_sq(vec, s):
+    """sum_ij ||d_j v_i||_{H^s,lp}^2 in closed form:
+    (2 pi)^2 sum_n w_s(n) |n|^2 (|v1_n|^2 + |v2_n|^2)."""
+    n = vec.grid.n_modes
+    power = sum(c.real * c.real + c.imag * c.imag
+                for c in (vec.x.coeffs, vec.y.coeffs))
+    weight = _lp_weight(n, s) * _tables(n)["n2"]
+    return TWO_PI ** 2 * float(np.sum(weight * power))
+
+
+def _outer_half(d):
+    """Half spectra of the truncated products d1 d1, d1 d2, d2 d2: one
+    padded inverse of (d1, d2), one forward transform of the three planes."""
+    d1, d2 = _samples([d.x, d.y], d.grid.padded_size)
+    half = _rfft_truncated(np.stack([d1 * d1, d1 * d2, d2 * d2]), d.grid.n_modes)
+    _symmetrize_ny0(half)
+    return half
 
 
 def frak_d_components(state1, state2, coeffs=None, partition=None):
@@ -214,36 +235,33 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     Returns (grad_du_sq, grad_dd_sq, lp_sum_vector, lp_sum_tensor) where the
     first two are the squared lp-form norms (no nu yet) and the sums carry no
     prefactor; frakD = nu*grad_du_sq + grad_dd_sq + 2*lp_vec + lp_tensor.
+    The eight planes of each q are sampled on dyadic._block_subgrids.
     """
     _require_shared_grid(state1, state2)
-    if partition is None:
-        partition = DyadicPartition(state1.grid)
-    gdu = jacobian(state1.u - state2.u)
-    gdd = jacobian(state1.d - state2.d)
-    grad_du_sq = _tensor_lp_norm_sq(gdu, -0.5, partition)
-    grad_dd_sq = _tensor_lp_norm_sq(gdd, 0.5, partition)
+    if partition is not None:
+        partition._check_grid(state1.u.x)
+    grad_du_sq = _grad_lp_norm_sq(state1.u - state2.u, -0.5)
+    grad_dd_sq = _grad_lp_norm_sq(state1.d - state2.d, 0.5)
 
     da = _strain_difference(state1, state2)
     d1 = state1.d
-    ddt = TensorField22(
-        product(d1.x, d1.x), product(d1.x, d1.y),
-        product(d1.y, d1.x), product(d1.y, d1.y),
-    )
+    h = state1.grid.n_modes // 2 + 1
+    # half spectra: delta A 11, 12, 22 | d1, d2 | (d x d) 11, 12, 22
+    planes = np.concatenate([
+        np.stack([f.coeffs[:, :h] for f in (da.xx, da.xy, da.yy, d1.x, d1.y)]),
+        _outer_half(d1)])
     lp_vec = 0.0
     lp_ten = 0.0
     # S_{q-1} vanishes for q <= 0, so the sums start at q = 1
-    for q in range(1, partition.q_max + 1):
-        b11 = _physical(partition.delta(da.xx, q))
-        b12 = _physical(partition.delta(da.xy, q))
-        b22 = _physical(partition.delta(da.yy, q))
-        s1 = _physical(partition.low_pass(d1.x, q - 1))
-        s2 = _physical(partition.low_pass(d1.y, q - 1))
+    for q, rows, cols, block, low, m in _block_subgrids(state1.grid.n_modes):
+        sub = planes[:, rows, :cols]
+        sub[:3] *= block
+        sub[3:] *= low
+        b11, b12, b22, s1, s2, t11, t12, t22 = _irfft_padded(
+            sub, m, shared_pad=False)
         v1 = b11 * s1 + b12 * s2
         v2 = b12 * s1 + b22 * s2
         lp_vec += 2.0 ** (-q) * _sample_integral(v1 * v1 + v2 * v2)
-        t11 = _physical(partition.low_pass(ddt.xx, q - 1))
-        t12 = _physical(partition.low_pass(ddt.xy, q - 1))
-        t22 = _physical(partition.low_pass(ddt.yy, q - 1))
         contraction = b11 * t11 + 2.0 * b12 * t12 + b22 * t22
         lp_ten += 2.0 ** (-q) * _sample_integral(contraction * contraction)
     return grad_du_sq, grad_dd_sq, lp_vec, lp_ten
@@ -278,15 +296,16 @@ def _state_norms(state):
 
 
 def _dad_l2(state):
-    """||d.(A d)||_{L2} via exact cubic products."""
+    """||d.(A d)||_{L2}: one padded inverse of (A11, A12, A22, d1, d2), the
+    cubic form summed pointwise (exact at padding 2), one forward transform."""
     a, _ = strain_and_vorticity(state.u)
     d = state.d
-    dad = (
-        product(a.xx, d.x, d.x)
-        + 2.0 * product(a.xy, d.x, d.y)
-        + product(a.yy, d.y, d.y)
-    )
-    return l2_norm(dad)
+    grid = state.grid
+    a11, a12, a22, d1, d2 = _samples([a.xx, a.xy, a.yy, d.x, d.y],
+                                     grid.padded_size)
+    dad = a11 * d1 * d1 + 2.0 * (a12 * d1 * d2) + a22 * d2 * d2
+    half = _rfft_truncated(dad, grid.n_modes)
+    return l2_norm(SpectralField(grid, _full_from_half(half), True))
 
 
 def f_bound(state1, state2):

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
+    TWO_PI,
     GridError,
     SpectralField,
     l2_norm,
@@ -73,6 +74,8 @@ def phi(r):
 
 @lru_cache(maxsize=32)
 def _partition_tables(n_modes):
+    """q_max, the read-only multipliers of Delta_q (row q + 1) and of S_q
+    (row q, q = 0..q_max + 1, the running sums of the blocks)."""
     from .grid import _tables
 
     radius = _tables(n_modes)["radius"]
@@ -86,7 +89,54 @@ def _partition_tables(n_modes):
     mults = [np.asarray(chi(radius))]
     for k in range(q_max + 1):
         mults.append(np.asarray(phi(radius * 2.0 ** (-k))))
-    return q_max, mults
+    mults = np.stack(mults)
+    lows = np.cumsum(mults, axis=0)
+    mults.setflags(write=False)
+    lows.setflags(write=False)
+    return q_max, mults, lows
+
+
+@lru_cache(maxsize=32)
+def _lp_weight(n_modes, s):
+    """w_s(n) = sum_q 4^{qs} phi_q(n)^2, so that the lp-form H^s norm is
+    ||f||^2 = (2 pi)^2 sum_n w_s(n) |f_n|^2 (Parseval on each block)."""
+    q_max, mults, _ = _partition_tables(n_modes)
+    w = np.zeros_like(mults[0])
+    for q in range(-1, q_max + 1):
+        w += 4.0 ** (q * s) * mults[q + 1] ** 2
+    w.setflags(write=False)
+    return w
+
+
+def _fast_even_size(k):
+    """Smallest M = 2^i 3^j (i >= 1) above k."""
+    return min(2 ** i * 3 ** j for i in range(1, k.bit_length() + 2)
+               for j in range(k.bit_length()) if 2 ** i * 3 ** j > k)
+
+
+@lru_cache(maxsize=32)
+def _block_subgrids(n_modes):
+    """Band-sized grids for the pairs (Delta_q, S_{q-1}), q = 1..q_max.
+
+    Per axis Delta_q needs the band b = floor((8/3) 2^q) and S_{q-1} the band
+    s = floor((4/3) 2^{q-1}), both capped at N/2 - 1; the multipliers are
+    exactly zero beyond.  Squared products of such fields have per-axis band
+    2(b + s), so their mean on an M x M grid with M > 2(b + s) is their exact
+    integral.  Entries (q, rows, cols, block, low, M): [rows, :cols] cuts the
+    2(b + 1)-grid half spectrum out of an N-grid one, and block/low are the
+    two multipliers cut the same way.
+    """
+    q_max, mults, lows = _partition_tables(n_modes)
+    top = n_modes // 2 - 1
+    out = []
+    for q in range(1, q_max + 1):
+        b = min(top, 2 ** (q + 3) // 3)
+        s = min(top, 2 ** (q + 1) // 3)
+        rows = np.r_[0:b + 2, n_modes - b:n_modes]
+        cut = np.ix_(rows, np.arange(b + 2))
+        out.append((q, rows, b + 2, mults[q + 1][cut], lows[q - 1][cut],
+                    _fast_even_size(2 * (b + s))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -108,7 +158,7 @@ class DyadicPartition:
         return range(-1, self.q_max + 1)
 
     def multiplier(self, q):
-        q_max, mults = _partition_tables(self.grid.n_modes)
+        q_max, mults, _ = _partition_tables(self.grid.n_modes)
         if q < -1 or q > q_max:
             raise DyadicError(f"block index must lie in [-1, {q_max}], got {q}")
         return mults[q + 1]
@@ -130,16 +180,12 @@ class DyadicPartition:
 
     def _low_mult(self, q):
         """Multiplier of S_q for any integer q (zero for q <= -1)."""
-        n = self.grid.n_modes
         if q <= -1:
             return 0.0
-        q_max, mults = _partition_tables(n)
+        q_max, _, lows = _partition_tables(self.grid.n_modes)
         if q > q_max + 1:
             raise DyadicError(f"low-pass index must lie in [0, {q_max + 1}], got {q}")
-        acc = mults[0].copy()
-        for k in range(0, q):
-            acc += mults[k + 1]
-        return acc
+        return lows[q]
 
     def blocks(self, field):
         """All blocks Delta_{-1} f, ..., Delta_{q_max} f as a list."""
@@ -199,7 +245,8 @@ def hs_norm(field, s, form="fourier", partition=None):
     """Sobolev H^s norm in either of two equivalent forms.
 
     form="fourier": (2 pi) (sum_n (1+|n|)^{2s} |f_n|^2)^{1/2}.
-    form="lp":      (sum_q 2^{2qs} ||Delta_q f||_{L2}^2)^{1/2}.
+    form="lp":      (sum_q 2^{2qs} ||Delta_q f||_{L2}^2)^{1/2}, evaluated as
+                    (2 pi) (sum_n w_s(n) |f_n|^2)^{1/2}, w_s = sum_q 4^{qs} phi_q^2.
     At s = 0 both forms return the true L2 norm (the block form is
     special-cased; blocks overlap, so the raw block sum would undershoot).
     """
@@ -210,12 +257,12 @@ def hs_norm(field, s, form="fourier", partition=None):
     if form == "lp":
         if s == 0:
             return l2_norm(field)
-        if partition is None:
-            partition = DyadicPartition(field.grid)
-        total = 0.0
-        for q in partition.q_range:
-            total += 4.0 ** (q * s) * l2_norm(partition.delta(field, q)) ** 2
-        return math.sqrt(total)
+        if partition is not None:
+            partition._check_grid(field)
+        c = field.coeffs
+        power = c.real * c.real + c.imag * c.imag
+        w = _lp_weight(field.grid.n_modes, s)
+        return TWO_PI * math.sqrt(float(np.sum(w * power)))
     raise DyadicError(f"form must be 'fourier' or 'lp', got {form!r}")
 
 

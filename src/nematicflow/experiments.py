@@ -50,7 +50,10 @@ def write_csv(path, header, rows):
 
 
 def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 

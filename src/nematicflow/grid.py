@@ -272,14 +272,17 @@ def _pad_buffer(shape):
     return np.zeros(shape, dtype=np.complex128)
 
 
-def _irfft_padded(half, m):
+def _irfft_padded(half, m, shared_pad=True):
     """Samples on the M x M grid of N-grid half spectra, zero-padded.
 
     half has shape (..., N, N/2 + 1); leading axes form one batched
     transform.  The samples start at 0, not at -pi (see _samples).
+    shared_pad=False pads into a fresh array, for shapes used too rarely
+    for a kept buffer to pay for its memory.
     """
     h = half.shape[-2] // 2
-    pad = _pad_buffer(half.shape[:-2] + (m, h))
+    shape = half.shape[:-2] + (m, h)
+    pad = _pad_buffer(shape) if shared_pad else np.zeros(shape, np.complex128)
     pad[..., :h, :] = half[..., :h, :h]
     pad[..., m - h + 1:, :] = half[..., h + 1:, :h]
     return np.fft.irfft2(pad, s=(m, m), axes=(-2, -1), norm="forward")
@@ -297,6 +300,13 @@ def _rfft_truncated(values, n):
     out[..., :h, :h] = c[..., :h, :h]
     out[..., h + 1:, :h] = c[..., m - h + 1:, :h]
     return out
+
+
+def _symmetrize_ny0(half):
+    """In place: the ny = 0 column holds both n and -n; average each pair
+    so that f_{-n} = conj(f_n) holds exactly there too."""
+    col = half[..., 0]
+    half[..., 0] = 0.5 * (col + np.conj(col[..., _flip_index(half.shape[-2])]))
 
 
 def _full_from_half(half):
@@ -506,10 +516,7 @@ def product(*fields):
     n = grid.n_modes
     real = all(f.real for f in fields)
     half = _rfft_truncated(acc[None] if real else np.stack([acc.real, acc.imag]), n)
-    # the ny = 0 column holds both n and -n: average the pair so that
-    # f_{-n} = conj(f_n) holds exactly there too
-    col = half[..., 0]
-    half[..., 0] = 0.5 * (col + np.conj(col[..., _flip_index(n)]))
+    _symmetrize_ny0(half)
     full = _full_from_half(half)
     return SpectralField(grid, full[0] if real else full[0] + 1j * full[1], real)
 

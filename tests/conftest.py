@@ -1,7 +1,11 @@
 """Shared fixtures for the test suite."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from nematicflow import GridSpec
 
@@ -25,3 +29,36 @@ def grid64():
 def rng():
     """A fresh deterministic generator per test."""
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """[inverse, forward] counts of 2-D transforms, one per batch element.
+
+    Wraps the 2-D/n-D entry points of numpy.fft and scipy.fft (the ones the
+    benchmark counts); reset the list in place between measurements.
+    """
+    counts = [0, 0]
+
+    def counted(fn, kind, default_axes):
+        @functools.wraps(fn)
+        def wrapper(x, *args, **kwargs):
+            out = fn(x, *args, **kwargs)
+            shape = kwargs.get("s", args[0] if args else None)
+            axes = kwargs.get("axes", args[1] if len(args) > 1 else default_axes)
+            real_space = out if kind == 0 else np.asarray(x)
+            if axes is None:  # n-D default: the last len(s) axes, or all
+                axes = range(-len(shape), 0) if shape else range(out.ndim)
+            points = math.prod(real_space.shape[a] for a in axes)
+            counts[kind] += real_space.size // points
+            return out
+        return wrapper
+
+    for module in (np.fft, scipy.fft):
+        for kind, names in ((0, ("ifft2", "irfft2", "ifftn", "irfftn")),
+                            (1, ("fft2", "rfft2", "fftn", "rfftn"))):
+            for name in names:
+                axes = (-2, -1) if name.endswith("2") else None
+                monkeypatch.setattr(module, name,
+                                    counted(getattr(module, name), kind, axes))
+    return counts

@@ -7,6 +7,7 @@ import pytest
 
 from nematicflow import (
     DyadicPartition,
+    GridSpec,
     LeslieCoefficients,
     SolverConfig,
     SpectralField,
@@ -21,18 +22,24 @@ from nematicflow import (
     frak_d_components,
     generate_initial,
     gradient,
+    jacobian,
     kinetic_energy,
     l2_norm,
     perturb,
     phi,
+    product,
     recover_pressure,
     rhs,
     run,
+    strain_and_vorticity,
+    to_physical,
     total_dissipation,
     total_energy,
     uniqueness_record,
     vector_l2_norm,
 )
+
+from nematicflow.diagnostics import _dad_l2
 
 from _frozen import TORUS_AREA, W_AT_2
 
@@ -209,6 +216,90 @@ class TestTwinFunctionals:
         small = _rest_state(grid32)
         big = _random_state(grid32, seed=14)
         assert f_bound(small, small.copy()) < f_bound(big, big.copy())
+
+
+def _block_sum_sq(f, s, part):
+    """sum_q 4^{qs} ||Delta_q f||^2, block by block."""
+    return sum(4.0 ** (q * s) * l2_norm(part.delta(f, q)) ** 2
+               for q in part.q_range)
+
+
+def _oracle_frak_d_components(state1, state2, part):
+    """frakD's addends block by block: jacobian entries in the explicit
+    block sum, d x d by truncated products, every block and low-pass
+    sampled on the 2N grid."""
+    gdu = jacobian(state1.u - state2.u)
+    gdd = jacobian(state1.d - state2.d)
+    grad_du_sq = sum(_block_sum_sq(f, -0.5, part)
+                     for f in (gdu.xx, gdu.xy, gdu.yx, gdu.yy))
+    grad_dd_sq = sum(_block_sum_sq(f, 0.5, part)
+                     for f in (gdd.xx, gdd.xy, gdd.yx, gdd.yy))
+    da = strain_and_vorticity(state1.u)[0] - strain_and_vorticity(state2.u)[0]
+    d = state1.d
+    dd11, dd12, dd22 = product(d.x, d.x), product(d.x, d.y), product(d.y, d.y)
+
+    def integral(samples):
+        return TORUS_AREA * float(np.mean(samples))
+
+    lp_vec = lp_ten = 0.0
+    for q in range(1, part.q_max + 1):
+        b11, b12, b22 = (to_physical(part.delta(f, q), 2)
+                         for f in (da.xx, da.xy, da.yy))
+        s1, s2, t11, t12, t22 = (to_physical(part.low_pass(f, q - 1), 2)
+                                 for f in (d.x, d.y, dd11, dd12, dd22))
+        v1 = b11 * s1 + b12 * s2
+        v2 = b12 * s1 + b22 * s2
+        lp_vec += 2.0 ** (-q) * integral(v1 * v1 + v2 * v2)
+        contraction = b11 * t11 + 2.0 * b12 * t12 + b22 * t22
+        lp_ten += 2.0 ** (-q) * integral(contraction * contraction)
+    return grad_du_sq, grad_dd_sq, lp_vec, lp_ten
+
+
+def _twins(grid, near):
+    s1 = _random_state(grid, seed=21)
+    if near:
+        u2, d2 = perturb(s1.u, s1.d, seed=22, delta=1e-6)
+    else:  # full-band difference, so every block is populated
+        u2, d2 = perturb(s1.u, s1.d, seed=23, delta=0.3, decay=0.5,
+                         band=grid.n_modes / 2)
+    return s1, State(grid, u2, d2, 0.0)
+
+
+class TestTwinRecordOracle:
+    @pytest.mark.parametrize("grid", [GridSpec(16), GridSpec(32), GridSpec(64),
+                                      GridSpec(48, padding_factor=1.5)],
+                             ids=lambda g: f"N{g.n_modes}p{g.padding_factor}")
+    @pytest.mark.parametrize("near", [True, False], ids=["near", "far"])
+    def test_frak_d_components_match_the_block_formula(self, grid, near):
+        """Band-sized block grids and closed-form norms give the 2N-grid
+        block-by-block values."""
+        s1, s2 = _twins(grid, near)
+        part = DyadicPartition(grid)
+        got = frak_d_components(s1, s2, partition=part)
+        want = _oracle_frak_d_components(s1, s2, part)
+        for g, w in zip(got, want):
+            assert w > 0.0
+            assert g == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [GridSpec(32),
+                                      GridSpec(48, padding_factor=1.5)],
+                             ids=lambda g: f"N{g.n_modes}p{g.padding_factor}")
+    def test_dad_l2_matches_the_cubic_products(self, grid):
+        state = _twins(grid, near=False)[1]
+        a, _ = strain_and_vorticity(state.u)
+        d = state.d
+        want = l2_norm(product(a.xx, d.x, d.x) + 2.0 * product(a.xy, d.x, d.y)
+                       + product(a.yy, d.y, d.y))
+        assert _dad_l2(state) == pytest.approx(want, rel=1e-12)
+
+    def test_record_runs_the_counted_transforms(self, grid16, fft_counts):
+        """At N = 16 (q = 1..3): 3 x 8 block planes, 2 + 3 for d x d and
+        5 + 1 for d.Ad; Phi and the gradient norms need none."""
+        s1, s2 = _twins(grid16, near=True)
+        part = DyadicPartition(grid16)
+        fft_counts[:] = [0, 0]
+        uniqueness_record(s1, s2, partition=part)
+        assert fft_counts == [31, 4]
 
 
 class TestPressureRecovery:

@@ -66,6 +66,16 @@ class TestPartitionOfUnity:
         diff = part.low_pass(f, 4) - acc
         assert l2_norm(diff) <= REL * l2_norm(f)
 
+    def test_low_pass_multipliers_are_running_block_sums(self, grid64):
+        """The cached S_q multipliers equal chi + phi_0 + ... + phi_{q-1}
+        added in that order, bit for bit."""
+        part = DyadicPartition(grid64)
+        acc = part.multiplier(-1).copy()
+        for q in range(part.q_max + 2):
+            assert np.array_equal(part._low_mult(q), acc)
+            if q <= part.q_max:
+                acc += part.multiplier(q)
+
     def test_top_low_pass_is_the_identity(self, grid64, rng):
         """S_{q_max + 1} keeps every resolved mode."""
         part = DyadicPartition(grid64)
@@ -212,6 +222,18 @@ class TestBesovAndSobolev:
             a = hs_norm(f, s, form="fourier")
             b = hs_norm(f, s, form="lp", partition=part)
             assert 0.1 * a <= b <= 10.0 * a
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_lp_form_is_the_block_sum(self, n, rng):
+        """The closed-form weight gives sum_q 4^{qs} ||Delta_q f||^2."""
+        grid = GridSpec(n)
+        part = DyadicPartition(grid)
+        f = _rand(grid, rng)
+        for s in (-0.5, 0.25, 0.5, 1.0):
+            blocks = sum(4.0 ** (q * s) * l2_norm(part.delta(f, q)) ** 2
+                         for q in part.q_range)
+            assert hs_norm(f, s, form="lp", partition=part) == pytest.approx(
+                math.sqrt(blocks), rel=1e-13)
 
     def test_hs_inner_is_symmetric_and_consistent(self, grid64, rng):
         """<f, f>_{H^s} recovers the squared lp-form norm."""

@@ -1,11 +1,9 @@
 """Coupled velocity/director dynamics: coefficients, operators, stepping."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from nematicflow import (
     CoefficientError,
@@ -275,34 +273,12 @@ class TestStepping:
             assert resid <= 5.0 * dt * e0
             assert 1.7 <= resid / resid_half <= 2.3
 
-    def test_step_runs_the_counted_transforms(self, grid16, monkeypatch):
+    def test_step_runs_the_counted_transforms(self, grid16, fft_counts):
         """One imex1 step runs 20 inverse and 16 forward 2-D transforms,
         one imex2 step 40 and 32, and an evaluation with diagnostics 22 and
         16, all through the 2-D/n-D entry points of numpy.fft and scipy.fft
         (the ones the benchmark counts)."""
-        counts = [0, 0]
-
-        def counted(fn, kind, default_axes):
-            @functools.wraps(fn)
-            def wrapper(x, *args, **kwargs):
-                out = fn(x, *args, **kwargs)
-                shape = kwargs.get("s", args[0] if args else None)
-                axes = kwargs.get("axes", args[1] if len(args) > 1 else default_axes)
-                real_space = out if kind == 0 else np.asarray(x)
-                if axes is None:  # n-D default: the last len(s) axes, or all
-                    axes = range(-len(shape), 0) if shape else range(out.ndim)
-                points = math.prod(real_space.shape[a] for a in axes)
-                counts[kind] += real_space.size // points
-                return out
-            return wrapper
-
-        for module in (np.fft, scipy.fft):
-            for kind, names in ((0, ("ifft2", "irfft2", "ifftn", "irfftn")),
-                                (1, ("fft2", "rfft2", "fftn", "rfftn"))):
-                for name in names:
-                    axes = (-2, -1) if name.endswith("2") else None
-                    monkeypatch.setattr(module, name,
-                                        counted(getattr(module, name), kind, axes))
+        counts = fft_counts
         state = _random_state(grid16, seed=3)
         for scheme, expected in (("imex1", [20, 16]), ("imex2", [40, 32])):
             counts[:] = [0, 0]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nematicflow import (
     GridError,
@@ -292,3 +294,74 @@ class TestIntegralsAndNorms:
         for s in (-0.5, 0.0, 0.5, 2.0):
             expected = TWO_PI * 6.0 ** s
             assert hs_norm_fourier(f, s) == pytest.approx(expected, rel=1e-14)
+
+
+def _negated(n):
+    return (-np.arange(n)) % n
+
+
+def _exactly_hermitian_field(n, seed, scale):
+    """A real field whose coefficients satisfy f_{-n} = conj(f_n) bit for bit."""
+    grid = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    raw = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    neg = np.ix_(_negated(n), _negated(n))
+    coeffs = 0.5 * (raw + np.conj(raw[neg]))
+    coeffs[grid.tables()["nyquist"]] = 0.0
+    return SpectralField(grid, coeffs, True)
+
+
+def _is_exactly_hermitian(field):
+    n = field.grid.n_modes
+    c = field.coeffs
+    return field.real and np.array_equal(c, np.conj(c[np.ix_(_negated(n), _negated(n))]))
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+FIELDS = dict(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2 ** 32 - 1),
+              scale=st.sampled_from([1e-6, 1.0, 1e6]))
+
+
+def _random_real_vector(n, seed, scale):
+    return VectorField2(_exactly_hermitian_field(n, seed, scale),
+                        _exactly_hermitian_field(n, seed + 1, scale))
+
+
+def _max_abs(vec):
+    return max(np.max(np.abs(vec.x.coeffs)), np.max(np.abs(vec.y.coeffs)))
+
+
+class TestRealFieldProperties:
+    @PROPERTY_SETTINGS
+    @given(**FIELDS)
+    def test_calculus_keeps_real_fields_exactly_hermitian(self, n, seed, scale):
+        f = _exactly_hermitian_field(n, seed, scale)
+        assert _is_exactly_hermitian(f)
+        for out in (derivative(f, 0), derivative(f, 1), laplacian(f)):
+            assert _is_exactly_hermitian(out)
+        pu = leray_project(_random_real_vector(n, seed, scale))
+        assert _is_exactly_hermitian(pu.x) and _is_exactly_hermitian(pu.y)
+
+    @PROPERTY_SETTINGS
+    @given(**FIELDS)
+    def test_leray_projection_is_idempotent(self, n, seed, scale):
+        u = _random_real_vector(n, seed, scale)
+        pu = leray_project(u)
+        ppu = leray_project(pu)
+        assert _max_abs(ppu - pu) <= 1e-14 * _max_abs(u)
+
+    @PROPERTY_SETTINGS
+    @given(**FIELDS)
+    def test_leray_projection_annihilates_gradients(self, n, seed, scale):
+        g = gradient(_exactly_hermitian_field(n, seed, scale))
+        assert _max_abs(leray_project(g)) <= 1e-14 * _max_abs(g)
+
+    @PROPERTY_SETTINGS
+    @given(**FIELDS)
+    def test_leray_output_is_divergence_free(self, n, seed, scale):
+        """sup_n |n . (P u)_n| against sup_n |n| |u_n|, the input's scale."""
+        u = _random_real_vector(n, seed, scale)
+        radius = u.grid.tables()["radius"]
+        input_scale = np.max(radius * np.hypot(np.abs(u.x.coeffs),
+                                               np.abs(u.y.coeffs)))
+        assert divergence_residual(leray_project(u)) <= 1e-12 * input_scale

@@ -375,6 +375,32 @@ class TestCli:
         assert err.startswith("snapshot error: cannot read snapshot ")
         assert err.count("\n") == 1
 
+    def test_output_dir_from_the_config(self, tmp_path, monkeypatch):
+        """Without --out the run writes into [output] dir."""
+        cfg = tmp_path / "o.ini"
+        _write_run_config(cfg, extra="[output]\ndir = sub\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", str(cfg), "--quiet"]) == 0
+        assert (tmp_path / "sub" / "trace.csv").is_file()
+        assert not (tmp_path / "trace.csv").exists()
+        assert cli.main(["run", "--config", str(cfg), "--out", "flag",
+                         "--quiet"]) == 0
+        assert (tmp_path / "flag" / "trace.csv").is_file()
+
+    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "f"
+        blocker.write_text("a regular file\n")
+        cfg = tmp_path / "r.ini"
+        _write_run_config(cfg)
+        out = blocker / "sub"
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(
+            f"configuration error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.ini"
         cfg.write_bytes(b"[grid]\nn = 16 # \xe9t\xe9\n")

@@ -193,6 +193,7 @@ def test_reused_pad_buffers_carry_nothing_between_calls(n, m):
     kept = first.copy()
     second = _irfft_padded(b, m)
     assert np.array_equal(second, _irfft_padded(b.copy(), m))
+    assert np.array_equal(second, _irfft_padded(b, m, shared_pad=False))
     assert _relative(second, _full_pad_irfft(b, m)) <= 1e-15
     assert np.array_equal(_irfft_padded(np.zeros_like(a), m), np.zeros((3, m, m)))
     assert np.array_equal(first, kept)
