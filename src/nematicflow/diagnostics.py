@@ -57,21 +57,17 @@ from .dynamics import (
 from .grid import (
     TWO_PI,
     SpectralField,
-    _full_from_half,
     _irfft_padded,
     _rfft_truncated,
     _sample_integral,
     _samples,
-    _symmetrize_ny0,
-    _tables,
+    _weighted_power,
     divergence,
     divergence_residual,
     invert_laplacian,
-    jacobian,
     l2_norm,
     laplacian,
     require_same_grid,
-    to_physical,
     vector_hs_norm_fourier,
     vector_l2_norm,
 )
@@ -108,12 +104,8 @@ class UniquenessRecord(NamedTuple):
     f_hat: float
 
 
-def _physical(field):
-    return to_physical(field, oversample=2)
-
-
-def _vector_physical(vec):
-    return _physical(vec.x), _physical(vec.y)
+def _strain(state):
+    return strain_and_vorticity(state.u)[0]
 
 
 # -- single-state functionals ----------------------------------------------------
@@ -125,11 +117,9 @@ def kinetic_energy(state):
 
 def elastic_energy(state):
     """int |grad d|^2 / 2 + int W(d); the potential term by 2x quadrature."""
-    j = jacobian(state.d)
-    grad_sq = sum(l2_norm(f) ** 2 for f in (j.xx, j.xy, j.yx, j.yy))
-    d1, d2 = _vector_physical(state.d)
+    d1, d2 = _samples([state.d.x, state.d.y], 2 * state.grid.n_modes)
     q = d1 * d1 + d2 * d2 - 1.0
-    return 0.5 * grad_sq + _sample_integral(0.25 * q * q)
+    return 0.5 * _grad_sq(state.d) + _sample_integral(0.25 * q * q)
 
 
 def total_energy(state):
@@ -138,16 +128,17 @@ def total_energy(state):
 
 
 def _pointwise_strain_fields(state):
-    """Physical samples (2x grid) of A d, d.Ad, G = lap d - grad W."""
-    a, _ = strain_and_vorticity(state.u)
-    a11, a12, a22 = _physical(a.xx), _physical(a.xy), _physical(a.yy)
-    d1, d2 = _vector_physical(state.d)
+    """Samples (2x grid) of A d, d.Ad, G = lap d - grad W."""
+    a, d = _strain(state), state.d
+    a11, a12, a22, d1, d2, g1, g2 = _samples(
+        [a.xx, a.xy, a.yy, d.x, d.y, laplacian(d.x), laplacian(d.y)],
+        2 * state.grid.n_modes)
     ad1 = a11 * d1 + a12 * d2
     ad2 = a12 * d1 + a22 * d2
     dad = d1 * ad1 + d2 * ad2
     q = d1 * d1 + d2 * d2 - 1.0
-    g1 = _physical(laplacian(state.d.x)) - q * d1
-    g2 = _physical(laplacian(state.d.y)) - q * d2
+    g1 -= q * d1
+    g2 -= q * d2
     return (ad1, ad2), dad, (g1, g2)
 
 
@@ -161,10 +152,8 @@ def total_dissipation(state, coeffs=None):
     """
     if coeffs is None:
         coeffs = LeslieCoefficients.ansatz()
-    j = jacobian(state.u)
-    grad_u_sq = sum(l2_norm(f) ** 2 for f in (j.xx, j.xy, j.yx, j.yy))
     ad, dad, g = _pointwise_strain_fields(state)
-    terms = _dissipation_terms(coeffs, grad_u_sq, ad, dad, g)
+    terms = _dissipation_terms(coeffs, _grad_sq(state.u), ad, dad, g)
     return float(sum(terms)), tuple(float(x) for x in terms)
 
 
@@ -204,29 +193,20 @@ def phi(state1, state2, partition=None):
     )
 
 
-def _strain_difference(state1, state2):
-    a1, _ = strain_and_vorticity(state1.u)
-    a2, _ = strain_and_vorticity(state2.u)
-    return a1 - a2
-
-
-def _grad_lp_norm_sq(vec, s):
-    """sum_ij ||d_j v_i||_{H^s,lp}^2 in closed form:
-    (2 pi)^2 sum_n w_s(n) |n|^2 (|v1_n|^2 + |v2_n|^2)."""
-    n = vec.grid.n_modes
-    power = sum(c.real * c.real + c.imag * c.imag
-                for c in (vec.x.coeffs, vec.y.coeffs))
-    weight = _lp_weight(n, s) * _tables(n)["n2"]
-    return TWO_PI ** 2 * float(np.sum(weight * power))
+def _grad_sq(vec, s=None):
+    """sum_ij ||d_j v_i||^2 in closed form, (2 pi)^2 sum_n w(n) |n|^2
+    (|v1_n|^2 + |v2_n|^2): the L2 norms by default, the lp-form H^s norms
+    (w = w_s, see dyadic._lp_weight) when s is given."""
+    t = vec.grid.tables()
+    w = t["weight"] if s is None else _lp_weight(vec.grid.n_modes, s)
+    return TWO_PI ** 2 * _weighted_power(w * t["n2"], vec.x.coeffs, vec.y.coeffs)
 
 
 def _outer_half(d):
     """Half spectra of the truncated products d1 d1, d1 d2, d2 d2: one
     padded inverse of (d1, d2), one forward transform of the three planes."""
     d1, d2 = _samples([d.x, d.y], d.grid.padded_size)
-    half = _rfft_truncated(np.stack([d1 * d1, d1 * d2, d2 * d2]), d.grid.n_modes)
-    _symmetrize_ny0(half)
-    return half
+    return _rfft_truncated(np.stack([d1 * d1, d1 * d2, d2 * d2]), d.grid.n_modes)
 
 
 def frak_d_components(state1, state2, coeffs=None, partition=None):
@@ -240,15 +220,19 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     _require_shared_grid(state1, state2)
     if partition is not None:
         partition._check_grid(state1.u.x)
-    grad_du_sq = _grad_lp_norm_sq(state1.u - state2.u, -0.5)
-    grad_dd_sq = _grad_lp_norm_sq(state1.d - state2.d, 0.5)
+    return _frak_d_parts(state1, state2, _strain(state2))
 
-    da = _strain_difference(state1, state2)
+
+def _frak_d_parts(state1, state2, a2):
+    """frak_d_components, given the strain a2 of state2."""
+    grad_du_sq = _grad_sq(state1.u - state2.u, -0.5)
+    grad_dd_sq = _grad_sq(state1.d - state2.d, 0.5)
+
+    da = _strain(state1) - a2
     d1 = state1.d
-    h = state1.grid.n_modes // 2 + 1
     # half spectra: delta A 11, 12, 22 | d1, d2 | (d x d) 11, 12, 22
     planes = np.concatenate([
-        np.stack([f.coeffs[:, :h] for f in (da.xx, da.xy, da.yy, d1.x, d1.y)]),
+        np.stack([f.coeffs for f in (da.xx, da.xy, da.yy, d1.x, d1.y)]),
         _outer_half(d1)])
     lp_vec = 0.0
     lp_ten = 0.0
@@ -283,29 +267,24 @@ def frak_d(state1, state2, coeffs=None, partition=None):
 
 def _state_norms(state):
     u, d = state.u, state.d
-    j = jacobian(u)
     return {
         "u_l2": vector_l2_norm(u),
         "u_h1": vector_hs_norm_fourier(u, 1.0),
-        "grad_u_l2": math.sqrt(
-            sum(l2_norm(f) ** 2 for f in (j.xx, j.xy, j.yx, j.yy))
-        ),
+        "grad_u_l2": math.sqrt(_grad_sq(u)),
         "d_h1": vector_hs_norm_fourier(d, 1.0),
         "d_h2": vector_hs_norm_fourier(d, 2.0),
     }
 
 
-def _dad_l2(state):
-    """||d.(A d)||_{L2}: one padded inverse of (A11, A12, A22, d1, d2), the
-    cubic form summed pointwise (exact at padding 2), one forward transform."""
-    a, _ = strain_and_vorticity(state.u)
-    d = state.d
-    grid = state.grid
+def _dad_l2(a, d):
+    """||d.(A d)||_{L2} for a strain A: one padded inverse of (A11, A12, A22,
+    d1, d2), the cubic form summed pointwise (exact at padding 2), one
+    forward transform."""
+    grid = d.grid
     a11, a12, a22, d1, d2 = _samples([a.xx, a.xy, a.yy, d.x, d.y],
                                      grid.padded_size)
     dad = a11 * d1 * d1 + 2.0 * (a12 * d1 * d2) + a22 * d2 * d2
-    half = _rfft_truncated(dad, grid.n_modes)
-    return l2_norm(SpectralField(grid, _full_from_half(half), True))
+    return l2_norm(SpectralField(grid, _rfft_truncated(dad, grid.n_modes)))
 
 
 def f_bound(state1, state2):
@@ -315,9 +294,13 @@ def f_bound(state1, state2):
     states vanish, and is nondecreasing in each norm.
     """
     _require_shared_grid(state1, state2)
+    return _f_hat(state1, state2, _dad_l2(_strain(state2), state2.d))
+
+
+def _f_hat(state1, state2, a2d2):
+    """f_bound, given ||d.(A d)||_{L2} of state2."""
     n1 = _state_norms(state1)
     n2 = _state_norms(state2)
-    a2d2 = _dad_l2(state2)
 
     f1 = (
         (1.0 + n1["u_l2"] + n2["u_l2"]) * (n1["u_h1"] ** 2 + n2["u_h1"] ** 2)
@@ -387,9 +370,8 @@ def uniqueness_record(state1, state2, coeffs=None, partition=None):
     dd = state1.d - state2.d
     du_norm = hs_norm_vector(du, -0.5, form="lp", partition=partition)
     dd_norm = hs_norm_vector(dd, 0.5, form="lp", partition=partition)
-    gdu_sq, gdd_sq, lp_vec, lp_ten = frak_d_components(
-        state1, state2, coeffs, partition
-    )
+    a2 = _strain(state2)  # formed once, for frakD and F_hat
+    gdu_sq, gdd_sq, lp_vec, lp_ten = _frak_d_parts(state1, state2, a2)
     total = coeffs.nu * gdu_sq + gdd_sq + 2.0 * lp_vec + lp_ten
     return UniquenessRecord(
         t=state1.t,
@@ -401,5 +383,5 @@ def uniqueness_record(state1, state2, coeffs=None, partition=None):
         grad_dd_norm=math.sqrt(gdd_sq),
         lp_sum_vector=float(lp_vec),
         lp_sum_tensor=float(lp_ten),
-        f_hat=f_bound(state1, state2),
+        f_hat=_f_hat(state1, state2, _dad_l2(a2, state2.d)),
     )

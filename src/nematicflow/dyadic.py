@@ -27,8 +27,9 @@ import numpy as np
 
 from .grid import (
     TWO_PI,
-    GridError,
     SpectralField,
+    _tables,
+    _weighted_power,
     l2_norm,
     lp_norm,
     product,
@@ -75,9 +76,8 @@ def phi(r):
 @lru_cache(maxsize=32)
 def _partition_tables(n_modes):
     """q_max, the read-only multipliers of Delta_q (row q + 1) and of S_q
-    (row q, q = 0..q_max + 1, the running sums of the blocks)."""
-    from .grid import _tables
-
+    (row q, q = 0..q_max + 1, the running sums of the blocks), on the half
+    layout."""
     radius = _tables(n_modes)["radius"]
     half = n_modes // 2 - 1
     max_radius = math.sqrt(2.0) * half
@@ -98,12 +98,14 @@ def _partition_tables(n_modes):
 
 @lru_cache(maxsize=32)
 def _lp_weight(n_modes, s):
-    """w_s(n) = sum_q 4^{qs} phi_q(n)^2, so that the lp-form H^s norm is
-    ||f||^2 = (2 pi)^2 sum_n w_s(n) |f_n|^2 (Parseval on each block)."""
+    """w_s(n) = sum_q 4^{qs} phi_q(n)^2 times the Parseval multiplicity, so
+    that the lp-form H^s norm is ||f||^2 = (2 pi)^2 sum_n w_s(n) |f_n|^2
+    over the half spectrum (Parseval on each block)."""
     q_max, mults, _ = _partition_tables(n_modes)
     w = np.zeros_like(mults[0])
     for q in range(-1, q_max + 1):
         w += 4.0 ** (q * s) * mults[q + 1] ** 2
+    w *= _tables(n_modes)["weight"]
     w.setflags(write=False)
     return w
 
@@ -166,8 +168,7 @@ class DyadicPartition:
     def delta(self, field, q):
         """Frequency block Delta_q f."""
         self._check_grid(field)
-        m = self.multiplier(q)
-        return SpectralField(field.grid, field.coeffs * m, field.real)
+        return SpectralField(field.grid, field.coeffs * self.multiplier(q))
 
     def low_pass(self, field, q):
         """S_q f = sum_{k=-1}^{q-1} Delta_k f, for 0 <= q <= q_max + 1."""
@@ -176,7 +177,7 @@ class DyadicPartition:
             raise DyadicError(
                 f"low-pass index must lie in [0, {self.q_max + 1}], got {q}"
             )
-        return SpectralField(field.grid, field.coeffs * self._low_mult(q), field.real)
+        return SpectralField(field.grid, field.coeffs * self._low_mult(q))
 
     def _low_mult(self, q):
         """Multiplier of S_q for any integer q (zero for q <= -1)."""
@@ -259,10 +260,8 @@ def hs_norm(field, s, form="fourier", partition=None):
             return l2_norm(field)
         if partition is not None:
             partition._check_grid(field)
-        c = field.coeffs
-        power = c.real * c.real + c.imag * c.imag
         w = _lp_weight(field.grid.n_modes, s)
-        return TWO_PI * math.sqrt(float(np.sum(w * power)))
+        return TWO_PI * math.sqrt(_weighted_power(w, field.coeffs))
     raise DyadicError(f"form must be 'fourier' or 'lp', got {form!r}")
 
 
@@ -341,7 +340,7 @@ def bony_block_decompose(f, g, q, partition):
 
     def low_f(k):
         # S_k f for any k <= q_max + 1; the multiplier is zero for k <= -1
-        return SpectralField(f.grid, f.coeffs * partition._low_mult(k), f.real)
+        return SpectralField(f.grid, f.coeffs * partition._low_mult(k))
 
     term1 = zero
     term2 = zero

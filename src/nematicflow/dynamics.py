@@ -33,13 +33,13 @@ Time stepping is IMEX: the stiff diffusion (nu lap u, kappa lap d with
 kappa = -1/lambda_1) is integrated exactly per mode by an integrating factor,
 everything else explicitly.  "imex1" is the first-order baseline; "imex2" is
 a second-order integrating-factor Heun variant.  The inner loop is a batched
-half-spectrum engine that shares the grid module's real-FFT transform layer
-(the padded inverse and truncated forward transforms behind grid.product and
-grid.to_physical); the module-level operations (strain_and_vorticity,
-gl_gradient, leslie_stress, rhs) form the readable reference path the engine
-is tested against.  One engine evaluation runs 20 padded inverse and 16
-forward transforms (22 inverse when it also records energies), so an imex1
-step costs 20 + 16 and an imex2 step 40 + 32.
+engine on the fields' own half spectra (stacked per vector field, no layout
+conversion) that shares the grid module's real-FFT transform layer; the
+module-level operations (strain_and_vorticity, gl_gradient, leslie_stress,
+rhs) form the readable reference path the engine is tested against.  One
+engine evaluation runs 20 padded inverse and 16 forward transforms (22
+inverse when it also records energies), so an imex1 step costs 20 + 16 and
+an imex2 step 40 + 32.
 """
 
 from __future__ import annotations
@@ -51,20 +51,16 @@ import numpy as np
 
 from .grid import (
     GridError,
-    GridSpec,
     SpectralField,
     TensorField22,
     VectorField2,
-    _full_from_half,
     _irfft_padded,
-    _rfft_tables,
     _rfft_truncated,
     _sample_integral,
+    _tables,
     derivative,
-    divergence_residual,
     jacobian,
     laplacian,
-    leray_project,
     product,
     require_same_grid,
     tensor_divergence,
@@ -233,12 +229,6 @@ def _advection(u, v):
     )
 
 
-def _strain_times_director(u, d):
-    """A d assembled as one exact cubic-free stage: pointwise A then product."""
-    a, _ = strain_and_vorticity(u)
-    return _matvec(a, d)
-
-
 def gl_force(d):
     """lap d - grad_d W, the resolved director force field."""
     g = gl_gradient(d)
@@ -362,17 +352,6 @@ def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
 # -- half-spectrum stepping engine ------------------------------------------------
 
 
-def half_from_field(field):
-    """Half-spectrum view (copy) of a real field's coefficients."""
-    n = field.grid.n_modes
-    return field.coeffs[:, : n // 2 + 1].copy()
-
-
-def field_from_half(grid, half):
-    """Rebuild a real field's full coefficient array from the half spectrum."""
-    return SpectralField(grid, _full_from_half(half), True)
-
-
 class _Engine:
     """Batched real-FFT inner loop for one (grid, coefficients, dt, scheme)."""
 
@@ -382,7 +361,7 @@ class _Engine:
         self.config = config
         self.n = grid.n_modes
         self.m = grid.padded_size
-        self.t = _rfft_tables(self.n)
+        self.t = _tables(self.n)
         self.ik = np.stack([1j * self.t["nx"], 1j * self.t["ny"]])
         dt = config.dt
         self.exp_u = np.exp(-coeffs.nu * self.t["n2"] * dt)
@@ -392,6 +371,19 @@ class _Engine:
         self.in1 = np.empty((14, n, h), dtype=np.complex128)
         self.in2 = np.empty((8, n, h), dtype=np.complex128)
         self.products = np.empty((16, m, m))
+
+    def start(self, state):
+        """A state's stacked (u, d) half spectra (copies), u projected."""
+        u, d = state.u, state.d
+        return (self.project(np.stack([u.x.coeffs, u.y.coeffs])),
+                np.stack([d.x.coeffs, d.y.coeffs]))
+
+    def state(self, uh, dh, t):
+        """A State whose fields hold the rows of uh and dh (no copy)."""
+        g = self.grid
+        u, d = (VectorField2(SpectralField(g, h[0]), SpectralField(g, h[1]))
+                for h in (uh, dh))
+        return State(g, u, d, t)
 
     def project(self, uh):
         """Leray projection plus exact zero mean, half layout, in place."""
@@ -547,29 +539,13 @@ class _Engine:
 # -- public stepping interface -----------------------------------------------------
 
 
-def state_to_half(state):
-    u, d = state.u, state.d
-    return (
-        np.stack([half_from_field(u.x), half_from_field(u.y)]),
-        np.stack([half_from_field(d.x), half_from_field(d.y)]),
-    )
-
-
-def half_to_state(grid, uh, dh, t):
-    u = VectorField2(field_from_half(grid, uh[0]), field_from_half(grid, uh[1]))
-    d = VectorField2(field_from_half(grid, dh[0]), field_from_half(grid, dh[1]))
-    return State(grid, u, d, t)
-
-
 def step(state, coeffs, config):
     """One IMEX step of the full system; returns the advanced state."""
     engine = _Engine(state.grid, coeffs, config)
-    uh, dh = state_to_half(state)
-    engine.project(uh)
-    un, dn, _ = engine.step(uh, dh)
+    un, dn, _ = engine.step(*engine.start(state))
     if not (np.all(np.isfinite(un)) and np.all(np.isfinite(dn))):
         raise DivergenceError(0, state.t + config.dt)
-    return half_to_state(state.grid, un, dn, state.t + config.dt)
+    return engine.state(un, dn, state.t + config.dt)
 
 
 def iterate(state, coeffs, config):
@@ -577,20 +553,21 @@ def iterate(state, coeffs, config):
 
     The initial state is yielded as (0, state); the final step is always
     yielded.  Raises DivergenceError naming the step if the state stops
-    being finite.  Useful for driving two trajectories in lockstep.
+    being finite.  Useful for driving two trajectories in lockstep.  A
+    yielded state holds the arrays the next step reads: copy it before
+    changing it in place.
     """
     engine = _Engine(state.grid, coeffs, config)
-    uh, dh = state_to_half(state)
-    engine.project(uh)
+    uh, dh = engine.start(state)
     t0 = state.t
-    yield 0, half_to_state(state.grid, uh, dh, t0)
+    yield 0, engine.state(uh, dh, t0)
     n_steps = config.n_steps
     for m in range(1, n_steps + 1):
         uh, dh, _ = engine.step(uh, dh)
         if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
             raise DivergenceError(m - 1, t0 + m * config.dt)
         if m % config.record_cadence == 0 or m == n_steps:
-            yield m, half_to_state(state.grid, uh, dh, t0 + m * config.dt)
+            yield m, engine.state(uh, dh, t0 + m * config.dt)
 
 
 def run(state, coeffs, config, record=True):
@@ -605,8 +582,7 @@ def run(state, coeffs, config, record=True):
     from .diagnostics import EnergyRecord
 
     engine = _Engine(state.grid, coeffs, config)
-    uh, dh = state_to_half(state)
-    engine.project(uh)
+    uh, dh = engine.start(state)
     records = []
     t0 = state.t
 
@@ -635,4 +611,4 @@ def run(state, coeffs, config, record=True):
     if record:
         _, _, diag = engine.nonlinear(uh, dh, want_diag=True)
         snap(n_steps, diag)
-    return half_to_state(state.grid, uh, dh, t0 + n_steps * config.dt), records
+    return engine.state(uh, dh, t0 + n_steps * config.dt), records

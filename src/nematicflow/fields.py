@@ -2,9 +2,9 @@
 
 Random fields are built by transforming seeded white noise and shaping the
 spectrum with the radial law (1 + |n|)^(-decay), optionally band-limited.
-Starting from real physical noise keeps the coefficients exactly Hermitian.
-All draws go through numpy's seeded Generator in a fixed order, so a seed
-pins the field bit-for-bit.
+Starting from real noise makes the fields real; they are stored as half
+spectra, like every real field (see grid).  All draws go through numpy's
+seeded Generator in a fixed order, so a seed pins the field bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .grid import (
     GridError,
     SpectralField,
     VectorField2,
-    _conj_flip,
     l2_norm,
     leray_project,
     vector_l2_norm,
@@ -33,14 +32,14 @@ def random_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0, zero_mean=True
     n = grid.n_modes
     t = grid.tables()
     noise = rng.standard_normal((n, n))
-    coeffs = np.fft.fft2(noise) / (n * n)
+    # the spectrum of the noise read as samples from x = 0, not from -pi
+    coeffs = SpectralField.from_samples(grid, noise).coeffs * t["phase"]
     coeffs *= (1.0 + t["radius"]) ** (-float(decay))
     if band is not None:
         coeffs[t["radius"] > band] = 0.0
-    coeffs[t["nyquist"]] = 0.0
     if zero_mean:
         coeffs[0, 0] = 0.0
-    f = SpectralField(grid, coeffs, True)
+    f = SpectralField(grid, coeffs)
     norm = l2_norm(f)
     if norm > 0.0:
         f = f * (amplitude / norm)
@@ -84,10 +83,12 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
     amp_noise = rng.standard_normal((n, n))
     phase_noise = rng.standard_normal((n, n))
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    # Even/odd symmetrizations keep the coefficient array exactly Hermitian;
-    # on real arrays _conj_flip just reads the negated mode index.
-    amp_jitter = 0.5 * (amp_noise + _conj_flip(amp_noise))
-    phase_jitter = 0.5 * (phase_noise - _conj_flip(phase_noise))
+    # The noise is indexed by mode; its even and odd parts at the stored
+    # modes make the ny = 0 column exactly Hermitian.
+    neg = -np.arange(n) % n
+    mirror = np.ix_(neg, neg[: n // 2 + 1])
+    amp_jitter = 0.5 * (amp_noise[:, : n // 2 + 1] + amp_noise[mirror])
+    phase_jitter = 0.5 * (phase_noise[:, : n // 2 + 1] - phase_noise[mirror])
     envelope = (1.0 + t["radius"]) ** (-float(decay)) * np.exp(0.05 * amp_jitter)
     angle = -(t["nx"] * focus[0] + t["ny"] * focus[1]) + 0.05 * phase_jitter
     coeffs = sign * envelope * np.exp(1j * angle)
@@ -95,7 +96,7 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
         coeffs[t["radius"] > band] = 0.0
     coeffs[t["nyquist"]] = 0.0
     coeffs[0, 0] = 0.0
-    f = SpectralField(grid, coeffs, True)
+    f = SpectralField(grid, coeffs)
     norm = l2_norm(f)
     if norm > 0.0:
         f = f * (amplitude / norm)
@@ -119,12 +120,10 @@ def focused_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
 
 def constant_vector(grid, values):
     """The spatially constant vector field with the given two components."""
-    n = grid.n_modes
-    cx = np.zeros((n, n), dtype=np.complex128)
-    cy = np.zeros((n, n), dtype=np.complex128)
-    cx[0, 0] = values[0]
-    cy[0, 0] = values[1]
-    return VectorField2(SpectralField(grid, cx, True), SpectralField(grid, cy, True))
+    v = VectorField2.zero(grid)
+    v.x.coeffs[0, 0] = values[0]
+    v.y.coeffs[0, 0] = values[1]
+    return v
 
 
 def generate_initial(grid, profile="random", seed=0, decay=3.0, band=None,

@@ -1,9 +1,16 @@
 """Spectral fields on the periodic box [-pi, pi]^2.
 
-A field is stored by its Fourier coefficients in FFT ordering on an even
-N x N integer mode grid, with the convention
+A field is held by its Fourier coefficients on an even N x N integer mode
+grid, with the convention
 
     f(x) = sum_n f_n exp(i n.x),      f_n = (2 pi)^-2 int f(x) exp(-i n.x) dx.
+
+Fields of the model are real, so f_{-n} = conj(f_n) and only the half
+spectrum is stored: columns ny = 0..N/2, rows nx in FFT order, the real-FFT
+layout of shape (N, N/2 + 1); only its ny = 0 column holds both n and -n.
+A complex field (from_mode makes one) is the pair of half spectra of its
+real and imaginary parts.  Full N x N arrays appear only at the boundaries:
+from_coeffs and from_samples read them, the snapshot writer writes them.
 
 Physical samples live on the uniform grid x_j = -pi + 2 pi j / N.  Relative to
 numpy's FFT (which assumes samples starting at 0) this shifts every mode by
@@ -11,8 +18,7 @@ exp(-i pi (nx+ny)) = (-1)^(nx+ny), an exact factor in floating point, so the
 round trip costs no accuracy.
 
 On an even grid the modes with |n_i| = N/2 have no conjugate partner; they are
-zeroed on construction and kept at zero by every operation here, so real
-fields stay exactly Hermitian.
+zeroed on construction and kept at zero by every operation here.
 
 Products of fields are computed pointwise on a padded physical grid and
 truncated back to the mode grid.  With the default padding factor 2, the
@@ -42,34 +48,38 @@ class GridError(ValueError):
 
 @lru_cache(maxsize=32)
 def _tables(n_modes):
-    """Cached wavenumber tables for an N x N mode grid (FFT ordering)."""
+    """Cached read-only wavenumber tables of the half layout: axis 0 holds
+    nx in FFT order, axis 1 holds ny = 0..N/2."""
     n = n_modes
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0, 1, ..., -1
-    # axis 0 = x, axis 1 = y
-    nx, ny = np.meshgrid(k, k, indexing="ij")
+    kx = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0, 1, ..., -1
+    nx, ny = np.meshgrid(kx, np.arange(n // 2 + 1), indexing="ij")
     n2 = (nx * nx + ny * ny).astype(np.float64)
-    radius = np.sqrt(n2)
     n2_safe = n2.copy()
     n2_safe[0, 0] = 1.0  # for divisions by |n|^2 whose n = 0 result is zeroed
-    nyquist = (np.abs(nx) == n // 2) | (np.abs(ny) == n // 2)
-    # Phase relating samples on [-pi, pi)^2 to numpy's [0, 2pi)^2 convention.
-    phase = np.where((nx + ny) % 2 == 0, 1.0, -1.0)
-    return {
+    tables = {
         "nx": nx,
         "ny": ny,
         "n2": n2,
         "n2_safe": n2_safe,
-        "radius": radius,
-        "nyquist": nyquist,
-        "phase": phase,
+        "radius": np.sqrt(n2),
+        "nyquist": (np.abs(nx) == n // 2) | (ny == n // 2),
+        # Phase relating samples on [-pi, pi)^2 to numpy's [0, 2pi)^2 convention.
+        "phase": np.where((nx + ny) % 2 == 0, 1.0, -1.0),
+        # Parseval multiplicity: a column ny > 0 also stands for its mirror -n.
+        "weight": np.where(ny == 0, 1.0, 2.0),
     }
+    for value in tables.values():
+        value.setflags(write=False)
+    return tables
 
 
-@lru_cache(maxsize=32)
-def _rfft_tables(n_modes):
-    """The ny >= 0 columns 0..N/2 of the tables: the real-FFT half layout."""
-    return {key: np.ascontiguousarray(value[:, : n_modes // 2 + 1])
-            for key, value in _tables(n_modes).items()}
+@lru_cache(maxsize=64)
+def _hs_weight(n_modes, s):
+    """(1 + |n|)^{2s} times the Parseval multiplicity, read-only."""
+    t = _tables(n_modes)
+    w = (1.0 + t["radius"]) ** (2.0 * s) * t["weight"]
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,7 @@ class GridSpec:
         return math.sqrt(2.0) * half
 
     def tables(self):
+        """Read-only wavenumber tables of the half layout."""
         return _tables(self.n_modes)
 
     def points(self, oversample=1):
@@ -119,22 +130,28 @@ class GridSpec:
 
 
 class SpectralField:
-    """A scalar field on the box, held by its Fourier coefficients.
+    """A scalar field on the box, held by its half spectrum.
 
     Attributes
     ----------
     grid : GridSpec
-    coeffs : complex ndarray, shape (N, N), FFT ordering
+    coeffs : complex ndarray
+        Shape (N, N/2 + 1) for a real field: the coefficients f_n with
+        ny = 0..N/2, rows nx in FFT order.  Shape (2, N, N/2 + 1) for a
+        complex field: the half spectra of its real and imaginary parts.
     real : bool
-        True when the field is real-valued (coefficients Hermitian).
+        True when the field is real-valued.
     """
 
-    __slots__ = ("grid", "coeffs", "real")
+    __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid, coeffs, real):
+    def __init__(self, grid, coeffs):
         self.grid = grid
         self.coeffs = coeffs
-        self.real = real
+
+    @property
+    def real(self):
+        return self.coeffs.ndim == 2
 
     # -- constructors -------------------------------------------------------
 
@@ -142,43 +159,52 @@ class SpectralField:
     def from_samples(cls, grid, values):
         """Build a field from physical samples on the N x N grid of points()."""
         values = np.asarray(values)
-        if values.shape != (grid.n_modes, grid.n_modes):
+        n = grid.n_modes
+        if values.shape != (n, n):
             raise GridError(
-                f"sample array must be {grid.n_modes} x {grid.n_modes}, got {values.shape}"
+                f"sample array must be {n} x {n}, got {values.shape}"
             )
         t = grid.tables()
-        real = not np.iscomplexobj(values)
-        coeffs = np.fft.fft2(values) / values.size
+        if np.iscomplexobj(values):
+            values = np.stack([values.real, values.imag])
+        coeffs = np.fft.fft2(values)[..., : n // 2 + 1] / (n * n)
         coeffs *= t["phase"]
-        coeffs[t["nyquist"]] = 0.0
-        return cls(grid, coeffs, real)
+        coeffs[..., t["nyquist"]] = 0.0
+        return cls(grid, coeffs)
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, real=None):
-        """Build a field from FFT-ordered coefficients.
+        """Build a field from a full N x N array of FFT-ordered coefficients.
 
         Nyquist modes are zeroed.  With real=True the coefficients must be
         Hermitian (f_{-n} = conj(f_n)) to within roundoff; real=None detects.
+        A real field keeps the given ny >= 0 half; a complex one stores the
+        half spectra of its real and imaginary parts.
         """
-        coeffs = np.array(coeffs, dtype=np.complex128)
-        if coeffs.shape != (grid.n_modes, grid.n_modes):
+        n = grid.n_modes
+        c = np.array(coeffs, dtype=np.complex128)
+        if c.shape != (n, n):
             raise GridError(
-                f"coefficient array must be {grid.n_modes} x {grid.n_modes}, got {coeffs.shape}"
+                f"coefficient array must be {n} x {n}, got {c.shape}"
             )
-        t = grid.tables()
-        coeffs[t["nyquist"]] = 0.0
-        flipped = _conj_flip(coeffs)
-        scale = np.max(np.abs(coeffs)) or 1.0
-        hermitian = np.max(np.abs(coeffs - flipped)) <= 1e-12 * scale
+        c[n // 2, :] = 0.0
+        c[:, n // 2] = 0.0
+        neg = -np.arange(n) % n
+        flipped = np.conj(c[np.ix_(neg, neg)])  # conj(f_{-n})
+        scale = np.max(np.abs(c)) or 1.0
+        hermitian = np.max(np.abs(c - flipped)) <= 1e-12 * scale
         if real is None:
             real = bool(hermitian)
         elif real and not hermitian:
             raise GridError("coefficients flagged real are not Hermitian")
-        return cls(grid, coeffs, real)
+        if not real:
+            c = np.stack([0.5 * (c + flipped), -0.5j * (c - flipped)])
+        return cls(grid, np.ascontiguousarray(c[..., : n // 2 + 1]))
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, np.zeros((grid.n_modes, grid.n_modes), dtype=np.complex128), True)
+        n = grid.n_modes
+        return cls(grid, np.zeros((n, n // 2 + 1), dtype=np.complex128))
 
     @classmethod
     def from_mode(cls, grid, mode, amplitude=1.0):
@@ -187,51 +213,60 @@ class SpectralField:
         n = grid.n_modes
         if abs(nx) >= n // 2 or abs(ny) >= n // 2:
             raise GridError(f"mode {mode} is outside the populated band of N={n}")
-        coeffs = np.zeros((n, n), dtype=np.complex128)
-        coeffs[nx % n, ny % n] = amplitude
-        return cls(grid, coeffs, False)
+        coeffs = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
+        # the real and imaginary parts hold (a/2, -i a/2) at n and the
+        # conjugates at -n; the entries with ny >= 0 are the stored ones
+        at_n = amplitude * np.array([0.5, -0.5j])
+        for kx, ky, parts in ((nx, ny, at_n), (-nx, -ny, np.conj(at_n))):
+            if ky >= 0:
+                coeffs[:, kx % n, ky] += parts
+        return cls(grid, coeffs)
 
     # -- basics --------------------------------------------------------------
 
     def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy(), self.real)
+        return SpectralField(self.grid, self.coeffs.copy())
 
     def __add__(self, other):
-        require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs, self.real and other.real)
+        a, b = _operands(self, other)
+        return SpectralField(self.grid, a + b)
 
     def __sub__(self, other):
-        require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs, self.real and other.real)
+        a, b = _operands(self, other)
+        return SpectralField(self.grid, a - b)
 
     def __mul__(self, scalar):
         s = complex(scalar)
-        real = self.real and s.imag == 0.0
-        return SpectralField(self.grid, self.coeffs * scalar, real)
+        if s.imag == 0.0:
+            return SpectralField(self.grid, self.coeffs * scalar)
+        re, im = _pair(self)
+        return SpectralField(self.grid, np.stack([s.real * re - s.imag * im,
+                                                  s.imag * re + s.real * im]))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs, self.real)
+        return SpectralField(self.grid, -self.coeffs)
 
     @property
     def mean(self):
         """Mean value over the box (the n = 0 coefficient)."""
-        v = self.coeffs[0, 0]
-        return v.real if self.real else v
+        v = self.coeffs[..., 0, 0].real
+        return float(v) if self.real else complex(*v)
 
 
-def _conj_flip(coeffs):
-    """conj(f_{-n}) in FFT ordering."""
-    return np.conj(coeffs[np.ix_(_flip_index(coeffs.shape[0]), _flip_index(coeffs.shape[1]))])
+def _pair(field):
+    """Half spectra of a field's real and imaginary parts, stacked."""
+    c = field.coeffs
+    return c if c.ndim == 3 else np.stack([c, np.zeros_like(c)])
 
 
-@lru_cache(maxsize=32)
-def _flip_index(n):
-    idx = np.zeros(n, dtype=np.intp)
-    idx[0] = 0
-    idx[1:] = np.arange(n - 1, 0, -1)
-    return idx
+def _operands(f, g):
+    """Coefficients of two fields on one grid, both real or both as pairs."""
+    require_same_grid(f, g)
+    if f.real == g.real:
+        return f.coeffs, g.coeffs
+    return _pair(f), _pair(g)
 
 
 def require_same_grid(*fields):
@@ -244,9 +279,8 @@ def require_same_grid(*fields):
 
 # -- transforms ---------------------------------------------------------------
 #
-# Every transform runs on half spectra: the ny >= 0 columns 0..N/2 of a real
-# field's coefficients, which fix the rest through f_{-n} = conj(f_n).  A
-# complex field is carried as its real and imaginary parts.
+# Every transform runs on half spectra; a complex field is carried as its
+# real and imaginary parts.
 #
 # The padded inverse is pruned.  Of the M x M half spectrum only the columns
 # ny = 0..N/2-1 can be nonzero, so the pad holds just those N/2 columns.
@@ -291,7 +325,9 @@ def _irfft_padded(half, m, shared_pad=True):
 def _rfft_truncated(values, n):
     """N-grid half spectra of real M x M samples (any leading axes).
 
-    The N-grid Nyquist row and column are left at zero.
+    The N-grid Nyquist row and column are left at zero.  The ny = 0 column
+    holds both n and -n, which the transform computes separately; each pair
+    is averaged so that f_{-n} = conj(f_n) holds exactly there too.
     """
     m = values.shape[-1]
     h = n // 2
@@ -299,25 +335,9 @@ def _rfft_truncated(values, n):
     out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
     out[..., :h, :h] = c[..., :h, :h]
     out[..., h + 1:, :h] = c[..., m - h + 1:, :h]
+    col = out[..., 0]
+    out[..., 0] = 0.5 * (col + np.conj(col[..., -np.arange(n) % n]))
     return out
-
-
-def _symmetrize_ny0(half):
-    """In place: the ny = 0 column holds both n and -n; average each pair
-    so that f_{-n} = conj(f_n) holds exactly there too."""
-    col = half[..., 0]
-    half[..., 0] = 0.5 * (col + np.conj(col[..., _flip_index(half.shape[-2])]))
-
-
-def _full_from_half(half):
-    """Full FFT-ordered coefficients from half spectra; ny < 0 by symmetry."""
-    n = half.shape[-2]
-    h = n // 2
-    full = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : h + 1] = half
-    # f(-nx, -ny) = conj(f(nx, ny)); columns h+1.. hold ny = -(h-1)..-1
-    full[..., h + 1:] = np.conj(full[..., _flip_index(n), 1:h][..., ::-1])
-    return full
 
 
 def _samples(fields, m, phase=False):
@@ -327,17 +347,9 @@ def _samples(fields, m, phase=False):
     grid is shifted by (pi, pi), which pointwise products do not see.
     """
     n = fields[0].grid.n_modes
-    parts = []
-    for f in fields:
-        c = f.coeffs
-        if f.real:
-            parts.append(c)
-        else:
-            flip = _conj_flip(c)
-            parts += [0.5 * (c + flip), -0.5j * (c - flip)]
-    half = np.stack([c[:, : n // 2 + 1] for c in parts])
+    half = np.concatenate([f.coeffs.reshape(-1, n, n // 2 + 1) for f in fields])
     if phase:
-        half *= _rfft_tables(n)["phase"]
+        half *= _tables(n)["phase"]
     values = iter(_irfft_padded(half, m))
     return [next(values) if f.real else next(values) + 1j * next(values)
             for f in fields]
@@ -360,19 +372,19 @@ def derivative(field, axis):
         raise GridError(f"axis must be 0 or 1, got {axis}")
     t = field.grid.tables()
     mult = 1j * (t["nx"] if axis == 0 else t["ny"])
-    return SpectralField(field.grid, field.coeffs * mult, field.real)
+    return SpectralField(field.grid, field.coeffs * mult)
 
 
 def laplacian(field):
     t = field.grid.tables()
-    return SpectralField(field.grid, -t["n2"] * field.coeffs, field.real)
+    return SpectralField(field.grid, -t["n2"] * field.coeffs)
 
 
 def invert_laplacian(field):
     """Solve lap(u) = f for the mean-zero u; the n = 0 mode is set to zero."""
     coeffs = -field.coeffs / field.grid.tables()["n2_safe"]
-    coeffs[0, 0] = 0.0
-    return SpectralField(field.grid, coeffs, field.real)
+    coeffs[..., 0, 0] = 0.0
+    return SpectralField(field.grid, coeffs)
 
 
 class VectorField2:
@@ -483,19 +495,20 @@ def leray_project(vec):
     """
     t = vec.grid.tables()
     nx, ny = t["nx"], t["ny"]
-    ndotu = (nx * vec.x.coeffs + ny * vec.y.coeffs) / t["n2_safe"]
-    ndotu[0, 0] = 0.0
-    real = vec.x.real and vec.y.real
+    ux, uy = _operands(vec.x, vec.y)
+    ndotu = (nx * ux + ny * uy) / t["n2_safe"]
+    ndotu[..., 0, 0] = 0.0
     return VectorField2(
-        SpectralField(vec.grid, vec.x.coeffs - nx * ndotu, real),
-        SpectralField(vec.grid, vec.y.coeffs - ny * ndotu, real),
+        SpectralField(vec.grid, ux - nx * ndotu),
+        SpectralField(vec.grid, uy - ny * ndotu),
     )
 
 
 def divergence_residual(vec):
-    """sup_n |n . u_n|, the spectral divergence residual."""
+    """sup_n |n . u_n| over the stored modes, the spectral divergence residual."""
     t = vec.grid.tables()
-    return float(np.max(np.abs(t["nx"] * vec.x.coeffs + t["ny"] * vec.y.coeffs)))
+    ux, uy = _operands(vec.x, vec.y)
+    return float(np.max(np.abs(t["nx"] * ux + t["ny"] * uy)))
 
 
 # -- products -----------------------------------------------------------------
@@ -513,21 +526,25 @@ def product(*fields):
     acc = values[0]
     for v in values[1:]:
         acc = acc * v
-    n = grid.n_modes
-    real = all(f.real for f in fields)
-    half = _rfft_truncated(acc[None] if real else np.stack([acc.real, acc.imag]), n)
-    _symmetrize_ny0(half)
-    full = _full_from_half(half)
-    return SpectralField(grid, full[0] if real else full[0] + 1j * full[1], real)
+    if np.iscomplexobj(acc):
+        acc = np.stack([acc.real, acc.imag])
+    return SpectralField(grid, _rfft_truncated(acc, grid.n_modes))
 
 
 # -- integrals and norms -------------------------------------------------------
 
 
+def _weighted_power(weight, *coeffs):
+    """sum_n weight(n) |c_n|^2 over half spectra, leading axes included: the
+    sum over all modes when weight counts each ny > 0 column twice (the
+    table "weight" and the weights built on it), for a complex field too."""
+    return float(sum(np.sum(weight * (c.real * c.real + c.imag * c.imag))
+                     for c in coeffs))
+
+
 def integral(field):
     """int f dx over the box: (2 pi)^2 times the n = 0 coefficient."""
-    v = field.coeffs[0, 0] * TWO_PI ** 2
-    return v.real if field.real else v
+    return field.mean * TWO_PI ** 2
 
 
 def _sample_integral(samples):
@@ -538,15 +555,21 @@ def _sample_integral(samples):
 def inner(f, g):
     """L2 inner product int f conj(g) dx via Parseval."""
     require_same_grid(f, g)
-    v = np.vdot(g.coeffs, f.coeffs) * TWO_PI ** 2  # vdot conjugates its first arg
+    w = f.grid.tables()["weight"]
+
+    def dot(a, b):  # int a b dx for real fields a, b
+        return TWO_PI ** 2 * float(np.sum(w * (a.real * b.real + a.imag * b.imag)))
+
     if f.real and g.real:
-        return v.real
-    return v
+        return dot(f.coeffs, g.coeffs)
+    (a, b), (c, d) = _pair(f), _pair(g)
+    return complex(dot(a, c) + dot(b, d), dot(b, c) - dot(a, d))
 
 
 def l2_norm(field):
     """True L2 norm: (2 pi) * l2 norm of the coefficients (Parseval)."""
-    return TWO_PI * float(np.linalg.norm(field.coeffs))
+    return TWO_PI * math.sqrt(_weighted_power(field.grid.tables()["weight"],
+                                              field.coeffs))
 
 
 def lp_norm(field, p, oversample=None):
@@ -572,9 +595,8 @@ def hs_norm_fourier(field, s):
 
     The prefactor (2 pi) = (2 pi)^{d/2} at d = 2 makes s = 0 the true L2 norm.
     """
-    t = field.grid.tables()
-    w = (1.0 + t["radius"]) ** (2.0 * s)
-    return TWO_PI * float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
+    w = _hs_weight(field.grid.n_modes, s)
+    return TWO_PI * math.sqrt(_weighted_power(w, field.coeffs))
 
 
 def vector_l2_norm(vec):

@@ -5,8 +5,14 @@ words (version = 1, grid size N, component count), then each component as
 N*N little-endian complex float64 values, row-major, in FFT coefficient
 ordering.  A state is written as five components: u_x, u_y, d_x, d_y, and a
 metadata component whose (0, 0) entry holds the time t (remaining entries
-zero).  Loading reverses the layout bit-exactly, so load(persist(s)) == s
-down to the last bit.
+zero).
+
+Fields are held as half spectra (see grid).  persist expands each one by
+f_{-n} = conj(f_n); load requires each field component to have zero Nyquist
+lines and to be Hermitian within the tolerance of SpectralField.from_coeffs,
+raising SnapshotFormatError naming the component otherwise, and keeps its
+ny >= 0 half as stored.  So load(persist(s)) == s down to the last bit, and
+a loaded file persists back to the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import struct
 import numpy as np
 
 from .dynamics import State
-from .grid import GridSpec, SpectralField, VectorField2
+from .grid import GridError, GridSpec, SpectralField, VectorField2
 
 MAGIC = b"LCSF"
 VERSION = 1
@@ -99,17 +105,23 @@ def _read_lcsf(fh):
     return out, int(n_modes)
 
 
+def _full(half):
+    """The full N x N coefficients of a real field's half spectrum."""
+    n = half.shape[0]
+    full = np.zeros((n, n), dtype=np.complex128)
+    full[:, : n // 2 + 1] = half
+    # columns N/2 + 1 .. N - 1 hold ny = -(N/2 - 1) .. -1
+    full[:, n // 2 + 1:] = np.conj(half[-np.arange(n) % n, n // 2 - 1:0:-1])
+    return full
+
+
 def persist(state, path):
     """Write a state's four field components plus a time-carrying component."""
     n = state.grid.n_modes
     meta = np.zeros((n, n), dtype=np.complex128)
     meta[0, 0] = state.t
-    write_snapshot(
-        path,
-        [state.u.x.coeffs, state.u.y.coeffs, state.d.x.coeffs,
-         state.d.y.coeffs, meta],
-        n,
-    )
+    fields = (state.u.x, state.u.y, state.d.x, state.d.y)
+    write_snapshot(path, [_full(f.coeffs) for f in fields] + [meta], n)
 
 
 def load(path, grid=None):
@@ -126,11 +138,18 @@ def load(path, grid=None):
         raise SnapshotSizeError(
             f"snapshot grid {n} does not match configured grid {grid.n_modes}"
         )
-    u = VectorField2(
-        SpectralField(grid, arrays[0], True), SpectralField(grid, arrays[1], True)
-    )
-    d = VectorField2(
-        SpectralField(grid, arrays[2], True), SpectralField(grid, arrays[3], True)
-    )
+    ux, uy, dx, dy = (_field(grid, a, name)
+                      for a, name in zip(arrays, ("u_x", "u_y", "d_x", "d_y")))
     t = float(arrays[4][0, 0].real)
-    return State(grid, u, d, t)
+    return State(grid, VectorField2(ux, uy), VectorField2(dx, dy), t)
+
+
+def _field(grid, coeffs, name):
+    """The real field of one stored component, checked."""
+    h = grid.n_modes // 2
+    if np.any(coeffs[h, :]) or np.any(coeffs[:, h]):
+        raise SnapshotFormatError(f"component {name} has nonzero Nyquist modes")
+    try:
+        return SpectralField.from_coeffs(grid, coeffs, real=True)
+    except GridError as exc:
+        raise SnapshotFormatError(f"component {name}: {exc}") from exc

@@ -290,7 +290,7 @@ class TestTwinRecordOracle:
         d = state.d
         want = l2_norm(product(a.xx, d.x, d.x) + 2.0 * product(a.xy, d.x, d.y)
                        + product(a.yy, d.y, d.y))
-        assert _dad_l2(state) == pytest.approx(want, rel=1e-12)
+        assert _dad_l2(a, d) == pytest.approx(want, rel=1e-12)
 
     def test_record_runs_the_counted_transforms(self, grid16, fft_counts):
         """At N = 16 (q = 1..3): 3 x 8 block planes, 2 + 3 for d x d and

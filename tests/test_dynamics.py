@@ -33,7 +33,7 @@ from nematicflow import (
     to_physical,
     vector_l2_norm,
 )
-from nematicflow.dynamics import _Engine, state_to_half
+from nematicflow.dynamics import _Engine
 
 from _frozen import GL_FORCE_AT_2, ODE_Y0
 
@@ -91,7 +91,7 @@ def _reference_imex1(state, coeffs, dt):
     ed = _exp_factor(grid, coeffs.kappa, dt)
 
     def advance(comp, x, e):
-        return SpectralField(grid, e * (comp.coeffs + dt * x.coeffs), True)
+        return SpectralField(grid, e * (comp.coeffs + dt * x.coeffs))
 
     u_new = VectorField2(advance(state.u.x, xu.x, eu), advance(state.u.y, xu.y, eu))
     d_new = VectorField2(advance(state.d.x, xd.x, ed), advance(state.d.y, xd.y, ed))
@@ -287,16 +287,17 @@ class TestStepping:
             assert counts == expected, scheme
         engine = _Engine(grid16, LeslieCoefficients.ansatz(),
                          SolverConfig(dt=1e-3, t_end=1e-3))
-        halves = state_to_half(state)
+        halves = engine.start(state)
         counts[:] = [0, 0]
         engine.nonlinear(*halves, want_diag=True)
         assert counts == [22, 16]
 
     def test_diagnostics_do_not_change_the_right_sides(self, grid32):
         """Asking for diagnostics leaves mom and direc bitwise unchanged."""
-        halves = state_to_half(_random_state(grid32, seed=10))
+        state = _random_state(grid32, seed=10)
         for coeffs in (LeslieCoefficients.ansatz(), GENERAL_COEFFS):
             engine = _Engine(grid32, coeffs, SolverConfig(dt=1e-3, t_end=1e-3))
+            halves = engine.start(state)
             mom, direc, diag = engine.nonlinear(*halves, want_diag=True)
             mom_plain, direc_plain, no_diag = engine.nonlinear(*halves)
             assert diag is not None and no_diag is None
@@ -318,9 +319,9 @@ class TestStepping:
     def test_engine_results_do_not_alias_its_batches(self, grid16):
         """Right sides from one evaluation survive the next evaluation."""
         engine = _Engine(grid16, GENERAL_COEFFS, SolverConfig(dt=1e-3, t_end=1e-3))
-        mom, direc, _ = engine.nonlinear(*state_to_half(_random_state(grid16, 1)))
+        mom, direc, _ = engine.nonlinear(*engine.start(_random_state(grid16, 1)))
         kept = (mom.copy(), direc.copy())
-        engine.nonlinear(*state_to_half(_random_state(grid16, 2)))
+        engine.nonlinear(*engine.start(_random_state(grid16, 2)))
         assert np.array_equal(mom, kept[0])
         assert np.array_equal(direc, kept[1])
 
@@ -346,7 +347,7 @@ class TestStepping:
 
         def heun(comp, x1, x2, e):
             c = e * comp.coeffs + 0.5 * dt * (e * x1.coeffs + x2.coeffs)
-            return SpectralField(grid, c, True)
+            return SpectralField(grid, c)
 
         ref_u = VectorField2(heun(state.u.x, xu1.x, xu2.x, eu),
                              heun(state.u.y, xu1.y, xu2.y, eu))

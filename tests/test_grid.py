@@ -180,8 +180,8 @@ class TestProducts:
         Both factors live in |n| <= 7, so the product band |n| <= 14 fits
         strictly inside the resolved N = 32 spectrum and nothing is cut.
         """
-        t = grid32.tables()
-        keep = t["radius"] <= 7.0
+        k = np.fft.fftfreq(32, 1.0 / 32)
+        keep = np.hypot(k[:, None], k[None, :]) <= 7.0
 
         def band_limited():
             raw = np.fft.fft2(rng.standard_normal((32, 32))) / 1024.0
@@ -306,15 +306,16 @@ def _exactly_hermitian_field(n, seed, scale):
     rng = np.random.default_rng(seed)
     raw = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     neg = np.ix_(_negated(n), _negated(n))
-    coeffs = 0.5 * (raw + np.conj(raw[neg]))
-    coeffs[grid.tables()["nyquist"]] = 0.0
-    return SpectralField(grid, coeffs, True)
+    return SpectralField.from_coeffs(grid, 0.5 * (raw + np.conj(raw[neg])), real=True)
 
 
 def _is_exactly_hermitian(field):
+    """A real field's half spectrum has one constraint left, on its ny = 0
+    column, which holds both n and -n: f_{-n} = conj(f_n) there."""
     n = field.grid.n_modes
-    c = field.coeffs
-    return field.real and np.array_equal(c, np.conj(c[np.ix_(_negated(n), _negated(n))]))
+    col = field.coeffs[..., 0]
+    return (field.real and field.coeffs.shape == (n, n // 2 + 1)
+            and np.array_equal(col, np.conj(col[_negated(n)])))
 
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)

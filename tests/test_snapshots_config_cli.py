@@ -157,6 +157,42 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotFormatError, match="5 components"):
             load(path)
 
+    @staticmethod
+    def _state_components(grid, tmp_path):
+        persist(_state(grid, seed=2), tmp_path / "ok.lcsf")
+        return read_snapshot(tmp_path / "ok.lcsf")[0]
+
+    def test_non_hermitian_component_is_a_format_error(self, grid16, tmp_path):
+        """A component that is not the spectrum of a real field is refused,
+        naming it, instead of being cut to its half spectrum."""
+        arrays = self._state_components(grid16, tmp_path)
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        noise[8, :] = 0.0
+        noise[:, 8] = 0.0
+        arrays[1] = noise
+        path = tmp_path / "complex.lcsf"
+        write_snapshot(path, arrays, 16)
+        with pytest.raises(SnapshotFormatError, match="component u_y.*not Hermitian"):
+            load(path)
+
+    def test_populated_nyquist_line_is_a_format_error(self, grid16, tmp_path,
+                                                      capsys):
+        """Nyquist modes hold no field content; a file with them exits 2."""
+        arrays = self._state_components(grid16, tmp_path)
+        arrays[2][8, 3] = 0.5
+        arrays[2][8, 13] = 0.5
+        path = tmp_path / "nyquist.lcsf"
+        write_snapshot(path, arrays, 16)
+        with pytest.raises(SnapshotFormatError, match="component d_x.*Nyquist"):
+            load(path)
+        cfg = tmp_path / "d.ini"
+        _write_run_config(cfg)
+        rc = cli.main(["decompose", "--config", str(cfg), "--out",
+                       str(tmp_path / "out"), "--snapshot", str(path), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("snapshot error: ") and "d_x" in err
+
 
 class TestConfigParsing:
     def test_full_config_round_trip(self, tmp_path):

@@ -4,9 +4,10 @@ The product and sampling oracles are built here from full complex
 np.fft.fft2/ifft2 on a 3x-padded grid and from direct evaluation of the
 Fourier sum, never from grid helpers, so they stay independent of the
 half-spectrum transforms that products, the stepping engine and
-to_physical share.  The transform pair itself is checked against its
-earlier formulation: a full (M, M/2 + 1) pad, numpy.fft only, scaling
-after the transform.
+to_physical share.  Fields are built from full coefficient arrays through
+from_coeffs, and results are compared on the stored half spectra.  The
+transform pair itself is checked against its earlier formulation: a full
+(M, M/2 + 1) pad, numpy.fft only, scaling after the transform.
 """
 
 import numpy as np
@@ -75,18 +76,31 @@ def real_pairs(draw):
     return n, _real_coeffs(n, band, rng), _real_coeffs(n, band, rng)
 
 
+def _half_pair(full):
+    """Half spectra (ny >= 0 columns) of the real and imaginary parts of the
+    field with full FFT-ordered coefficients `full`."""
+    n = full.shape[0]
+    flipped = np.conj(full[np.ix_(_negated(n), _negated(n))])
+    pair = np.stack([0.5 * (full + flipped), -0.5j * (full - flipped)])
+    return pair[..., : n // 2 + 1]
+
+
+def _real(grid, full):
+    return SpectralField.from_coeffs(grid, full, real=True)
+
+
 @given(real_pairs())
 @SETTINGS
 def test_pairwise_product_matches_the_padded_oracle(pair):
     """product(f, g) of real fields is the exact projection, exactly Hermitian."""
     n, a, b = pair
     grid = GridSpec(n)
-    fg = product(SpectralField(grid, a, True), SpectralField(grid, b, True))
-    expected = _oracle_product(a, b)
-    assert fg.real
+    fg = product(_real(grid, a), _real(grid, b))
+    expected = _oracle_product(a, b)[:, : n // 2 + 1]
+    assert fg.real and fg.coeffs.shape == expected.shape
     assert np.linalg.norm(fg.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
-    flip = _negated(n)
-    assert np.array_equal(fg.coeffs, np.conj(fg.coeffs[np.ix_(flip, flip)]))
+    column = fg.coeffs[:, 0]  # holds both n and -n
+    assert np.array_equal(column, np.conj(column[_negated(n)]))
 
 
 @given(real_pairs(), st.integers(-3, 3), st.integers(-3, 3))
@@ -95,11 +109,13 @@ def test_complex_product_matches_the_padded_oracle(pair, nx, ny):
     """A product with a complex factor matches the oracle as well."""
     n, a, b = pair
     grid = GridSpec(n)
-    mode = SpectralField.from_mode(grid, (nx, ny), amplitude=0.5 - 2.0j)
-    f = SpectralField(grid, a, True) + mode
-    fg = product(f, SpectralField(grid, b, True))
-    expected = _oracle_product(f.coeffs, b)
-    assert not fg.real
+    amplitude = 0.5 - 2.0j
+    f = _real(grid, a) + SpectralField.from_mode(grid, (nx, ny), amplitude)
+    fg = product(f, _real(grid, b))
+    f_full = a.copy()
+    f_full[nx % n, ny % n] += amplitude
+    expected = _half_pair(_oracle_product(f_full, b))
+    assert not fg.real and fg.coeffs.shape == expected.shape
     assert np.linalg.norm(fg.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -108,7 +124,7 @@ def test_complex_product_matches_the_padded_oracle(pair, nx, ny):
 def test_to_physical_of_real_fields_matches_direct_evaluation(pair, oversample):
     """Real fields sample to real arrays equal to the Fourier sum."""
     n, a, _ = pair
-    values = to_physical(SpectralField(GridSpec(n), a, True), oversample)
+    values = to_physical(_real(GridSpec(n), a), oversample)
     expected = _direct_samples(a, oversample)
     assert values.dtype == np.float64
     assert values.shape == (n * oversample, n * oversample)
@@ -143,13 +159,15 @@ def _full_pad_irfft(half, m):
 
 
 def _full_rfft_truncate(values, n):
-    """numpy rfft2 of the samples, scaled by 1/M^2, then cut to N-grid halves."""
+    """numpy rfft2 of the samples, scaled by 1/M^2, then cut to N-grid halves
+    whose ny = 0 column is averaged with its conjugate mirror."""
     m = values.shape[-1]
     h = n // 2
     c = np.fft.rfft2(values, axes=(-2, -1)) / (m * m)
     out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
     out[..., :h, :h] = c[..., :h, :h]
     out[..., h + 1:, :h] = c[..., m - h + 1:, :h]
+    out[..., 0] = 0.5 * (out[..., 0] + np.conj(out[..., _negated(n), 0]))
     return out
 
 
