@@ -2,7 +2,7 @@
 
 Sections and keys (all optional unless noted):
 
-  [grid]          n = 64 (required for run/twin/decompose), padding = 2.0
+  [grid]          n = 64 (required for run/twin/decompose)
   [time]          dt = 1e-3 (required), t_end = 1.0 (required),
                   scheme = imex1|imex2, cadence = 1
   [coefficients]  preset = ansatz (default), nu = 1.0; or explicit
@@ -29,7 +29,7 @@ from .dynamics import LeslieCoefficients, SolverConfig
 from .grid import GridSpec
 
 _KNOWN = {
-    "grid": {"n", "padding"},
+    "grid": {"n"},
     "time": {"dt", "t_end", "scheme", "cadence"},
     "coefficients": {"preset", "nu", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6"},
     "initial": {"profile", "seed", "decay", "band", "amplitude_u",
@@ -125,10 +125,7 @@ def parse_config(path):
     try:
         grid = None
         if parser.has_option("grid", "n"):
-            grid = GridSpec(
-                _get(parser, "grid", "n", int, None),
-                _get(parser, "grid", "padding", float, 2.0),
-            )
+            grid = GridSpec(_get(parser, "grid", "n", int, None))
         solver = None
         if parser.has_option("time", "dt"):
             if not parser.has_option("time", "t_end"):

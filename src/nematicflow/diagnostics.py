@@ -51,6 +51,7 @@ from .dyadic import DyadicPartition, _block_subgrids, _lp_weight, hs_norm_vector
 from .dynamics import (
     LeslieCoefficients,
     _dissipation_terms,
+    _energy_split,
     rhs,
     strain_and_vorticity,
 )
@@ -111,24 +112,36 @@ def _strain(state):
 # -- single-state functionals ----------------------------------------------------
 
 
+def _energy_parts(state, q=None):
+    """dynamics._energy_split of a state: (e_kin, e_elastic, int |grad u|^2).
+
+    q = |d|^2 - 1 on the 2N grid is sampled here unless it is given.
+    """
+    u, d = state.u, state.d
+    if q is None:
+        d1, d2 = _samples([d.x, d.y], state.grid.padded_size)
+        q = d1 * d1 + d2 * d2 - 1.0
+    return _energy_split(np.stack([u.x.coeffs, u.y.coeffs]),
+                         np.stack([d.x.coeffs, d.y.coeffs]), q)
+
+
 def kinetic_energy(state):
-    return 0.5 * vector_l2_norm(state.u) ** 2
+    return _energy_parts(state)[0]
 
 
 def elastic_energy(state):
     """int |grad d|^2 / 2 + int W(d); the potential term by 2x quadrature."""
-    d1, d2 = _samples([state.d.x, state.d.y], 2 * state.grid.n_modes)
-    q = d1 * d1 + d2 * d2 - 1.0
-    return 0.5 * _grad_sq(state.d) + _sample_integral(0.25 * q * q)
+    return _energy_parts(state)[1]
 
 
 def total_energy(state):
     """E = kinetic + elastic; the quadratic parts via Parseval."""
-    return kinetic_energy(state) + elastic_energy(state)
+    e_kin, e_ela, _ = _energy_parts(state)
+    return e_kin + e_ela
 
 
 def _pointwise_strain_fields(state):
-    """Samples (2x grid) of A d, d.Ad, G = lap d - grad W."""
+    """Samples (2x grid) of A d, d.Ad, G = lap d - grad W and |d|^2 - 1."""
     a, d = _strain(state), state.d
     a11, a12, a22, d1, d2, g1, g2 = _samples(
         [a.xx, a.xy, a.yy, d.x, d.y, laplacian(d.x), laplacian(d.y)],
@@ -139,7 +152,7 @@ def _pointwise_strain_fields(state):
     q = d1 * d1 + d2 * d2 - 1.0
     g1 -= q * d1
     g2 -= q * d2
-    return (ad1, ad2), dad, (g1, g2)
+    return (ad1, ad2), dad, (g1, g2), q
 
 
 def total_dissipation(state, coeffs=None):
@@ -152,15 +165,14 @@ def total_dissipation(state, coeffs=None):
     """
     if coeffs is None:
         coeffs = LeslieCoefficients.ansatz()
-    ad, dad, g = _pointwise_strain_fields(state)
-    terms = _dissipation_terms(coeffs, _grad_sq(state.u), ad, dad, g)
+    ad, dad, g, q = _pointwise_strain_fields(state)
+    terms = _dissipation_terms(coeffs, _energy_parts(state, q)[2], ad, dad, g)
     return float(sum(terms)), tuple(float(x) for x in terms)
 
 
 def energy_record(state, coeffs=None):
     """Full energy/dissipation snapshot of one state."""
-    e_kin = kinetic_energy(state)
-    e_ela = elastic_energy(state)
+    e_kin, e_ela, _ = _energy_parts(state)
     d_total, terms = total_dissipation(state, coeffs)
     return EnergyRecord(
         t=state.t,
@@ -278,7 +290,7 @@ def _state_norms(state):
 
 def _dad_l2(a, d):
     """||d.(A d)||_{L2} for a strain A: one padded inverse of (A11, A12, A22,
-    d1, d2), the cubic form summed pointwise (exact at padding 2), one
+    d1, d2), the cubic form summed pointwise (exact on the 2N grid), one
     forward transform."""
     grid = d.grid
     a11, a12, a22, d1, d2 = _samples([a.xx, a.xy, a.yy, d.x, d.y],

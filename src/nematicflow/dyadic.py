@@ -209,6 +209,8 @@ def besov_norm(field, s, p, r, partition, variant="blocks"):
     s >= 0 raises.  Since S_q f = f for q > q_max + 1, the infinite low-pass
     tail is summed in closed form.
     """
+    if not (r == np.inf or r == "inf" or r > 0):
+        raise DyadicError(f"r must be positive or inf, got {r}")
     if variant == "blocks":
         terms = [
             2.0 ** (q * s) * lp_norm(partition.delta(field, q), p)
@@ -237,8 +239,6 @@ def besov_norm(field, s, p, r, partition, variant="blocks"):
 def _lr(terms, r):
     if r == np.inf or r == "inf":
         return float(max(terms))
-    if r <= 0:
-        raise DyadicError(f"r must be positive or inf, got {r}")
     return float(sum(t ** r for t in terms) ** (1.0 / r))
 
 

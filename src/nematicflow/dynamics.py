@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    TWO_PI,
     GridError,
     SpectralField,
     TensorField22,
@@ -58,6 +59,7 @@ from .grid import (
     _rfft_truncated,
     _sample_integral,
     _tables,
+    _weighted_power,
     derivative,
     jacobian,
     laplacian,
@@ -312,7 +314,24 @@ def rhs(state, coeffs):
     return mom, direc
 
 
-# -- dissipation ------------------------------------------------------------------
+# -- energy and dissipation ------------------------------------------------------
+
+
+def _energy_split(uh, dh, q):
+    """(e_kin, e_elastic, int |grad u|^2) of one state.
+
+    uh and dh hold the half spectra of the components of u and d along
+    axis 0; q = |d|^2 - 1 is sampled on the 2N grid.  The quadratic parts
+    are Parseval sums, and the potential int q^2 / 4 is exact there by
+    equal-weight quadrature.
+    """
+    t = _tables(uh.shape[-2])
+    w, wn2 = t["weight"], t["weight"] * t["n2"]
+    area = TWO_PI ** 2
+    return (0.5 * area * _weighted_power(w, uh),
+            0.5 * area * _weighted_power(wn2, dh) + _sample_integral(0.25 * q * q),
+            area * _weighted_power(wn2, uh))
+
 
 
 def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
@@ -457,13 +476,10 @@ class _Engine:
         diag = None
         if want_diag:
             gw1, gw2 = o[4], o[5]
-            grad_u_int = _sample_integral(gu0 ** 2 + gu1 ** 2 + gu2 ** 2 + gu3 ** 2)
-            e_grad = 0.5 * _sample_integral(
-                gd0 * gd0 + gd1 * gd1 + gd2 * gd2 + gd3 * gd3
-            )
+            e_kin, e_elastic, grad_u_int = _energy_split(uh, dh, q)
             diag = {
-                "e_kin": 0.5 * _sample_integral(u1 * u1 + u2 * u2),
-                "e_elastic": e_grad + _sample_integral(0.25 * q * q),
+                "e_kin": e_kin,
+                "e_elastic": e_elastic,
                 "d_terms": _dissipation_terms(
                     co, grad_u_int, (ad1, ad2), dad, (p[12] - gw1, p[13] - gw2)
                 ),

@@ -16,7 +16,7 @@ from .diagnostics import uniqueness_record
 from .dyadic import DyadicPartition
 from .dynamics import State, iterate, run
 from .grid import l2_norm
-from .harness import ALL_CHECKS, EnsembleSpec
+from .harness import ALL_CHECKS, EnsembleSpec, HarnessError
 from .osgood import (
     OsgoodTrace,
     check_master_inequality,
@@ -227,9 +227,7 @@ VERIFY_ALIASES = {
     "cancel": ("cancellation",),
     "skew": ("skew_symmetry",),
     "osgood": ("osgood",),
-    "all": ("bernstein", "sn_linf", "sobolev_sqrtp", "product_rule",
-            "commutator", "tail_bounds", "cancellation", "skew_symmetry",
-            "osgood"),
+    "all": tuple(name for name, _ in ALL_CHECKS) + ("osgood",),
 }
 
 
@@ -292,15 +290,18 @@ def verify_experiment(config, out_dir, checks=("all",), quiet=False):
         for name in VERIFY_ALIASES[c]:
             if name not in names:
                 names.append(name)
+    lemma_checks = dict(ALL_CHECKS)
+    selected = [n for n in names if n in lemma_checks]
+    v = config.verify
+    try:
+        specs = [EnsembleSpec(grid_n=grid_n, n_trials=v.n_trials, seed=v.seed)
+                 for grid_n in (v.grids if selected else ())]
+    except HarnessError as exc:
+        raise ConfigError(f"[verify] {exc}") from exc
     out = _ensure_dir(out_dir)
     all_ok = True
-    lemma_checks = {name: fn for name, fn in ALL_CHECKS}
-    selected = [n for n in names if n in lemma_checks]
-    for grid_n in config.verify.grids:
-        if not selected:
-            break
-        spec = EnsembleSpec(grid_n=grid_n, n_trials=config.verify.n_trials,
-                            seed=config.verify.seed)
+    for spec in specs:
+        grid_n = spec.grid_n
         rows = []
         for name in selected:
             report = lemma_checks[name](spec)

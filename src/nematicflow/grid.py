@@ -1,16 +1,15 @@
-"""Spectral fields on the periodic box [-pi, pi]^2.
+"""Real fields on the periodic box [-pi, pi]^2.
 
 A field is held by its Fourier coefficients on an even N x N integer mode
 grid, with the convention
 
     f(x) = sum_n f_n exp(i n.x),      f_n = (2 pi)^-2 int f(x) exp(-i n.x) dx.
 
-Fields of the model are real, so f_{-n} = conj(f_n) and only the half
+Every field of the model is real, so f_{-n} = conj(f_n) and only the half
 spectrum is stored: columns ny = 0..N/2, rows nx in FFT order, the real-FFT
 layout of shape (N, N/2 + 1); only its ny = 0 column holds both n and -n.
-A complex field (from_mode makes one) is the pair of half spectra of its
-real and imaginary parts.  Full N x N arrays appear only at the boundaries:
-from_coeffs and from_samples read them, the snapshot writer writes them.
+Full N x N arrays appear only at the boundaries: from_coeffs reads one and
+checks that it is Hermitian, the snapshot writer writes them.
 
 Physical samples live on the uniform grid x_j = -pi + 2 pi j / N.  Relative to
 numpy's FFT (which assumes samples starting at 0) this shifts every mode by
@@ -20,13 +19,13 @@ round trip costs no accuracy.
 On an even grid the modes with |n_i| = N/2 have no conjugate partner; they are
 zeroed on construction and kept at zero by every operation here.
 
-Products of fields are computed pointwise on a padded physical grid and
-truncated back to the mode grid.  With the default padding factor 2, the
-product of two resolved fields is the exact L2 projection of the true product
-onto the resolved modes, and a single-shot product of three resolved fields is
-exact as well (alias images of degree-3 products land outside the retained
-band).  Degree four and higher single-shot products are not exact and callers
-are expected to stage them pairwise.
+Products of fields are computed pointwise on the 2N grid and truncated back
+to the mode grid.  There the product of two resolved fields is the exact L2
+projection of the true product onto the resolved modes, and a single-shot
+product of three resolved fields is exact as well (alias images of degree-3
+products land outside the retained band).  Degree four and higher
+single-shot products are not exact and callers are expected to stage them
+pairwise.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 import scipy.fft
 
 TWO_PI = 2.0 * math.pi
-_ALLOWED_PADDING = (1.0, 1.5, 2.0)
 
 
 class GridError(ValueError):
@@ -84,33 +82,25 @@ def _hs_weight(n_modes, s):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mode grid for the periodic box: N modes per axis plus a padding rule.
+    """Mode grid for the periodic box: N modes per axis.
 
     Parameters
     ----------
     n_modes : int
-        Modes per axis.  Must be even and at least 8.
-    padding_factor : float
-        Oversampling used for pointwise products: 1 (no dealiasing),
-        1.5, or 2 (default; exact pairwise products).
+        Modes per axis.  Must be even and at least 8.  Products are sampled
+        on the padded_size = 2N grid, where they are exact (see the module
+        docstring).
     """
 
     n_modes: int
-    padding_factor: float = 2.0
 
     def __post_init__(self):
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise GridError(f"n_modes must be even and >= 8, got {self.n_modes}")
-        if self.padding_factor not in _ALLOWED_PADDING:
-            raise GridError(
-                f"padding_factor must be one of {_ALLOWED_PADDING}, got {self.padding_factor}"
-            )
-        if int(round(self.n_modes * self.padding_factor)) % 2 != 0:
-            raise GridError("padded grid size must be even")
 
     @property
     def padded_size(self):
-        return int(round(self.n_modes * self.padding_factor))
+        return 2 * self.n_modes
 
     @property
     def max_radius(self):
@@ -130,17 +120,14 @@ class GridSpec:
 
 
 class SpectralField:
-    """A scalar field on the box, held by its half spectrum.
+    """A real scalar field on the box, held by its half spectrum.
 
     Attributes
     ----------
     grid : GridSpec
     coeffs : complex ndarray
-        Shape (N, N/2 + 1) for a real field: the coefficients f_n with
-        ny = 0..N/2, rows nx in FFT order.  Shape (2, N, N/2 + 1) for a
-        complex field: the half spectra of its real and imaginary parts.
-    real : bool
-        True when the field is real-valued.
+        Shape (N, N/2 + 1): the coefficients f_n with ny = 0..N/2, rows nx
+        in FFT order.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -149,37 +136,32 @@ class SpectralField:
         self.grid = grid
         self.coeffs = coeffs
 
-    @property
-    def real(self):
-        return self.coeffs.ndim == 2
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_samples(cls, grid, values):
-        """Build a field from physical samples on the N x N grid of points()."""
+        """Build a field from real physical samples on the N x N grid of points()."""
         values = np.asarray(values)
         n = grid.n_modes
         if values.shape != (n, n):
             raise GridError(
                 f"sample array must be {n} x {n}, got {values.shape}"
             )
-        t = grid.tables()
         if np.iscomplexobj(values):
-            values = np.stack([values.real, values.imag])
-        coeffs = np.fft.fft2(values)[..., : n // 2 + 1] / (n * n)
+            raise GridError("samples must be real")
+        t = grid.tables()
+        coeffs = np.fft.fft2(values)[:, : n // 2 + 1] / (n * n)
         coeffs *= t["phase"]
-        coeffs[..., t["nyquist"]] = 0.0
+        coeffs[t["nyquist"]] = 0.0
         return cls(grid, coeffs)
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs, real=None):
+    def from_coeffs(cls, grid, coeffs):
         """Build a field from a full N x N array of FFT-ordered coefficients.
 
-        Nyquist modes are zeroed.  With real=True the coefficients must be
-        Hermitian (f_{-n} = conj(f_n)) to within roundoff; real=None detects.
-        A real field keeps the given ny >= 0 half; a complex one stores the
-        half spectra of its real and imaginary parts.
+        Nyquist modes are zeroed.  The coefficients must be Hermitian
+        (f_{-n} = conj(f_n)) to within roundoff; the field keeps their
+        ny >= 0 half.
         """
         n = grid.n_modes
         c = np.array(coeffs, dtype=np.complex128)
@@ -190,37 +172,15 @@ class SpectralField:
         c[n // 2, :] = 0.0
         c[:, n // 2] = 0.0
         neg = -np.arange(n) % n
-        flipped = np.conj(c[np.ix_(neg, neg)])  # conj(f_{-n})
         scale = np.max(np.abs(c)) or 1.0
-        hermitian = np.max(np.abs(c - flipped)) <= 1e-12 * scale
-        if real is None:
-            real = bool(hermitian)
-        elif real and not hermitian:
-            raise GridError("coefficients flagged real are not Hermitian")
-        if not real:
-            c = np.stack([0.5 * (c + flipped), -0.5j * (c - flipped)])
-        return cls(grid, np.ascontiguousarray(c[..., : n // 2 + 1]))
+        if not np.max(np.abs(c - np.conj(c[np.ix_(neg, neg)]))) <= 1e-12 * scale:
+            raise GridError("coefficients are not Hermitian (not a real field)")
+        return cls(grid, np.ascontiguousarray(c[:, : n // 2 + 1]))
 
     @classmethod
     def zero(cls, grid):
         n = grid.n_modes
         return cls(grid, np.zeros((n, n // 2 + 1), dtype=np.complex128))
-
-    @classmethod
-    def from_mode(cls, grid, mode, amplitude=1.0):
-        """The single complex exponential amplitude * exp(i n.x)."""
-        nx, ny = mode
-        n = grid.n_modes
-        if abs(nx) >= n // 2 or abs(ny) >= n // 2:
-            raise GridError(f"mode {mode} is outside the populated band of N={n}")
-        coeffs = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
-        # the real and imaginary parts hold (a/2, -i a/2) at n and the
-        # conjugates at -n; the entries with ny >= 0 are the stored ones
-        at_n = amplitude * np.array([0.5, -0.5j])
-        for kx, ky, parts in ((nx, ny, at_n), (-nx, -ny, np.conj(at_n))):
-            if ky >= 0:
-                coeffs[:, kx % n, ky] += parts
-        return cls(grid, coeffs)
 
     # -- basics --------------------------------------------------------------
 
@@ -228,20 +188,15 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def __add__(self, other):
-        a, b = _operands(self, other)
-        return SpectralField(self.grid, a + b)
+        require_same_grid(self, other)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        a, b = _operands(self, other)
-        return SpectralField(self.grid, a - b)
+        require_same_grid(self, other)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        s = complex(scalar)
-        if s.imag == 0.0:
-            return SpectralField(self.grid, self.coeffs * scalar)
-        re, im = _pair(self)
-        return SpectralField(self.grid, np.stack([s.real * re - s.imag * im,
-                                                  s.imag * re + s.real * im]))
+        return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -251,22 +206,7 @@ class SpectralField:
     @property
     def mean(self):
         """Mean value over the box (the n = 0 coefficient)."""
-        v = self.coeffs[..., 0, 0].real
-        return float(v) if self.real else complex(*v)
-
-
-def _pair(field):
-    """Half spectra of a field's real and imaginary parts, stacked."""
-    c = field.coeffs
-    return c if c.ndim == 3 else np.stack([c, np.zeros_like(c)])
-
-
-def _operands(f, g):
-    """Coefficients of two fields on one grid, both real or both as pairs."""
-    require_same_grid(f, g)
-    if f.real == g.real:
-        return f.coeffs, g.coeffs
-    return _pair(f), _pair(g)
+        return float(self.coeffs[0, 0].real)
 
 
 def require_same_grid(*fields):
@@ -279,8 +219,7 @@ def require_same_grid(*fields):
 
 # -- transforms ---------------------------------------------------------------
 #
-# Every transform runs on half spectra; a complex field is carried as its
-# real and imaginary parts.
+# Every transform runs on half spectra.
 #
 # The padded inverse is pruned.  Of the M x M half spectrum only the columns
 # ny = 0..N/2-1 can be nonzero, so the pad holds just those N/2 columns.
@@ -341,25 +280,20 @@ def _rfft_truncated(values, n):
 
 
 def _samples(fields, m, phase=False):
-    """Samples of fields on an M x M grid from one batched inverse transform.
+    """Samples of fields on an M x M grid from one batched inverse transform,
+    stacked along axis 0.
 
     With phase=True they sit at the points() of the box; without it the
     grid is shifted by (pi, pi), which pointwise products do not see.
     """
-    n = fields[0].grid.n_modes
-    half = np.concatenate([f.coeffs.reshape(-1, n, n // 2 + 1) for f in fields])
+    half = np.stack([f.coeffs for f in fields])
     if phase:
-        half *= _tables(n)["phase"]
-    values = iter(_irfft_padded(half, m))
-    return [next(values) if f.real else next(values) + 1j * next(values)
-            for f in fields]
+        half *= _tables(fields[0].grid.n_modes)["phase"]
+    return _irfft_padded(half, m)
 
 
 def to_physical(field, oversample=1):
-    """Physical samples of a field on the (oversample * N)^2 grid of points().
-
-    Returns a real array for real-valued fields, complex otherwise.
-    """
+    """Real samples of a field on the (oversample * N)^2 grid of points()."""
     return _samples([field], field.grid.n_modes * oversample, phase=True)[0]
 
 
@@ -383,7 +317,7 @@ def laplacian(field):
 def invert_laplacian(field):
     """Solve lap(u) = f for the mean-zero u; the n = 0 mode is set to zero."""
     coeffs = -field.coeffs / field.grid.tables()["n2_safe"]
-    coeffs[..., 0, 0] = 0.0
+    coeffs[0, 0] = 0.0
     return SpectralField(field.grid, coeffs)
 
 
@@ -495,9 +429,9 @@ def leray_project(vec):
     """
     t = vec.grid.tables()
     nx, ny = t["nx"], t["ny"]
-    ux, uy = _operands(vec.x, vec.y)
+    ux, uy = vec.x.coeffs, vec.y.coeffs
     ndotu = (nx * ux + ny * uy) / t["n2_safe"]
-    ndotu[..., 0, 0] = 0.0
+    ndotu[0, 0] = 0.0
     return VectorField2(
         SpectralField(vec.grid, ux - nx * ndotu),
         SpectralField(vec.grid, uy - ny * ndotu),
@@ -507,27 +441,24 @@ def leray_project(vec):
 def divergence_residual(vec):
     """sup_n |n . u_n| over the stored modes, the spectral divergence residual."""
     t = vec.grid.tables()
-    ux, uy = _operands(vec.x, vec.y)
-    return float(np.max(np.abs(t["nx"] * ux + t["ny"] * uy)))
+    return float(np.max(np.abs(t["nx"] * vec.x.coeffs + t["ny"] * vec.y.coeffs)))
 
 
 # -- products -----------------------------------------------------------------
 
 
 def product(*fields):
-    """Pointwise product of fields, truncated once to the mode grid.
+    """Pointwise product of fields on the 2N grid, truncated once to the mode grid.
 
-    Exact (equal to the L2 projection of the true product) for two factors at
-    padding >= 1.5 and for three factors at padding 2.  More factors alias;
-    stage them pairwise instead.  Real products are exactly Hermitian.
+    Exact (equal to the L2 projection of the true product) for two and for
+    three factors.  More factors alias; stage them pairwise instead.  The
+    product is exactly Hermitian.
     """
     grid = require_same_grid(*fields)
     values = _samples(fields, grid.padded_size)
     acc = values[0]
     for v in values[1:]:
         acc = acc * v
-    if np.iscomplexobj(acc):
-        acc = np.stack([acc.real, acc.imag])
     return SpectralField(grid, _rfft_truncated(acc, grid.n_modes))
 
 
@@ -537,7 +468,7 @@ def product(*fields):
 def _weighted_power(weight, *coeffs):
     """sum_n weight(n) |c_n|^2 over half spectra, leading axes included: the
     sum over all modes when weight counts each ny > 0 column twice (the
-    table "weight" and the weights built on it), for a complex field too."""
+    table "weight" and the weights built on it)."""
     return float(sum(np.sum(weight * (c.real * c.real + c.imag * c.imag))
                      for c in coeffs))
 
@@ -553,17 +484,11 @@ def _sample_integral(samples):
 
 
 def inner(f, g):
-    """L2 inner product int f conj(g) dx via Parseval."""
+    """L2 inner product int f g dx via Parseval."""
     require_same_grid(f, g)
+    a, b = f.coeffs, g.coeffs
     w = f.grid.tables()["weight"]
-
-    def dot(a, b):  # int a b dx for real fields a, b
-        return TWO_PI ** 2 * float(np.sum(w * (a.real * b.real + a.imag * b.imag)))
-
-    if f.real and g.real:
-        return dot(f.coeffs, g.coeffs)
-    (a, b), (c, d) = _pair(f), _pair(g)
-    return complex(dot(a, c) + dot(b, d), dot(b, c) - dot(a, d))
+    return TWO_PI ** 2 * float(np.sum(w * (a.real * b.real + a.imag * b.imag)))
 
 
 def l2_norm(field):
@@ -572,16 +497,13 @@ def l2_norm(field):
                                               field.coeffs))
 
 
-def lp_norm(field, p, oversample=None):
+def lp_norm(field, p, oversample=2):
     """L^p norm by equal-weight quadrature on an oversampled physical grid.
 
-    p = inf gives the max of |f| over the oversampled grid.  The default
-    oversampling is the grid's padding factor (minimum 2): exact for p = 2
-    and p = 4 on band-limited fields, a controlled approximation otherwise.
+    p = inf gives the max of |f| over the oversampled grid.  At the default
+    2x oversampling the quadrature is exact for p = 2 and p = 4 on
+    band-limited fields, a controlled approximation otherwise.
     """
-    grid = field.grid
-    if oversample is None:
-        oversample = max(2, int(math.ceil(grid.padding_factor)))
     values = np.abs(to_physical(field, oversample=oversample))
     if p == np.inf or p == "inf":
         return float(np.max(values))

@@ -150,6 +150,6 @@ def _field(grid, coeffs, name):
     if np.any(coeffs[h, :]) or np.any(coeffs[:, h]):
         raise SnapshotFormatError(f"component {name} has nonzero Nyquist modes")
     try:
-        return SpectralField.from_coeffs(grid, coeffs, real=True)
+        return SpectralField.from_coeffs(grid, coeffs)
     except GridError as exc:
         raise SnapshotFormatError(f"component {name}: {exc}") from exc

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nematicflow import GridSpec
+from nematicflow import GridSpec, SpectralField
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,20 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid64():
     return GridSpec(64)
+
+
+@pytest.fixture(scope="session")
+def real_mode():
+    """real_mode(grid, (nx, ny), kind="cos", amplitude=1.0) builds the real
+    field amplitude * cos(n.x) (or sin) from its two exact coefficients."""
+    def build(grid, mode, kind="cos", amplitude=1.0):
+        n = grid.n_modes
+        coeffs = np.zeros((n, n), dtype=np.complex128)
+        at_n = 0.5 * amplitude if kind == "cos" else -0.5j * amplitude
+        coeffs[mode[0] % n, mode[1] % n] += at_n
+        coeffs[-mode[0] % n, -mode[1] % n] += np.conj(at_n)
+        return SpectralField.from_coeffs(grid, coeffs)
+    return build
 
 
 @pytest.fixture

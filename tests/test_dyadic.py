@@ -134,9 +134,9 @@ class TestQuasiOrthogonality:
 
 
 class TestSingleModeBlock:
-    def test_frequency_three_fills_block_one(self, grid64):
-        """The mode exp(i 3 x) lives entirely inside one dyadic block."""
-        f = SpectralField.from_mode(grid64, (SINGLE_MODE_FREQ, 0))
+    def test_frequency_three_fills_block_one(self, grid64, real_mode):
+        """The mode cos 3x lives entirely inside one dyadic block."""
+        f = real_mode(grid64, (SINGLE_MODE_FREQ, 0))
         part = DyadicPartition(grid64)
         keeper = part.delta(f, SINGLE_MODE_BLOCK)
         assert l2_norm(keeper - f) == 0.0
@@ -144,9 +144,9 @@ class TestSingleModeBlock:
             if q != SINGLE_MODE_BLOCK:
                 assert l2_norm(part.delta(f, q)) == 0.0
 
-    def test_reverse_bernstein_ratio_is_exact(self, grid64):
+    def test_reverse_bernstein_ratio_is_exact(self, grid64, real_mode):
         """2^q ||Delta_q f|| / ||grad Delta_q f|| = 2/3 for |n| = 3, q = 1."""
-        f = SpectralField.from_mode(grid64, (SINGLE_MODE_FREQ, 0))
+        f = real_mode(grid64, (SINGLE_MODE_FREQ, 0))
         part = DyadicPartition(grid64)
         b = part.delta(f, SINGLE_MODE_BLOCK)
         g = gradient(b)
@@ -214,6 +214,15 @@ class TestBesovAndSobolev:
         binf = besov_norm(f, 0.5, 2, np.inf, part)
         assert b1 >= b2 >= binf > 0.0
 
+    @pytest.mark.parametrize("variant,s", [("blocks", 0.5), ("lowpass", -0.5)],
+                             ids=["blocks", "lowpass"])
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_besov_rejects_nonpositive_r(self, grid16, rng, variant, s, r):
+        """Both variants take r > 0 or inf only."""
+        f = _rand(grid16, rng)
+        with pytest.raises(DyadicError, match="r must be positive"):
+            besov_norm(f, s, 2, r, DyadicPartition(grid16), variant=variant)
+
     def test_sobolev_forms_are_equivalent(self, grid64, rng):
         """The Fourier-weight and block forms of H^s agree within constants."""
         part = DyadicPartition(grid64)
@@ -247,9 +256,9 @@ class TestBesovAndSobolev:
             hs_norm(f, s, form="lp", partition=part) ** 2, rel=1e-12
         )
 
-    def test_hs_zero_matches_l2_weighting(self, grid32):
+    def test_hs_zero_matches_l2_weighting(self, grid32, real_mode):
         """H^0 in weight form is the plain L2 norm."""
-        f = SpectralField.from_mode(grid32, (4, 1))
+        f = real_mode(grid32, (4, 1), "sin")
         assert hs_norm(f, 0.0, form="fourier") == pytest.approx(
             l2_norm(f), rel=1e-14
         )

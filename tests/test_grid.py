@@ -55,13 +55,8 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(33)
 
-    def test_rejects_unknown_padding(self):
-        """Only the supported dealiasing factors are accepted."""
-        with pytest.raises(GridError):
-            GridSpec(32, padding_factor=1.7)
-
     def test_padded_size_and_max_radius(self):
-        """Default padding doubles the grid; Nyquist lines stay empty."""
+        """Products are sampled on the 2N grid; Nyquist lines stay empty."""
         g = GridSpec(32)
         assert g.padded_size == 64
         assert g.max_radius == pytest.approx(math.sqrt(2.0) * 15, rel=1e-15)
@@ -83,25 +78,42 @@ class TestTransforms:
         back = to_physical(f)
         assert np.max(np.abs(back - values)) <= 1e-13
 
-    def test_single_mode_phase_convention(self, grid32):
-        """from_mode((n,0)) evaluates to exp(i n x) at the stored points."""
-        f = SpectralField.from_mode(grid32, (3, 0))
+    def test_single_mode_phase_convention(self, grid32, real_mode):
+        """The coefficients of cos 3x and sin 3x evaluate to those functions
+        at the stored points."""
         x, _ = grid32.points()
-        expected = np.exp(1j * 3 * x)
-        assert np.max(np.abs(to_physical(f) - expected)) <= 1e-13
+        for kind, fn in (("cos", np.cos), ("sin", np.sin)):
+            f = real_mode(grid32, (3, 0), kind)
+            assert np.max(np.abs(to_physical(f) - fn(3 * x))) <= 1e-13
 
-    def test_oversampled_evaluation_matches_fine_sampling(self, grid32):
+    def test_oversampled_evaluation_matches_fine_sampling(self, grid32, real_mode):
         """to_physical(oversample=2) agrees with analytic values between nodes."""
-        f = SpectralField.from_mode(grid32, (2, -1))
         x, y = grid32.points(oversample=2)
-        expected = np.exp(1j * (2 * x - y))
-        assert np.max(np.abs(to_physical(f, oversample=2) - expected)) <= 1e-13
+        for kind, fn in (("cos", np.cos), ("sin", np.sin)):
+            f = real_mode(grid32, (2, -1), kind)
+            expected = fn(2 * x - y)
+            assert np.max(np.abs(to_physical(f, oversample=2) - expected)) <= 1e-13
 
     def test_real_fields_have_hermitian_coefficients(self, grid32, rng):
-        """from_samples of real data marks the field real and keeps it so."""
+        """from_samples of real data stores the half spectrum, which samples
+        back to real values."""
         f = SpectralField.from_samples(grid32, rng.standard_normal((32, 32)))
-        assert f.real
+        assert f.coeffs.shape == (32, 17)
         assert to_physical(f).dtype == np.float64
+
+    def test_complex_samples_are_rejected(self, grid16):
+        """Fields are real: complex samples raise instead of losing their
+        imaginary part."""
+        x, _ = grid16.points()
+        with pytest.raises(GridError):
+            SpectralField.from_samples(grid16, np.exp(1j * x))
+
+    def test_non_hermitian_coefficients_are_rejected(self, grid16):
+        """A lone exp(i n.x) coefficient is no real field."""
+        coeffs = np.zeros((16, 16), dtype=np.complex128)
+        coeffs[2, 3] = 1.0
+        with pytest.raises(GridError):
+            SpectralField.from_coeffs(grid16, coeffs)
 
     def test_nyquist_lines_are_dropped(self, grid16):
         """Samples containing Nyquist content are projected off that line."""
@@ -131,9 +143,9 @@ class TestCalculus:
         df = derivative(f, 1)
         assert np.max(np.abs(to_physical(df) + 4 * np.sin(4 * y))) <= 1e-12
 
-    def test_laplacian_is_mode_multiplication(self, grid32):
-        """lap exp(i n.x) = -|n|^2 exp(i n.x)."""
-        f = SpectralField.from_mode(grid32, (3, -2))
+    def test_laplacian_is_mode_multiplication(self, grid32, real_mode):
+        """lap sin(n.x) = -|n|^2 sin(n.x)."""
+        f = real_mode(grid32, (3, -2), "sin")
         lf = laplacian(f)
         assert np.max(np.abs(lf.coeffs + 13.0 * f.coeffs)) <= 1e-13
 
@@ -155,24 +167,26 @@ class TestCalculus:
 
 
 class TestProducts:
-    def test_product_of_modes_adds_frequencies(self, grid32):
-        """exp(i a.x) exp(i b.x) = exp(i (a+b).x) exactly."""
-        f = SpectralField.from_mode(grid32, (3, 1))
-        g = SpectralField.from_mode(grid32, (5, 2))
-        h = product(f, g)
-        expected = SpectralField.from_mode(grid32, (8, 3))
-        assert np.max(np.abs(h.coeffs - expected.coeffs)) <= 1e-14
+    def test_product_of_modes_adds_frequencies(self, grid32, real_mode):
+        """cos a.x cos b.x = (cos (a+b).x + cos (a-b).x) / 2 and
+        sin a.x cos b.x = (sin (a+b).x + sin (a-b).x) / 2, exactly."""
+        a, b, plus, minus = (3, 1), (5, 2), (8, 3), (-2, -1)
+        for kind in ("cos", "sin"):
+            h = product(real_mode(grid32, a, kind), real_mode(grid32, b))
+            expected = (real_mode(grid32, plus, kind, 0.5)
+                        + real_mode(grid32, minus, kind, 0.5))
+            assert np.max(np.abs(h.coeffs - expected.coeffs)) <= 1e-14
 
-    def test_product_truncates_out_of_band_output(self, grid32):
+    def test_product_truncates_out_of_band_output(self, grid32, real_mode):
         """Frequencies above the resolved band are cut, not aliased.
 
-        exp(i 12x) exp(i 13x) = exp(i 25x) lies outside the N = 32 band, so
-        the truncated product is zero up to transform roundoff.
+        cos 12x cos 13x = (cos 25x + cos x) / 2, and 25 lies outside the
+        N = 32 band, so the truncated product is cos(x) / 2; on the
+        unpadded 32 grid, 25 would alias to |n| = 7.
         """
-        f = SpectralField.from_mode(grid32, (12, 0))
-        g = SpectralField.from_mode(grid32, (13, 0))
-        h = product(f, g)
-        assert l2_norm(h) <= 1e-13
+        h = product(real_mode(grid32, (12, 0)), real_mode(grid32, (13, 0)))
+        assert l2_norm(h - real_mode(grid32, (1, 0), amplitude=0.5)) <= 1e-13
+        assert np.max(np.abs(h.coeffs[[7, -7], 0])) <= 1e-13
 
     def test_pairwise_product_matches_pointwise_values(self, grid32, rng):
         """Dealiased product of band-limited fields equals the true product.
@@ -197,11 +211,13 @@ class TestProducts:
         h_fine = to_physical(h, oversample=4)
         assert np.max(np.abs(h_fine - fine)) <= 1e-12
 
-    def test_triple_product_single_stage(self, grid32):
-        """product(f, g, h) multiplies three factors in one padded pass."""
-        f = SpectralField.from_mode(grid32, (2, 0))
+    def test_triple_product_single_stage(self, grid32, real_mode):
+        """product(f, g, h) multiplies three factors in one padded pass:
+        cos^3 2x = (3 cos 2x + cos 6x) / 4."""
+        f = real_mode(grid32, (2, 0))
         h = product(f, f, f)
-        expected = SpectralField.from_mode(grid32, (6, 0))
+        expected = real_mode(grid32, (2, 0), amplitude=0.75) + real_mode(
+            grid32, (6, 0), amplitude=0.25)
         assert np.max(np.abs(h.coeffs - expected.coeffs)) <= 1e-14
 
 
@@ -288,9 +304,9 @@ class TestIntegralsAndNorms:
         with pytest.raises(GridError):
             lp_norm(f, -1)
 
-    def test_sobolev_weight_form(self, grid32):
-        """H^s norm of exp(i n.x) is (2 pi) (1+|n|)^s."""
-        f = SpectralField.from_mode(grid32, (3, 4))
+    def test_sobolev_weight_form(self, grid32, real_mode):
+        """H^s norm of sqrt(2) cos(n.x) is (2 pi) (1+|n|)^s."""
+        f = real_mode(grid32, (3, 4), amplitude=math.sqrt(2.0))
         for s in (-0.5, 0.0, 0.5, 2.0):
             expected = TWO_PI * 6.0 ** s
             assert hs_norm_fourier(f, s) == pytest.approx(expected, rel=1e-14)
@@ -306,7 +322,7 @@ def _exactly_hermitian_field(n, seed, scale):
     rng = np.random.default_rng(seed)
     raw = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     neg = np.ix_(_negated(n), _negated(n))
-    return SpectralField.from_coeffs(grid, 0.5 * (raw + np.conj(raw[neg])), real=True)
+    return SpectralField.from_coeffs(grid, 0.5 * (raw + np.conj(raw[neg])))
 
 
 def _is_exactly_hermitian(field):
@@ -314,7 +330,7 @@ def _is_exactly_hermitian(field):
     column, which holds both n and -n: f_{-n} = conj(f_n) there."""
     n = field.grid.n_modes
     col = field.coeffs[..., 0]
-    return (field.real and field.coeffs.shape == (n, n // 2 + 1)
+    return (field.coeffs.shape == (n, n // 2 + 1)
             and np.array_equal(col, np.conj(col[_negated(n)])))
 
 

@@ -199,7 +199,7 @@ class TestConfigParsing:
         """Every section lands in the corresponding dataclass."""
         path = tmp_path / "full.ini"
         path.write_text(
-            "[grid]\nn = 32\npadding = 2.0\n"
+            "[grid]\nn = 32\n"
             "[time]\ndt = 1e-3\nt_end = 0.01\nscheme = imex2\ncadence = 5\n"
             "[coefficients]\npreset = ansatz\nnu = 2.0\n"
             "[initial]\nprofile = random\nseed = 9\ndecay = 2.75\n"
@@ -461,6 +461,32 @@ class TestCli:
                        str(tmp_path / "o"), "--checks", "everything",
                        "--quiet"])
         assert rc == 2
+
+    @pytest.mark.parametrize("body", ["n_trials = 5\ngrids = 16\n",
+                                      "n_trials = 30\ngrids = 16,10\n"],
+                             ids=["few_trials", "small_grid"])
+    def test_bad_verify_ensemble_exits_2_before_any_check(self, tmp_path,
+                                                           capsys, body):
+        """Every ensemble is checked before the first verifier runs, so a
+        bad grid after a good one writes nothing."""
+        cfg = tmp_path / "v.ini"
+        cfg.write_text("[verify]\n" + body)
+        out = tmp_path / "o"
+        rc = cli.main(["verify", "--config", str(cfg), "--out", str(out),
+                       "--checks", "skew", "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("configuration error: [verify] ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_padding_key_exits_2(self, tmp_path, capsys):
+        """Products always run on the 2N grid; there is no padding key."""
+        cfg = tmp_path / "pad.ini"
+        cfg.write_text("[grid]\nn = 16\npadding = 1.5\n")
+        rc = cli.main(["decompose", "--config", str(cfg), "--out",
+                       str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "unknown key 'padding'" in err
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"),

@@ -76,17 +76,8 @@ def real_pairs(draw):
     return n, _real_coeffs(n, band, rng), _real_coeffs(n, band, rng)
 
 
-def _half_pair(full):
-    """Half spectra (ny >= 0 columns) of the real and imaginary parts of the
-    field with full FFT-ordered coefficients `full`."""
-    n = full.shape[0]
-    flipped = np.conj(full[np.ix_(_negated(n), _negated(n))])
-    pair = np.stack([0.5 * (full + flipped), -0.5j * (full - flipped)])
-    return pair[..., : n // 2 + 1]
-
-
 def _real(grid, full):
-    return SpectralField.from_coeffs(grid, full, real=True)
+    return SpectralField.from_coeffs(grid, full)
 
 
 @given(real_pairs())
@@ -97,26 +88,10 @@ def test_pairwise_product_matches_the_padded_oracle(pair):
     grid = GridSpec(n)
     fg = product(_real(grid, a), _real(grid, b))
     expected = _oracle_product(a, b)[:, : n // 2 + 1]
-    assert fg.real and fg.coeffs.shape == expected.shape
+    assert fg.coeffs.shape == expected.shape
     assert np.linalg.norm(fg.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
     column = fg.coeffs[:, 0]  # holds both n and -n
     assert np.array_equal(column, np.conj(column[_negated(n)]))
-
-
-@given(real_pairs(), st.integers(-3, 3), st.integers(-3, 3))
-@SETTINGS
-def test_complex_product_matches_the_padded_oracle(pair, nx, ny):
-    """A product with a complex factor matches the oracle as well."""
-    n, a, b = pair
-    grid = GridSpec(n)
-    amplitude = 0.5 - 2.0j
-    f = _real(grid, a) + SpectralField.from_mode(grid, (nx, ny), amplitude)
-    fg = product(f, _real(grid, b))
-    f_full = a.copy()
-    f_full[nx % n, ny % n] += amplitude
-    expected = _half_pair(_oracle_product(f_full, b))
-    assert not fg.real and fg.coeffs.shape == expected.shape
-    assert np.linalg.norm(fg.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @given(real_pairs(), st.sampled_from([1, 2, 4]))
@@ -129,21 +104,6 @@ def test_to_physical_of_real_fields_matches_direct_evaluation(pair, oversample):
     assert values.dtype == np.float64
     assert values.shape == (n * oversample, n * oversample)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.sum(np.abs(a))
-
-
-@given(grids, st.integers(-3, 3), st.integers(-3, 3),
-       st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
-       st.sampled_from([1, 2, 4]))
-@SETTINGS
-def test_to_physical_of_single_modes_matches_direct_evaluation(
-        n, nx, ny, amplitude, oversample):
-    """from_mode fields sample to amplitude * exp(i n.x) on every grid."""
-    f = SpectralField.from_mode(GridSpec(n), (nx, ny), amplitude)
-    m = n * oversample
-    x = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    expected = amplitude * np.exp(1j * (nx * x[:, None] + ny * x[None, :]))
-    values = to_physical(f, oversample)
-    assert np.max(np.abs(values - expected)) <= 1e-12 * abs(amplitude)
 
 
 # -- the transform pair against its full-pad formulation ------------------------
