@@ -6,9 +6,13 @@ Subcommands:
   verify     run the inequality/identity verifier ensembles, write CSV verdicts
   decompose  dyadic block spectrum of a snapshot or the configured initial state
 
-Exit codes: 0 success, 2 configuration or snapshot error or an output
-directory that cannot be created, 3 numeric divergence during time
-stepping, 4 a verification verdict failed.
+run, twin and decompose take --seed to override [initial] seed; verify has
+no --seed and draws its ensembles from [verify] seed.
+
+Exit codes: 0 success, 2 configuration error (non-finite numbers and
+negative seeds included), snapshot error or an output directory that cannot
+be created, 3 numeric divergence during time stepping, 4 a verification
+verdict failed.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True):
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=None,
                        help="output directory (default: [output] dir)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured initial-data seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the configured initial-data seed")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
 
@@ -43,7 +48,7 @@ def _build_parser():
     add_common(sub.add_parser("twin", help="integrate and compare two "
                                            "trajectories"))
     p_verify = sub.add_parser("verify", help="run verification ensembles")
-    add_common(p_verify)
+    add_common(p_verify, seed=False)
     p_verify.add_argument("--checks", default="all",
                           help="comma-separated subset: bernstein, sn_linf, "
                                "sobolev, product, commutator, tails, cancel, "

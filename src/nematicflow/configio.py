@@ -16,12 +16,14 @@ Sections and keys (all optional unless noted):
   [output]        dir = .
 
 Unknown sections or keys raise ConfigError (catching typos beats silently
-ignoring them).  Values are literal: there is no %(name)s interpolation.
+ignoring them), and so do non-finite numbers and negative seeds.  Values are
+literal: there is no %(name)s interpolation.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,7 +89,11 @@ def _get(parser, section, key, cast, default):
         return default
     raw = parser.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            raise ValueError("not a finite number")
+        return value
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
@@ -190,6 +196,9 @@ def parse_config(path):
         seed=_get(parser, "verify", "seed", int, 7000),
         grids=_get(parser, "verify", "grids", _grids, (64, 128)),
     )
+    for name, spec in (("initial", initial), ("twin", twin), ("verify", verify)):
+        if spec.seed < 0:
+            raise ConfigError(f"[{name}] seed must be nonnegative, got {spec.seed}")
     output_dir = _get(parser, "output", "dir", str, ".")
     return ExperimentConfig(
         grid=grid,

@@ -31,9 +31,10 @@ and the dissipation-distance functional
 
 all Sobolev norms in the dyadic-block (lp) form, evaluated as weighted sums
 over the modes (dyadic.hs_norm).  Each block Delta_q delta A and its
-low-passes S_{q-1} d_1, S_{q-1}(d_1 x d_1) are transformed together on a
-band-sized grid, the smallest on which the sampled integral of the squared
-integrands is exact, not on the 2N grid.  The bound function F_hat
+low-passes S_{q-1} d_1, S_{q-1}(d_1 x d_1) are sampled on a band-sized grid,
+the smallest on which the sampled integral of the squared integrands is
+exact, not on the 2N grid; dyadic._block_pair_samples does this here and
+for the harness identity checks.  The bound function F_hat
 is a polynomial in standard norms of the two states (f1 + f2 + f3 + f4
 below, every hidden constant set to 1) that multiplies mu(Phi) in the
 two-state comparison inequality; the fitted-constant check lives in the
@@ -47,7 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicPartition, _block_subgrids, _lp_weight, hs_norm_vector
+from .dyadic import (DyadicPartition, _block_pair_samples, _lp_weight,
+                     hs_norm_vector)
 from .dynamics import (
     LeslieCoefficients,
     _dissipation_terms,
@@ -58,7 +60,6 @@ from .dynamics import (
 from .grid import (
     TWO_PI,
     SpectralField,
-    _irfft_padded,
     _rfft_truncated,
     _sample_integral,
     _samples,
@@ -227,7 +228,7 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     Returns (grad_du_sq, grad_dd_sq, lp_sum_vector, lp_sum_tensor) where the
     first two are the squared lp-form norms (no nu yet) and the sums carry no
     prefactor; frakD = nu*grad_du_sq + grad_dd_sq + 2*lp_vec + lp_tensor.
-    The eight planes of each q are sampled on dyadic._block_subgrids.
+    Each block pair is sampled by dyadic._block_pair_samples.
     """
     _require_shared_grid(state1, state2)
     if partition is not None:
@@ -242,19 +243,13 @@ def _frak_d_parts(state1, state2, a2):
 
     da = _strain(state1) - a2
     d1 = state1.d
-    # half spectra: delta A 11, 12, 22 | d1, d2 | (d x d) 11, 12, 22
-    planes = np.concatenate([
-        np.stack([f.coeffs for f in (da.xx, da.xy, da.yy, d1.x, d1.y)]),
-        _outer_half(d1)])
+    blocks = np.stack([da.xx.coeffs, da.xy.coeffs, da.yy.coeffs])
+    lows = np.concatenate([np.stack([d1.x.coeffs, d1.y.coeffs]), _outer_half(d1)])
     lp_vec = 0.0
     lp_ten = 0.0
     # S_{q-1} vanishes for q <= 0, so the sums start at q = 1
-    for q, rows, cols, block, low, m in _block_subgrids(state1.grid.n_modes):
-        sub = planes[:, rows, :cols]
-        sub[:3] *= block
-        sub[3:] *= low
-        b11, b12, b22, s1, s2, t11, t12, t22 = _irfft_padded(
-            sub, m, shared_pad=False)
+    for q, (b11, b12, b22), (s1, s2, t11, t12, t22) in _block_pair_samples(
+            blocks, lows):
         v1 = b11 * s1 + b12 * s2
         v2 = b12 * s1 + b22 * s2
         lp_vec += 2.0 ** (-q) * _sample_integral(v1 * v1 + v2 * v2)

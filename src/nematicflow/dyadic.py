@@ -28,6 +28,7 @@ import numpy as np
 from .grid import (
     TWO_PI,
     SpectralField,
+    _irfft_padded,
     _tables,
     _weighted_power,
     l2_norm,
@@ -118,16 +119,9 @@ def _fast_even_size(k):
 
 @lru_cache(maxsize=32)
 def _block_subgrids(n_modes):
-    """Band-sized grids for the pairs (Delta_q, S_{q-1}), q = 1..q_max.
-
-    Per axis Delta_q needs the band b = floor((8/3) 2^q) and S_{q-1} the band
-    s = floor((4/3) 2^{q-1}), both capped at N/2 - 1; the multipliers are
-    exactly zero beyond.  Squared products of such fields have per-axis band
-    2(b + s), so their mean on an M x M grid with M > 2(b + s) is their exact
-    integral.  Entries (q, rows, cols, block, low, M): [rows, :cols] cuts the
-    2(b + 1)-grid half spectrum out of an N-grid one, and block/low are the
-    two multipliers cut the same way.
-    """
+    """(q, rows, cols, block, low, M_q), q = 1..q_max, for _block_pair_samples:
+    [rows, :cols] cuts the 2(b + 1)-grid half spectrum out of an N-grid one,
+    block/low are the multipliers of Delta_q and S_{q-1} cut the same way."""
     q_max, mults, lows = _partition_tables(n_modes)
     top = n_modes // 2 - 1
     out = []
@@ -139,6 +133,20 @@ def _block_subgrids(n_modes):
         out.append((q, rows, b + 2, mults[q + 1][cut], lows[q - 1][cut],
                     _fast_even_size(2 * (b + s))))
     return tuple(out)
+
+
+def _block_pair_samples(blocks, lows):
+    """(q, Delta_q blocks, S_{q-1} lows) for q = 1..q_max, each stack of N-grid
+    half spectra sampled by one padded inverse on the M_q x M_q grid.
+
+    Per axis Delta_q has the band b = floor((8/3) 2^q) and S_{q-1} the band
+    s = floor((4/3) 2^{q-1}), capped at N/2 - 1, and M_q = 2^i 3^j > 2(b + s),
+    so the grid mean of a product of at most two blocks and two lows is its
+    exact integral.  M_q is even: the unphased samples sit on points().
+    """
+    for q, rows, cols, block, low, m in _block_subgrids(blocks.shape[-2]):
+        yield (q, _irfft_padded(blocks[..., rows, :cols] * block, m),
+               _irfft_padded(lows[..., rows, :cols] * low, m))
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,9 @@ class LeslieCoefficients:
     mu6: float
 
     def __post_init__(self):
+        mus = (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5, self.mu6)
+        if not all(math.isfinite(m) for m in mus):
+            raise CoefficientError(f"mu1..mu6 must be finite, got {mus}")
         if self.mu4 <= 0:
             raise CoefficientError(f"mu4 must be positive, got {self.mu4}")
         if self.mu1 < 0:

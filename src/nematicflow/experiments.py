@@ -63,6 +63,8 @@ def make_initial_state(config, seed_override=None):
         raise ConfigError("this command needs a [grid] section with n set")
     ini = config.initial
     seed = ini.seed if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     u, d = fields.generate_initial(
         config.grid,
         profile=ini.profile,

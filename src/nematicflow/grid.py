@@ -232,30 +232,17 @@ def require_same_grid(*fields):
 # use norm="forward" (1/M^2 on the forward side): for a power-of-two M this
 # gives the same bits as scaling after an unnormalized transform.  The FFT
 # functions are looked up on their modules at call time, and only their 2-D
-# entry points are used.
-#
-# Pad buffers are kept per shape (at most 16) and only their two data bands
-# are rewritten on each call, so the rest stays zero.  A buffer never leaves
-# _irfft_padded, whose results are fresh arrays.
+# entry points are used.  Each call pads into a fresh zero array.
 
 
-@lru_cache(maxsize=16)
-def _pad_buffer(shape):
-    """A zero complex array of this shape, shared by every call that pads to it."""
-    return np.zeros(shape, dtype=np.complex128)
-
-
-def _irfft_padded(half, m, shared_pad=True):
+def _irfft_padded(half, m):
     """Samples on the M x M grid of N-grid half spectra, zero-padded.
 
     half has shape (..., N, N/2 + 1); leading axes form one batched
     transform.  The samples start at 0, not at -pi (see _samples).
-    shared_pad=False pads into a fresh array, for shapes used too rarely
-    for a kept buffer to pay for its memory.
     """
     h = half.shape[-2] // 2
-    shape = half.shape[:-2] + (m, h)
-    pad = _pad_buffer(shape) if shared_pad else np.zeros(shape, np.complex128)
+    pad = np.zeros(half.shape[:-2] + (m, h), dtype=np.complex128)
     pad[..., :h, :] = half[..., :h, :h]
     pad[..., m - h + 1:, :] = half[..., h + 1:, :h]
     return np.fft.irfft2(pad, s=(m, m), axes=(-2, -1), norm="forward")

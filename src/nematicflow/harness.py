@@ -48,10 +48,10 @@ from typing import Optional
 import numpy as np
 
 from . import fields as field_gen
-from .dyadic import DyadicPartition, hs_norm
+from .dyadic import DyadicPartition, _block_pair_samples, hs_norm
+from .dynamics import strain_and_vorticity
 from .grid import (
     GridSpec,
-    VectorField2,
     _sample_integral,
     derivative,
     hs_norm_fourier,
@@ -84,6 +84,8 @@ class EnsembleSpec:
             raise HarnessError("ensembles need at least 30 trials")
         if self.grid_n < 16 or self.grid_n % 2:
             raise HarnessError("grid_n must be even and at least 16")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be nonnegative, got {self.seed}")
 
     def grid(self):
         return GridSpec(self.grid_n)
@@ -116,9 +118,9 @@ class RatioReport:
 class _Collector:
     """Accumulates per-trial {param: ratio} maps per inequality family."""
 
-    def __init__(self, check, cap=UNIFORMITY_CAP):
+    def __init__(self, check):
         self.check = check
-        self.cap = cap
+        self.cap = UNIFORMITY_CAP
         self.data = {}
 
     def add(self, family, trial_ratios):
@@ -300,6 +302,8 @@ def verify_product_rule(spec, s=None, t=None):
 
 
 COMMUTATOR_TRIPLES = ((2.0, 4.0, 4.0), (2.0, 2.0, np.inf), (4.0 / 3.0, 2.0, 4.0))
+# the distinct r, so that each ||[cut, f] g||_{L^r} is computed once
+_COMMUTATOR_RS = tuple(sorted({r for r, _, _ in COMMUTATOR_TRIPLES}))
 
 
 def verify_commutator(spec):
@@ -321,28 +325,22 @@ def verify_commutator(spec):
         gradf = (derivative(f, 0), derivative(f, 1))
         gradf_lp = {p: _magnitude_lp(gradf, p) for p in (2, 4)}
         g_lp = {h: lp_norm(g, h) for h in (4, np.inf)}
-        block_ratios = {trip: {} for trip in COMMUTATOR_TRIPLES}
-        low_ratios = {trip: {} for trip in COMMUTATOR_TRIPLES}
-        for q in range(0, part.q_max + 1):
-            comm = part.delta(fg, q) - product(f, part.delta(g, q))
-            for (r, p, h) in COMMUTATOR_TRIPLES:
-                den = gradf_lp[p] * g_lp[h] * 2.0 ** (-q)
-                ratio = _safe_ratio(lp_norm(comm, r), den)
-                if ratio is not None:
-                    block_ratios[(r, p, h)][q] = ratio
-        # N stops at q_max: one step further the cut-off is the identity
-        # on the resolved ball and the commutator vanishes identically.
-        for n in range(1, part.q_max + 1):
-            comm = part.low_pass(fg, n) - product(f, part.low_pass(g, n))
-            for (r, p, h) in COMMUTATOR_TRIPLES:
-                den = gradf_lp[p] * g_lp[h] * 2.0 ** (-n)
-                ratio = _safe_ratio(lp_norm(comm, r), den)
-                if ratio is not None:
-                    low_ratios[(r, p, h)][n] = ratio
-        for (r, p, h), ratios in block_ratios.items():
-            col.add(f"block r={r:g} p={p:g} h={h:g}", ratios)
-        for (r, p, h), ratios in low_ratios.items():
-            col.add(f"low-pass r={r:g} p={p:g} h={h:g}", ratios)
+        # S_N stops at N = q_max: one step further it is the identity on
+        # the resolved ball and the commutator vanishes identically.
+        qm = part.q_max
+        for family, ks, cut in (("block", range(0, qm + 1), part.delta),
+                                ("low-pass", range(1, qm + 1), part.low_pass)):
+            ratios = {trip: {} for trip in COMMUTATOR_TRIPLES}
+            for k in ks:
+                comm = cut(fg, k) - product(f, cut(g, k))
+                comm_lp = {r: lp_norm(comm, r) for r in _COMMUTATOR_RS}
+                for (r, p, h) in COMMUTATOR_TRIPLES:
+                    den = gradf_lp[p] * g_lp[h] * 2.0 ** (-k)
+                    ratio = _safe_ratio(comm_lp[r], den)
+                    if ratio is not None:
+                        ratios[(r, p, h)][k] = ratio
+            for (r, p, h), trip_ratios in ratios.items():
+                col.add(f"{family} r={r:g} p={p:g} h={h:g}", trip_ratios)
     return col.report(spec.n_trials)
 
 
@@ -377,18 +375,46 @@ def verify_tail_bounds(spec):
 # -- exact structural identities -----------------------------------------------------
 
 
-def _physical_tensor(tensor, oversample=2):
-    return tuple(to_physical(f, oversample) for f in
-                 (tensor.xx, tensor.xy, tensor.yx, tensor.yy))
+def _identity_report(spec, check, label, cap, residual, draws):
+    """Worst residual(*fields) over the ensemble, each trial drawing one
+    random vector per (decay shift, divergence_free) in draws."""
+    grid = spec.grid()
+    decay = spec.field_decay(2.5)
+    worst = 0.0
+    for trial in range(spec.n_trials):
+        rng = spec.rng(trial)
+        fields = [field_gen.random_vector(grid, rng, decay=decay + shift,
+                                          amplitude=spec.amplitude,
+                                          divergence_free=div_free)
+                  for shift, div_free in draws]
+        worst = max(worst, residual(*fields))
+    return RatioReport(check, ((label, worst, worst),), worst <= cap, cap,
+                       1.0, worst, spec.n_trials)
 
 
-def _block_tensor(part, tensor, q):
-    from .grid import TensorField22
+def _cancellation_sums(du, dd, d1):
+    """(I3, J3) of verify_cancellation for one draw."""
+    gdu = jacobian(du)
+    blocks = np.stack([f.coeffs for f in (gdu.xx, gdu.xy, gdu.yx, gdu.yy,
+                                          laplacian(dd.x), laplacian(dd.y))])
+    lows = np.stack([d1.x.coeffs, d1.y.coeffs])
+    i3 = 0.0
+    j3 = 0.0
+    for q, (a11, a12, a21, a22, w1, w2), (s1, s2) in _block_pair_samples(
+            blocks, lows):
+        i3 -= 2.0 ** (-q) * _sample_integral(
+            (a11 * s1 + a12 * s2) * w1 + (a21 * s1 + a22 * s2) * w2
+        )
+        # transpose route: (s x w) : grad^T du, entries (i,j) -> s_i w_j
+        j3 += 2.0 ** (-q) * _sample_integral(
+            s1 * w1 * a11 + s1 * w2 * a21 + s2 * w1 * a12 + s2 * w2 * a22
+        )
+    return i3, j3
 
-    return TensorField22(
-        part.delta(tensor.xx, q), part.delta(tensor.xy, q),
-        part.delta(tensor.yx, q), part.delta(tensor.yy, q),
-    )
+
+def _cancellation_residual(du, dd, d1):
+    i3, j3 = _cancellation_sums(du, dd, d1)
+    return abs(i3 + j3) / max(abs(i3), abs(j3), 1e-290)
 
 
 def verify_cancellation(spec):
@@ -401,45 +427,39 @@ def verify_cancellation(spec):
 
     by two independent evaluation routes and reports max |I3 + J3| relative
     to max(|I3|, |J3|) over the ensemble.  The identity is pointwise
-    algebraic, so the residual is pure roundoff.
+    algebraic, so the residual is pure roundoff.  Both integrands are exact
+    on the band-sized grids of dyadic._block_pair_samples.
     """
-    grid = spec.grid()
-    part = DyadicPartition(grid)
-    decay = spec.field_decay(2.5)
-    col = _Collector("cancellation", cap=1e-11)
+    return _identity_report(spec, "cancellation", "I3+J3 relative residual",
+                            1e-11, _cancellation_residual,
+                            ((0.0, True), (1.0, False), (0.0, False)))
+
+
+def _skew_residual(du, d1):
+    """Worst int T : W_q / int |T| |W_q| over q for one draw.  Every tensor
+    entry is sampled, the zero and repeated ones included: building W_q from
+    its one free entry would make the check pass by construction."""
+    a, w = strain_and_vorticity(du)
+    blocks = np.stack([f.coeffs for f in (a.xx, a.xy, a.yx, a.yy,
+                                          w.xx, w.xy, w.yx, w.yy)])
+    lows = np.stack([d1.x.coeffs, d1.y.coeffs])
     worst = 0.0
-    for trial in range(spec.n_trials):
-        rng = spec.rng(trial)
-        du = field_gen.random_vector(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude,
-                                     divergence_free=True)
-        dd = field_gen.random_vector(grid, rng, decay=decay + 1.0,
-                                     amplitude=spec.amplitude)
-        d1 = field_gen.random_vector(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude)
-        gdu = jacobian(du)
-        lap_dd = VectorField2(laplacian(dd.x), laplacian(dd.y))
-        i3 = 0.0
-        j3 = 0.0
-        for q in range(1, part.q_max + 1):
-            a11, a12, a21, a22 = _physical_tensor(_block_tensor(part, gdu, q))
-            s1 = to_physical(part.low_pass(d1.x, q - 1), 2)
-            s2 = to_physical(part.low_pass(d1.y, q - 1), 2)
-            w1 = to_physical(part.delta(lap_dd.x, q), 2)
-            w2 = to_physical(part.delta(lap_dd.y, q), 2)
-            i3 -= 2.0 ** (-q) * _sample_integral(
-                (a11 * s1 + a12 * s2) * w1 + (a21 * s1 + a22 * s2) * w2
-            )
-            # transpose route: (s x w) : grad^T du, entries (i,j) -> s_i w_j
-            j3 += 2.0 ** (-q) * _sample_integral(
-                s1 * w1 * a11 + s1 * w2 * a21 + s2 * w1 * a12 + s2 * w2 * a22
-            )
-        scale = max(abs(i3), abs(j3), 1e-290)
-        worst = max(worst, abs(i3 + j3) / scale)
-    verdict = worst <= 1e-11
-    rows = (("I3+J3 relative residual", worst, worst),)
-    return RatioReport("cancellation", rows, verdict, 1e-11, 1.0, worst,
-                       spec.n_trials)
+    for _, (a11, a12, a21, a22, w11, w12, w21, w22), (v1, v2) in (
+            _block_pair_samples(blocks, lows)):
+        m1 = a11 * v1 + a12 * v2
+        m2 = a21 * v1 + a22 * v2
+        t11 = 2.0 * v1 * m1
+        t12 = v1 * m2 + m1 * v2
+        t22 = 2.0 * v2 * m2
+        contraction = t11 * w11 + t12 * w12 + t12 * w21 + t22 * w22
+        num = abs(_sample_integral(contraction))
+        den = _sample_integral(
+            np.sqrt(t11 ** 2 + 2 * t12 ** 2 + t22 ** 2)
+            * np.sqrt(w11 ** 2 + w12 ** 2 + w21 ** 2 + w22 ** 2)
+        )
+        if den > 1e-290:
+            worst = max(worst, num / den)
+    return worst
 
 
 def verify_skew_symmetry(spec):
@@ -449,44 +469,11 @@ def verify_skew_symmetry(spec):
     vorticity tensor, v = S_{q-1} d1, the symmetric tensor
     T = v x (A_q v) + (A_q v) x v contracts against W_q to zero pointwise;
     the reported residual is the worst quadrature value of int T : W_q
-    relative to int |T| |W_q|.
+    relative to int |T| |W_q|.  The numerator is exact on the band-sized
+    grids of dyadic._block_pair_samples.
     """
-    from .dynamics import strain_and_vorticity
-
-    grid = spec.grid()
-    part = DyadicPartition(grid)
-    decay = spec.field_decay(2.5)
-    worst = 0.0
-    for trial in range(spec.n_trials):
-        rng = spec.rng(trial)
-        du = field_gen.random_vector(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude,
-                                     divergence_free=True)
-        d1 = field_gen.random_vector(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude)
-        a, w = strain_and_vorticity(du)
-        for q in range(1, part.q_max + 1):
-            a11, a12, a21, a22 = _physical_tensor(_block_tensor(part, a, q))
-            w11, w12, w21, w22 = _physical_tensor(_block_tensor(part, w, q))
-            v1 = to_physical(part.low_pass(d1.x, q - 1), 2)
-            v2 = to_physical(part.low_pass(d1.y, q - 1), 2)
-            m1 = a11 * v1 + a12 * v2
-            m2 = a21 * v1 + a22 * v2
-            t11 = 2.0 * v1 * m1
-            t12 = v1 * m2 + m1 * v2
-            t22 = 2.0 * v2 * m2
-            contraction = t11 * w11 + t12 * w12 + t12 * w21 + t22 * w22
-            num = abs(_sample_integral(contraction))
-            den = _sample_integral(
-                np.sqrt(t11 ** 2 + 2 * t12 ** 2 + t22 ** 2)
-                * np.sqrt(w11 ** 2 + w12 ** 2 + w21 ** 2 + w22 ** 2)
-            )
-            if den > 1e-290:
-                worst = max(worst, num / den)
-    verdict = worst <= 1e-12
-    rows = (("sym:skew relative residual", worst, worst),)
-    return RatioReport("skew_symmetry", rows, verdict, 1e-12, 1.0, worst,
-                       spec.n_trials)
+    return _identity_report(spec, "skew_symmetry", "sym:skew relative residual",
+                            1e-12, _skew_residual, ((0.0, True), (0.0, False)))
 
 
 ALL_CHECKS = (

@@ -124,6 +124,15 @@ class TestCoefficients:
         with pytest.raises(CoefficientError):
             LeslieCoefficients(-0.5, -1.0, 0.0, 2.0, 3.0, 1.0)
 
+    @pytest.mark.parametrize("mu", [(float("nan"), -1.0, 0.0, 2.0, 3.0, 1.0),
+                                    (1.0, -1.0, 0.0, float("inf"), 3.0, 1.0)],
+                             ids=["nan_mu1", "inf_mu4"])
+    def test_rejects_non_finite_coefficients(self, mu):
+        """NaN compares false and an infinite mu4 is positive, so only the
+        finiteness check catches these sets."""
+        with pytest.raises(CoefficientError):
+            LeslieCoefficients(*mu)
+
     def test_rejects_dissipativity_violation(self):
         """Large |lambda2| with small mu5 + mu6 fails both admissible branches."""
         with pytest.raises(CoefficientError):

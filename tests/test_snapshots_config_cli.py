@@ -479,6 +479,45 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"seed": "-1"}, ["run"], "[initial] seed must be nonnegative"),
+        ({"extra": "[twin]\nmode = perturb\ndelta = 1e-6\nseed = -2\n"},
+         ["twin"], "[twin] seed must be nonnegative"),
+        ({"extra": "[verify]\nn_trials = 30\ngrids = 16\nseed = -3\n"},
+         ["verify", "--checks", "skew"], "[verify] seed must be nonnegative"),
+        ({}, ["run", "--seed", "-5"], "seed must be nonnegative, got -5"),
+        ({"nu": "nan"}, ["run"], "[coefficients] nu = 'nan': not a finite"),
+        ({"extra": "[twin]\nmode = perturb\ndelta = nan\n"}, ["twin"],
+         "[twin] delta = 'nan': not a finite"),
+        ({"extra": "[verify]\nn_trials = 30\ngrids = 16\n"},
+         ["verify", "--checks", "skew", "--seed", "12345"],
+         "unrecognized arguments: --seed 12345"),
+    ], ids=["initial_seed", "twin_seed", "verify_seed", "seed_flag", "nan_nu",
+            "nan_delta", "verify_seed_flag"])
+    def test_values_that_escaped_validation_exit_2(self, tmp_path, capsys,
+                                                    config, argv, message):
+        """Negative seeds, non-finite numbers and a verify --seed end in
+        exit 2 and write nothing; argparse prints its usage line first."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[grid]\nn = 16\n[time]\ndt = 2e-3\nt_end = 0.01\n"
+            f"[coefficients]\nnu = {config.get('nu', '1.0')}\n"
+            f"[initial]\nseed = {config.get('seed', '3')}\n"
+            + config.get("extra", ""))
+        out = tmp_path / "o"
+        try:
+            rc = cli.main(argv[:1] + ["--config", str(cfg), "--out", str(out),
+                                      "--quiet"] + argv[1:])
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err.splitlines()[-1]
+        if not message.startswith("unrecognized"):  # argparse adds usage
+            assert err.startswith("configuration error: ")
+            assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_padding_key_exits_2(self, tmp_path, capsys):
         """Products always run on the 2N grid; there is no padding key."""
         cfg = tmp_path / "pad.ini"
