@@ -9,10 +9,11 @@ Subcommands:
 run, twin and decompose take --seed to override [initial] seed; verify has
 no --seed and draws its ensembles from [verify] seed.
 
-Exit codes: 0 success, 2 configuration error (non-finite numbers and
-negative seeds included), snapshot error or an output directory that cannot
-be created, 3 numeric divergence during time stepping, 4 a verification
-verdict failed.
+Exit codes: 0 success, 2 usage error, configuration error (non-finite
+numbers, negative seeds and nonpositive bands included), snapshot error or
+an output directory that cannot be created, 3 numeric divergence during
+time stepping, 4 a verification verdict failed.  main returns the code
+instead of exiting, argparse's usage errors and --help included.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or --help
+        return exc.code
     try:
         config = parse_config(args.config)
         out = config.output_dir if args.out is None else args.out

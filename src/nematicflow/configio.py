@@ -16,8 +16,8 @@ Sections and keys (all optional unless noted):
   [output]        dir = .
 
 Unknown sections or keys raise ConfigError (catching typos beats silently
-ignoring them), and so do non-finite numbers and negative seeds.  Values are
-literal: there is no %(name)s interpolation.
+ignoring them), and so do non-finite numbers, negative seeds and bands that
+are not positive.  Values are literal: there is no %(name)s interpolation.
 """
 
 from __future__ import annotations
@@ -199,6 +199,9 @@ def parse_config(path):
     for name, spec in (("initial", initial), ("twin", twin), ("verify", verify)):
         if spec.seed < 0:
             raise ConfigError(f"[{name}] seed must be nonnegative, got {spec.seed}")
+    for name, band in (("initial", initial.band), ("twin", twin.band)):
+        if band is not None and band <= 0:
+            raise ConfigError(f"[{name}] band must be positive, got {band}")
     output_dir = _get(parser, "output", "dir", str, ".")
     return ExperimentConfig(
         grid=grid,

@@ -29,10 +29,10 @@ from .grid import (
     TWO_PI,
     SpectralField,
     _irfft_padded,
+    _lp_norms,
     _tables,
     _weighted_power,
     l2_norm,
-    lp_norm,
     product,
     require_same_grid,
 )
@@ -215,33 +215,32 @@ def besov_norm(field, s, p, r, partition, variant="blocks"):
     variant="lowpass" uses 2^{qs} ||S_q f||_{L^p} over q >= 0, which is an
     equivalent norm only for s < 0 (a two-sided bound); requesting it for
     s >= 0 raises.  Since S_q f = f for q > q_max + 1, the infinite low-pass
-    tail is summed in closed form.
+    tail is summed in closed form.  The L^p norms of all the pieces come
+    from one padded inverse on the 2N grid.
     """
     if not (r == np.inf or r == "inf" or r > 0):
         raise DyadicError(f"r must be positive or inf, got {r}")
+    if variant not in ("blocks", "lowpass"):
+        raise DyadicError(f"variant must be 'blocks' or 'lowpass', got {variant!r}")
+    if variant == "lowpass" and s >= 0:
+        raise DyadicError("the low-pass Besov characterization requires s < 0")
+    partition._check_grid(field)
+    qm, mults, lows = _partition_tables(field.grid.n_modes)
+    first, cuts = (-1, mults) if variant == "blocks" else (0, lows)
+    norms = _lp_norms(_irfft_padded(field.coeffs * cuts, field.grid.padded_size),
+                      p).tolist()
+    terms = [2.0 ** (q * s) * n for q, n in enumerate(norms, first)]
     if variant == "blocks":
-        terms = [
-            2.0 ** (q * s) * lp_norm(partition.delta(field, q), p)
-            for q in partition.q_range
-        ]
         return _lr(terms, r)
-    if variant == "lowpass":
-        if s >= 0:
-            raise DyadicError("the low-pass Besov characterization requires s < 0")
-        qm = partition.q_max
-        terms = [
-            2.0 ** (q * s) * lp_norm(partition.low_pass(field, q), p)
-            for q in range(0, qm + 2)
-        ]
-        # for q > q_max + 1 the low-pass is the whole field: geometric tail
-        full = lp_norm(field, p)
-        if r == np.inf or r == "inf":
-            tail = 2.0 ** ((qm + 2) * s) * full
-            return max(max(terms), tail)
-        a = 2.0 ** (s * r)
-        tail_r = full ** r * a ** (qm + 2) / (1.0 - a)
-        return float((sum(t ** r for t in terms) + tail_r) ** (1.0 / r))
-    raise DyadicError(f"variant must be 'blocks' or 'lowpass', got {variant!r}")
+    # the multiplier of S_{q_max + 1} is 1 on every populated mode, so its
+    # norm is that of f, and so is every later term's: geometric tail
+    full = norms[-1]
+    if r == np.inf or r == "inf":
+        tail = 2.0 ** ((qm + 2) * s) * full
+        return max(max(terms), tail)
+    a = 2.0 ** (s * r)
+    tail_r = full ** r * a ** (qm + 2) / (1.0 - a)
+    return float((sum(t ** r for t in terms) + tail_r) ** (1.0 / r))
 
 
 def _lr(terms, r):

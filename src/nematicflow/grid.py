@@ -484,19 +484,27 @@ def l2_norm(field):
                                               field.coeffs))
 
 
-def lp_norm(field, p, oversample=2):
-    """L^p norm by equal-weight quadrature on an oversampled physical grid.
-
-    p = inf gives the max of |f| over the oversampled grid.  At the default
-    2x oversampling the quadrature is exact for p = 2 and p = 4 on
-    band-limited fields, a controlled approximation otherwise.
-    """
-    values = np.abs(to_physical(field, oversample=oversample))
+def _lp_norms(samples, p):
+    """L^p norms over the last two axes of samples taken on a uniform grid of
+    the box, leading axes kept: the max of |f| for p = inf, otherwise
+    equal-weight quadrature."""
+    values = np.abs(samples)
     if p == np.inf or p == "inf":
-        return float(np.max(values))
+        return np.max(values, axis=(-2, -1))
     if p <= 0:
         raise GridError(f"p must be positive or inf, got {p}")
-    return float(np.mean(values ** p) ** (1.0 / p) * TWO_PI ** (2.0 / p))
+    return np.mean(values ** p, axis=(-2, -1)) ** (1.0 / p) * TWO_PI ** (2.0 / p)
+
+
+def lp_norm(field, p):
+    """L^p norm of one field from its samples on the 2N grid (see _lp_norms).
+
+    The quadrature is exact for p = 2 and p = 4 on band-limited fields, a
+    controlled approximation otherwise; p = inf gives the max of |f| over
+    the 2N grid.  Callers that need many norms sample their fields once,
+    batched, and call _lp_norms on the samples.
+    """
+    return float(_lp_norms(to_physical(field, 2), p))
 
 
 def hs_norm_fourier(field, s):

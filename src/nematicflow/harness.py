@@ -37,47 +37,58 @@ plus two exact structural identities (tolerance set by roundoff, not by a
 constant): the integration-by-parts cancellation I3 + J3 = 0 between the
 paired gradient/transpose-gradient dyadic sums, and the vanishing of
 symmetric-against-skew tensor contractions.
+
+Every check samples each plane it needs once.  A ratio verifier batches a
+trial's planes into padded inverses on the 2N grid, one per block index or
+cut-off family, and reads all their L^p norms from those samples through
+grid._lp_norms.  The samples are not phase-shifted to points(): on the even
+2N grid that is a whole-point shift, which no L^p norm sees.  The norms
+(L^1, L^{4/3}, L^inf among them) are not polynomial integrals, so they stay
+on the 2N grid.  The identity checks sample each (Delta_q, S_{q-1}) block
+pair on the band-sized grids of dyadic._block_pair_samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import fields as field_gen
-from .dyadic import DyadicPartition, _block_pair_samples, hs_norm
+from .dyadic import _block_pair_samples, _partition_tables, hs_norm
 from .dynamics import strain_and_vorticity
 from .grid import (
     GridSpec,
+    SpectralField,
+    _irfft_padded,
+    _lp_norms,
+    _rfft_truncated,
     _sample_integral,
-    derivative,
     hs_norm_fourier,
     jacobian,
     laplacian,
-    lp_norm,
     product,
-    to_physical,
 )
 
 UNIFORMITY_CAP = 10.0
+# Spectral decay exponents of the random fields: (1 + |n|)^(-decay).
+FIELD_DECAY = 2.5
+SN_LINF_DECAY = 2.0
+TAIL_DECAY = 2.25
 
 
 class HarnessError(ValueError):
-    """Raised for invalid verifier parameters."""
+    """Raised for invalid ensemble parameters."""
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Random ensemble description: grid size, trial count, field law."""
+    """Random ensemble description: grid size, trial count, seed."""
 
     grid_n: int
     n_trials: int = 100
     seed: int = 7000
-    decay: Optional[float] = None  # None -> per-verifier default
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.n_trials < 30:
@@ -92,9 +103,6 @@ class EnsembleSpec:
 
     def rng(self, trial):
         return np.random.default_rng((self.seed, trial))
-
-    def field_decay(self, default):
-        return self.decay if self.decay is not None else default
 
 
 @dataclass(frozen=True)
@@ -155,221 +163,186 @@ class _Collector:
                            max_ratio, n_trials)
 
 
-def _magnitude_lp(components, p, oversample=2):
-    """L^p norm of the pointwise euclidean magnitude of a component tuple."""
-    sq = None
-    for c in components:
-        v = to_physical(c, oversample)
-        sq = v * v if sq is None else sq + v * v
-    mag = np.sqrt(sq)
-    if p == np.inf:
-        return float(np.max(mag))
-    return float(_sample_integral(mag ** p) ** (1.0 / p))
+def _ratio_report(spec, check, trial_ratios):
+    """Collects trial_ratios(grid, rng) -> {family: {param: ratio}} over the
+    ensemble, one rng stream per trial."""
+    grid = spec.grid()
+    col = _Collector(check)
+    for trial in range(spec.n_trials):
+        for family, ratios in trial_ratios(grid, spec.rng(trial)).items():
+            col.add(family, ratios)
+    return col.report(spec.n_trials)
 
 
-def _safe_ratio(num, den, skip_below=1e-290):
-    if den <= skip_below:
-        return None
-    return num / den
+def _focused(ratios, decay=FIELD_DECAY, count=1):
+    """trial_ratios for _ratio_report: ratios of count focused fields."""
+    return lambda grid, rng: ratios(*(
+        field_gen.focused_scalar(grid, rng, decay=decay) for _ in range(count)))
+
+
+def _ratios(params, nums, dens):
+    """{param: num / den}, leaving out the params whose den is negligible.
+    A NaN den is kept, so that the report flags its trial."""
+    return {k: float(n / d) for k, n, d in zip(params, nums, dens)
+            if not d <= 1e-290}
 
 
 # -- inequality verifiers ----------------------------------------------------------
 
 
+BERNSTEIN_PAIRS = ((2, 2), (2, np.inf), (1, 2))
+
+
+def _bernstein_ratios(f):
+    """One trial of verify_bernstein: per q, one 3-plane inverse of
+    (Delta_q f, d_x Delta_q f, d_y Delta_q f) serves every exponent."""
+    grid = f.grid
+    q_max, mults, _ = _partition_tables(grid.n_modes)
+    t = grid.tables()
+    qs = range(-1, q_max + 1)
+    q_arr = np.arange(-1, q_max + 1)
+    # norms[p][q + 1]: the L^p norms of the three planes of block q
+    norms = {p: np.empty((len(qs), 3)) for p in (1, 2, np.inf)}
+    for j, mult in enumerate(mults):
+        b = f.coeffs * mult
+        v = _irfft_padded(np.stack([b, b * (1j * t["nx"]), b * (1j * t["ny"])]),
+                          grid.padded_size)
+        for p, n in norms.items():
+            n[j] = _lp_norms(v, p)
+    out = {}
+    for p, r in BERNSTEIN_PAIRS:
+        den = 2.0 ** (q_arr * 2.0 * (1.0 / p - 1.0 / r)) * norms[p][:, 0]
+        out[f"forward p={p} r={r} k=0"] = _ratios(qs, norms[r][:, 0], den)
+        out[f"forward p={p} r={r} k=1"] = _ratios(
+            qs, norms[r][:, 1:].max(axis=1), 2.0 ** q_arr * den)
+    for p, n in norms.items():
+        out[f"reverse p={p}"] = _ratios(qs[1:], 2.0 ** q_arr[1:] * n[1:, 0],
+                                        n[1:, 1:].max(axis=1))
+    return out
+
+
 def verify_bernstein(spec):
     """Derivative/integrability gain on dyadic blocks, forward and reverse."""
-    grid = spec.grid()
-    part = DyadicPartition(grid)
-    decay = spec.field_decay(2.5)
-    col = _Collector("bernstein")
-    pr_pairs = ((2, 2), (2, np.inf), (1, 2))
-    for trial in range(spec.n_trials):
-        f = field_gen.focused_scalar(grid, spec.rng(trial), decay=decay,
-                                     amplitude=spec.amplitude)
-        blocks = {q: part.delta(f, q) for q in part.q_range}
-        grads = {q: (derivative(b, 0), derivative(b, 1))
-                 for q, b in blocks.items()}
-        fwd = {}
-        rev = {1: {}, 2: {}, np.inf: {}}
-        for q, b in blocks.items():
-            norm_cache = {}
+    return _ratio_report(spec, "bernstein", _focused(_bernstein_ratios))
 
-            def block_norm(field, p, key):
-                if key not in norm_cache:
-                    norm_cache[key] = lp_norm(field, p)
-                return norm_cache[key]
 
-            gx, gy = grads[q]
-            for (p, r) in pr_pairs:
-                np_ = block_norm(b, p, ("b", p))
-                nr = block_norm(b, r, ("b", r))
-                gain = 2.0 ** (q * 2.0 * (1.0 / p - 1.0 / r))
-                ratio0 = _safe_ratio(nr, gain * np_)
-                if ratio0 is not None:
-                    fwd.setdefault((p, r, 0), {})[q] = ratio0
-                gr = max(block_norm(gx, r, ("gx", r)),
-                         block_norm(gy, r, ("gy", r)))
-                ratio1 = _safe_ratio(gr, 2.0 ** q * gain * np_)
-                if ratio1 is not None:
-                    fwd.setdefault((p, r, 1), {})[q] = ratio1
-            if q >= 0:
-                for p in (1, 2, np.inf):
-                    gp = max(block_norm(gx, p, ("gx", p)),
-                             block_norm(gy, p, ("gy", p)))
-                    ratio = _safe_ratio(2.0 ** q * block_norm(b, p, ("b", p)), gp)
-                    if ratio is not None:
-                        rev[p][q] = ratio
-        for (p, r, k), ratios in fwd.items():
-            col.add(f"forward p={p} r={r} k={k}", ratios)
-        for p, ratios in rev.items():
-            col.add(f"reverse p={p}", ratios)
-    return col.report(spec.n_trials)
+def _sn_linf_ratios(f):
+    """One trial of verify_sn_linf: one inverse of S_n f, n = 1..q_max."""
+    q_max, _, lows = _partition_tables(f.grid.n_modes)
+    ns = range(1, q_max + 1)
+    sup = _lp_norms(_irfft_padded(f.coeffs * lows[1:q_max + 1],
+                                  f.grid.padded_size), np.inf)
+    h1 = hs_norm_fourier(f, 1.0)
+    return {"low-pass sup": _ratios(ns, sup, [math.sqrt(n) * h1 for n in ns])}
 
 
 def verify_sn_linf(spec):
     """Low-pass sup bound ||S_N f||_inf <= C sqrt(N) ||f||_{H^1}."""
-    grid = spec.grid()
-    part = DyadicPartition(grid)
-    decay = spec.field_decay(2.0)
-    col = _Collector("sn_linf")
-    for trial in range(spec.n_trials):
-        f = field_gen.focused_scalar(grid, spec.rng(trial), decay=decay,
-                                     amplitude=spec.amplitude)
-        h1 = hs_norm_fourier(f, 1.0)
-        ratios = {}
-        for n in range(1, part.q_max + 1):
-            sn = lp_norm(part.low_pass(f, n), np.inf)
-            r = _safe_ratio(sn, math.sqrt(n) * h1)
-            if r is not None:
-                ratios[n] = r
-        col.add("low-pass sup", ratios)
-    return col.report(spec.n_trials)
+    return _ratio_report(spec, "sn_linf",
+                         _focused(_sn_linf_ratios, decay=SN_LINF_DECAY))
 
 
-def verify_sobolev_sqrtp(spec, p_values=(4, 8, 16, 32, 64)):
+SOBOLEV_PS = (4, 8, 16, 32, 64)  # each p > 2, so that s = 1 - 2/p > 0
+
+
+def _sobolev_sqrtp_ratios(f):
+    """One trial of verify_sobolev_sqrtp: one sample of f serves every p."""
+    v = _irfft_padded(f.coeffs, f.grid.padded_size)
+    return {"sqrt-p growth": _ratios(
+        SOBOLEV_PS, [_lp_norms(v, p) for p in SOBOLEV_PS],
+        [math.sqrt(p) * hs_norm_fourier(f, 1.0 - 2.0 / p) for p in SOBOLEV_PS])}
+
+
+def verify_sobolev_sqrtp(spec):
     """Sobolev growth ||f||_{L^p} <= C sqrt(p) ||f||_{H^{1-2/p}}."""
-    for p in p_values:
-        if p <= 2:
-            raise HarnessError(f"exponent p must exceed 2 (s < 1), got {p}")
-    grid = spec.grid()
-    decay = spec.field_decay(2.5)
-    col = _Collector("sobolev_sqrtp")
-    for trial in range(spec.n_trials):
-        f = field_gen.focused_scalar(grid, spec.rng(trial), decay=decay,
-                                     amplitude=spec.amplitude)
-        ratios = {}
-        for p in p_values:
-            s = 1.0 - 2.0 / p
-            r = _safe_ratio(lp_norm(f, p),
-                            math.sqrt(p) * hs_norm_fourier(f, s))
-            if r is not None:
-                ratios[p] = r
-        col.add("sqrt-p growth", ratios)
-    return col.report(spec.n_trials)
+    return _ratio_report(spec, "sobolev_sqrtp", _focused(_sobolev_sqrtp_ratios))
 
 
+# (s, t) with s + t > 0 and s, t < 1
 PRODUCT_PAIRS = ((0.5, 0.0), (0.75, -0.25), (0.75, 0.75), (0.0, 0.5))
 
 
-def verify_product_rule(spec, s=None, t=None):
+def _product_rule_ratios(f, g):
+    fg = product(f, g)
+    return {"sobolev product": _ratios(
+        PRODUCT_PAIRS,
+        [hs_norm_fourier(fg, s + t - 1.0) for s, t in PRODUCT_PAIRS],
+        [hs_norm_fourier(f, s) * hs_norm_fourier(g, t) for s, t in PRODUCT_PAIRS])}
+
+
+def verify_product_rule(spec):
     """Product continuity ||fg||_{H^{s+t-1}} <= C ||f||_{H^s} ||g||_{H^t}."""
-    if (s is None) != (t is None):
-        raise HarnessError("pass both s and t, or neither")
-    pairs = PRODUCT_PAIRS if s is None else ((float(s), float(t)),)
-    for ss, tt in pairs:
-        if ss + tt <= 0 or ss >= 1 or tt >= 1:
-            raise HarnessError(
-                f"product rule needs s+t > 0 and s, t < 1, got ({ss}, {tt})"
-            )
-    grid = spec.grid()
-    decay = spec.field_decay(2.5)
-    col = _Collector("product_rule")
-    for trial in range(spec.n_trials):
-        rng = spec.rng(trial)
-        f = field_gen.focused_scalar(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude)
-        g = field_gen.focused_scalar(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude)
-        fg = product(f, g)
-        ratios = {}
-        for ss, tt in pairs:
-            den = hs_norm_fourier(f, ss) * hs_norm_fourier(g, tt)
-            r = _safe_ratio(hs_norm_fourier(fg, ss + tt - 1.0), den)
-            if r is not None:
-                ratios[(ss, tt)] = r
-        col.add("sobolev product", ratios)
-    return col.report(spec.n_trials)
+    return _ratio_report(spec, "product_rule",
+                         _focused(_product_rule_ratios, count=2))
 
 
 COMMUTATOR_TRIPLES = ((2.0, 4.0, 4.0), (2.0, 2.0, np.inf), (4.0 / 3.0, 2.0, 4.0))
-# the distinct r, so that each ||[cut, f] g||_{L^r} is computed once
-_COMMUTATOR_RS = tuple(sorted({r for r, _, _ in COMMUTATOR_TRIPLES}))
+
+
+def _commutator_ratios(f, g):
+    """One trial of verify_commutator: one 4-plane inverse of
+    (f, g, d_x f, d_y f), fg formed from those samples; then per family one
+    inverse of the cut g's, one forward of the f cut(g)'s and one inverse of
+    the commutators cut(fg) - f cut(g)."""
+    grid = f.grid
+    n, m = grid.n_modes, grid.padded_size
+    q_max, mults, lows = _partition_tables(n)
+    t = grid.tables()
+    vf, vg, fx, fy = _irfft_padded(np.stack([
+        f.coeffs, g.coeffs, f.coeffs * (1j * t["nx"]), f.coeffs * (1j * t["ny"])]),
+        m)
+    fg = _rfft_truncated(vf * vg, n)
+    grad_f = np.sqrt(fx * fx + fy * fy)
+    norms = {(p, h): _lp_norms(grad_f, p) * _lp_norms(vg, h)
+             for _, p, h in COMMUTATOR_TRIPLES}
+    out = {}
+    # S_N stops at N = q_max: one step further it is the identity on the
+    # resolved ball and the commutator vanishes identically.
+    for family, ks, cuts in (("block", range(0, q_max + 1), mults[1:]),
+                             ("low-pass", range(1, q_max + 1), lows[1:q_max + 1])):
+        f_cut_g = _rfft_truncated(vf * _irfft_padded(g.coeffs * cuts, m), n)
+        comm = _irfft_padded(fg * cuts - f_cut_g, m)
+        for r, p, h in COMMUTATOR_TRIPLES:
+            out[f"{family} r={r:g} p={p:g} h={h:g}"] = _ratios(
+                ks, _lp_norms(comm, r), [norms[p, h] * 2.0 ** (-k) for k in ks])
+    return out
 
 
 def verify_commutator(spec):
     """Commutator smoothing for [Delta_q, f]g and [S_N, f]g."""
-    grid = spec.grid()
-    part = DyadicPartition(grid)
-    decay = spec.field_decay(2.5)
-    col = _Collector("commutator")
-    for trial in range(spec.n_trials):
-        rng = spec.rng(trial)
+    def trial(grid, rng):
         # f coherent: the bound is driven by concentrated gradients of the
         # multiplier.  g independent-phase: feeds every block evenly, so the
         # swept ratios probe the constant rather than packet geometry.
-        f = field_gen.focused_scalar(grid, rng, decay=decay,
-                                     amplitude=spec.amplitude)
-        g = field_gen.random_scalar(grid, rng, decay=decay,
-                                    amplitude=spec.amplitude, zero_mean=False)
-        fg = product(f, g)
-        gradf = (derivative(f, 0), derivative(f, 1))
-        gradf_lp = {p: _magnitude_lp(gradf, p) for p in (2, 4)}
-        g_lp = {h: lp_norm(g, h) for h in (4, np.inf)}
-        # S_N stops at N = q_max: one step further it is the identity on
-        # the resolved ball and the commutator vanishes identically.
-        qm = part.q_max
-        for family, ks, cut in (("block", range(0, qm + 1), part.delta),
-                                ("low-pass", range(1, qm + 1), part.low_pass)):
-            ratios = {trip: {} for trip in COMMUTATOR_TRIPLES}
-            for k in ks:
-                comm = cut(fg, k) - product(f, cut(g, k))
-                comm_lp = {r: lp_norm(comm, r) for r in _COMMUTATOR_RS}
-                for (r, p, h) in COMMUTATOR_TRIPLES:
-                    den = gradf_lp[p] * g_lp[h] * 2.0 ** (-k)
-                    ratio = _safe_ratio(comm_lp[r], den)
-                    if ratio is not None:
-                        ratios[(r, p, h)][k] = ratio
-            for (r, p, h), trip_ratios in ratios.items():
-                col.add(f"{family} r={r:g} p={p:g} h={h:g}", trip_ratios)
-    return col.report(spec.n_trials)
+        f = field_gen.focused_scalar(grid, rng, decay=FIELD_DECAY)
+        g = field_gen.random_scalar(grid, rng, decay=FIELD_DECAY, zero_mean=False)
+        return _commutator_ratios(f, g)
+    return _ratio_report(spec, "commutator", trial)
+
+
+def _tail_bounds_ratios(f):
+    """One trial of verify_tail_bounds: one inverse of the tails f - S_n f,
+    n = 1..q_max + 1."""
+    grid = f.grid
+    q_max, _, lows = _partition_tables(grid.n_modes)
+    ns = range(1, q_max + 2)
+    tails = f.coeffs - f.coeffs * lows[1:]
+    h1 = hs_norm_fourier(f, 1.0)
+    h2 = hs_norm_fourier(f, 2.0)
+    return {
+        "sup tail": _ratios(
+            ns, _lp_norms(_irfft_padded(tails, grid.padded_size), np.inf),
+            [2.0 ** (-n / 2.0) * math.sqrt(h1 * h2) for n in ns]),
+        "quarter-sobolev tail": _ratios(
+            ns, [hs_norm(SpectralField(grid, c), 0.25, form="lp") for c in tails],
+            [2.0 ** (-0.75 * n) * h1 for n in ns]),
+    }
 
 
 def verify_tail_bounds(spec):
     """High-frequency tail decay of (Id - S_N) f in L^inf and H^{1/4}."""
-    grid = spec.grid()
-    part = DyadicPartition(grid)
-    decay = spec.field_decay(2.25)
-    col = _Collector("tail_bounds")
-    for trial in range(spec.n_trials):
-        f = field_gen.focused_scalar(grid, spec.rng(trial), decay=decay,
-                                     amplitude=spec.amplitude)
-        h1 = hs_norm_fourier(f, 1.0)
-        h2 = hs_norm_fourier(f, 2.0)
-        sup_ratios = {}
-        quarter_ratios = {}
-        for n in range(1, part.q_max + 2):
-            tail = f - part.low_pass(f, n)
-            r1 = _safe_ratio(lp_norm(tail, np.inf),
-                             2.0 ** (-n / 2.0) * math.sqrt(h1 * h2))
-            if r1 is not None:
-                sup_ratios[n] = r1
-            r2 = _safe_ratio(hs_norm(tail, 0.25, form="lp", partition=part),
-                             2.0 ** (-0.75 * n) * h1)
-            if r2 is not None:
-                quarter_ratios[n] = r2
-        col.add("sup tail", sup_ratios)
-        col.add("quarter-sobolev tail", quarter_ratios)
-    return col.report(spec.n_trials)
+    return _ratio_report(spec, "tail_bounds",
+                         _focused(_tail_bounds_ratios, decay=TAIL_DECAY))
 
 
 # -- exact structural identities -----------------------------------------------------
@@ -379,12 +352,10 @@ def _identity_report(spec, check, label, cap, residual, draws):
     """Worst residual(*fields) over the ensemble, each trial drawing one
     random vector per (decay shift, divergence_free) in draws."""
     grid = spec.grid()
-    decay = spec.field_decay(2.5)
     worst = 0.0
     for trial in range(spec.n_trials):
         rng = spec.rng(trial)
-        fields = [field_gen.random_vector(grid, rng, decay=decay + shift,
-                                          amplitude=spec.amplitude,
+        fields = [field_gen.random_vector(grid, rng, decay=FIELD_DECAY + shift,
                                           divergence_free=div_free)
                   for shift, div_free in draws]
         worst = max(worst, residual(*fields))

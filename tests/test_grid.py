@@ -28,7 +28,7 @@ from nematicflow import (
     tensor_divergence,
     to_physical,
 )
-from nematicflow.grid import hs_norm_fourier
+from nematicflow.grid import _irfft_padded, _lp_norms, hs_norm_fourier
 
 from _frozen import TORUS_AREA
 
@@ -382,3 +382,17 @@ class TestRealFieldProperties:
         input_scale = np.max(radius * np.hypot(np.abs(u.x.coeffs),
                                                np.abs(u.y.coeffs)))
         assert divergence_residual(leray_project(u)) <= 1e-12 * input_scale
+
+    @PROPERTY_SETTINGS
+    @given(**FIELDS, planes=st.integers(1, 3))
+    def test_stacked_lp_norms_match_lp_norm_plane_by_plane(self, n, seed,
+                                                           scale, planes):
+        """_lp_norms of one batched, unphased 2N-grid sample stack gives
+        lp_norm of each field: the samples differ by a whole-point shift."""
+        fs = [_exactly_hermitian_field(n, seed + i, scale) for i in range(planes)]
+        samples = _irfft_padded(np.stack([f.coeffs for f in fs]), 2 * n)
+        for p in (1, 4.0 / 3.0, 2, 4, np.inf):
+            got = _lp_norms(samples, p)
+            assert got.shape == (planes,)
+            want = [lp_norm(f, p) for f in fs]
+            assert got == pytest.approx(want, rel=1e-13)

@@ -12,8 +12,14 @@ from nematicflow import (
     GridSpec,
     HarnessError,
     RatioReport,
+    derivative,
+    focused_scalar,
+    harness,
     jacobian,
     laplacian,
+    lp_norm,
+    product,
+    random_scalar,
     random_vector,
     run_all,
     to_physical,
@@ -22,7 +28,16 @@ from nematicflow import (
     verify_commutator,
     verify_skew_symmetry,
 )
-from nematicflow.harness import _cancellation_sums, _skew_residual
+from nematicflow.harness import (
+    COMMUTATOR_TRIPLES,
+    _bernstein_ratios,
+    _cancellation_sums,
+    _commutator_ratios,
+    _skew_residual,
+    _sn_linf_ratios,
+    _sobolev_sqrtp_ratios,
+    _tail_bounds_ratios,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +66,6 @@ class TestEnsembleSpec:
         b = spec.rng(1).standard_normal(4)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
-
-    def test_field_decay_override(self):
-        spec = EnsembleSpec(grid_n=32, n_trials=30, decay=1.0)
-        assert spec.field_decay(2.5) == 1.0
-        assert EnsembleSpec(grid_n=32, n_trials=30).field_decay(2.5) == 2.5
 
 
 class TestVerifierReports:
@@ -153,3 +163,102 @@ class TestIdentityCores:
         fft_counts[:] = [0, 0]
         _skew_residual(du, d1)
         assert fft_counts == [30, 0]
+
+
+def _oracle_bernstein_ratios(f):
+    """One bernstein trial plane by plane: every block and derivative normed
+    by its own lp_norm call."""
+    part = DyadicPartition(f.grid)
+    out = {}
+    for q in part.q_range:
+        b = part.delta(f, q)
+        gx, gy = derivative(b, 0), derivative(b, 1)
+        for p, r in ((2, 2), (2, np.inf), (1, 2)):
+            gain = 2.0 ** (q * 2.0 * (1.0 / p - 1.0 / r))
+            out.setdefault(f"forward p={p} r={r} k=0", {})[q] = (
+                lp_norm(b, r) / (gain * lp_norm(b, p)))
+            out.setdefault(f"forward p={p} r={r} k=1", {})[q] = (
+                max(lp_norm(gx, r), lp_norm(gy, r))
+                / (2.0 ** q * gain * lp_norm(b, p)))
+        if q >= 0:
+            for p in (1, 2, np.inf):
+                out.setdefault(f"reverse p={p}", {})[q] = (
+                    2.0 ** q * lp_norm(b, p) / max(lp_norm(gx, p), lp_norm(gy, p)))
+    return out
+
+
+def _oracle_commutator_ratios(f, g):
+    """One commutator trial plane by plane: one truncated product per cut
+    and one lp_norm call per norm."""
+    part = DyadicPartition(f.grid)
+    fg = product(f, g)
+    grad = np.hypot(to_physical(derivative(f, 0), 2),
+                    to_physical(derivative(f, 1), 2))
+    area = (2.0 * math.pi) ** 2
+    grad_lp = {p: (area * float(np.mean(grad ** p))) ** (1.0 / p)
+               for p in (2.0, 4.0)}
+    out = {}
+    for family, ks, cut in (("block", range(0, part.q_max + 1), part.delta),
+                            ("low-pass", range(1, part.q_max + 1),
+                             part.low_pass)):
+        for k in ks:
+            comm = cut(fg, k) - product(f, cut(g, k))
+            for r, p, h in COMMUTATOR_TRIPLES:
+                out.setdefault(f"{family} r={r:g} p={p:g} h={h:g}", {})[k] = (
+                    lp_norm(comm, r) / (grad_lp[p] * lp_norm(g, h) * 2.0 ** (-k)))
+    return out
+
+
+class TestRatioOracle:
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    @pytest.mark.parametrize("verifier, core, oracle", [
+        (verify_bernstein, "_bernstein_ratios", _oracle_bernstein_ratios),
+        (verify_commutator, "_commutator_ratios", _oracle_commutator_ratios),
+    ], ids=["bernstein", "commutator"])
+    def test_batched_rows_match_the_plane_by_plane_formulas(
+            self, monkeypatch, n, verifier, core, oracle):
+        """The same ensemble with the per-trial core swapped for the
+        plane-by-plane oracle gives the same rows to 1e-12 relative."""
+        spec = EnsembleSpec(grid_n=n, n_trials=30, seed=11)
+        got = verifier(spec)
+        monkeypatch.setattr(harness, core, oracle)
+        want = verifier(spec)
+        assert [row[0] for row in got.rows] == [row[0] for row in want.rows]
+        for g, w in zip(got.rows, want.rows):
+            assert g[1:] == pytest.approx(w[1:], rel=1e-12)
+        assert got.verdict == want.verdict
+        assert got.worst_uniformity == pytest.approx(want.worst_uniformity,
+                                                     rel=1e-12)
+
+    def test_ratio_cores_run_the_counted_transforms(self, grid16, monkeypatch,
+                                                    fft_counts):
+        """At N = 16 (q_max = 3), per trial: bernstein one 3-plane inverse
+        per block q = -1..3; commutator one 4-plane inverse, then per family
+        (4 blocks, 3 low-passes) one inverse of the cut g's, one forward of
+        the f cut(g)'s and one inverse of the commutators, plus the forward
+        of fg; the others one inverse each."""
+        calls = [0, 0]
+        for kind, name in enumerate(("_irfft_padded", "_rfft_truncated")):
+            monkeypatch.setattr(harness, name,
+                                _counting(getattr(harness, name), calls, kind))
+        rng = np.random.default_rng(5)
+        f = focused_scalar(grid16, rng)
+        g = random_scalar(grid16, rng, zero_mean=False)
+        for core, fields, want_calls, want_planes in [
+                (_bernstein_ratios, (f,), [5, 0], [15, 0]),
+                (_sn_linf_ratios, (f,), [1, 0], [3, 0]),
+                (_sobolev_sqrtp_ratios, (f,), [1, 0], [1, 0]),
+                (_commutator_ratios, (f, g), [5, 3], [18, 8]),
+                (_tail_bounds_ratios, (f,), [1, 0], [4, 0])]:
+            calls[:] = [0, 0]
+            fft_counts[:] = [0, 0]
+            core(*fields)
+            assert (calls, fft_counts) == (want_calls, want_planes), core
+
+
+def _counting(fn, calls, kind):
+    """fn, counting its calls in calls[kind]."""
+    def wrapper(*args):
+        calls[kind] += 1
+        return fn(*args)
+    return wrapper

@@ -492,12 +492,16 @@ class TestCli:
         ({"extra": "[verify]\nn_trials = 30\ngrids = 16\n"},
          ["verify", "--checks", "skew", "--seed", "12345"],
          "unrecognized arguments: --seed 12345"),
+        ({"extra": "band = 0\n"}, ["run"], "[initial] band must be positive"),
+        ({"extra": "[twin]\nmode = perturb\ndelta = 1e-6\nband = -2\n"},
+         ["twin"], "[twin] band must be positive"),
     ], ids=["initial_seed", "twin_seed", "verify_seed", "seed_flag", "nan_nu",
-            "nan_delta", "verify_seed_flag"])
+            "nan_delta", "verify_seed_flag", "initial_band", "twin_band"])
     def test_values_that_escaped_validation_exit_2(self, tmp_path, capsys,
                                                     config, argv, message):
-        """Negative seeds, non-finite numbers and a verify --seed end in
-        exit 2 and write nothing; argparse prints its usage line first."""
+        """Negative seeds, non-finite numbers, nonpositive bands and a
+        verify --seed end in exit 2 and write nothing; argparse prints its
+        usage line first, and main returns its code instead of exiting."""
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             "[grid]\nn = 16\n[time]\ndt = 2e-3\nt_end = 0.01\n"
@@ -505,11 +509,8 @@ class TestCli:
             f"[initial]\nseed = {config.get('seed', '3')}\n"
             + config.get("extra", ""))
         out = tmp_path / "o"
-        try:
-            rc = cli.main(argv[:1] + ["--config", str(cfg), "--out", str(out),
-                                      "--quiet"] + argv[1:])
-        except SystemExit as exc:
-            rc = exc.code
+        rc = cli.main(argv[:1] + ["--config", str(cfg), "--out", str(out),
+                                  "--quiet"] + argv[1:])
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err.splitlines()[-1]
@@ -526,6 +527,10 @@ class TestCli:
                        str(tmp_path / "o"), "--quiet"])
         err = capsys.readouterr().err
         assert rc == 2 and "unknown key 'padding'" in err
+
+    def test_help_returns_0(self, capsys):
+        assert cli.main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nematicflow verify")
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"),
