@@ -51,8 +51,10 @@ import numpy as np
 from .dyadic import (DyadicPartition, _block_pair_samples, _lp_weight,
                      hs_norm_vector)
 from .dynamics import (
+    EnergyRecord,  # re-exported
     LeslieCoefficients,
     _dissipation_terms,
+    _energy_record,
     _energy_split,
     rhs,
     strain_and_vorticity,
@@ -73,17 +75,6 @@ from .grid import (
     vector_hs_norm_fourier,
     vector_l2_norm,
 )
-
-class EnergyRecord(NamedTuple):
-    """One time sample of the energy balance along a run."""
-
-    t: float
-    e_total: float
-    e_kin: float
-    e_elastic: float
-    d_total: float
-    d_terms: tuple
-    div_residual: float
 
 
 class UniquenessRecord(NamedTuple):
@@ -164,26 +155,19 @@ def total_dissipation(state, coeffs=None):
     five-term quadratic form, in the order (mu_1 |d.Ad|^2, (mu_4/2)|grad u|^2,
     (mu_5+mu_6)|Ad|^2, -lambda_1 |N|^2, -(lambda_2-mu_2-mu_3) N.Ad).
     """
-    if coeffs is None:
-        coeffs = LeslieCoefficients.ansatz()
-    ad, dad, g, q = _pointwise_strain_fields(state)
-    terms = _dissipation_terms(coeffs, _energy_parts(state, q)[2], ad, dad, g)
-    return float(sum(terms)), tuple(float(x) for x in terms)
+    rec = energy_record(state, coeffs)
+    return rec.d_total, rec.d_terms
 
 
 def energy_record(state, coeffs=None):
-    """Full energy/dissipation snapshot of one state."""
-    e_kin, e_ela, _ = _energy_parts(state)
-    d_total, terms = total_dissipation(state, coeffs)
-    return EnergyRecord(
-        t=state.t,
-        e_total=e_kin + e_ela,
-        e_kin=e_kin,
-        e_elastic=e_ela,
-        d_total=d_total,
-        d_terms=terms,
-        div_residual=divergence_residual(state.u),
-    )
+    """Full energy/dissipation snapshot of one state, from one 7-plane sample."""
+    if coeffs is None:
+        coeffs = LeslieCoefficients.ansatz()
+    ad, dad, g, q = _pointwise_strain_fields(state)
+    e_kin, e_ela, grad_u_int = _energy_parts(state, q)
+    return _energy_record(state.t, e_kin, e_ela,
+                          _dissipation_terms(coeffs, grad_u_int, ad, dad, g),
+                          divergence_residual(state.u))
 
 
 # -- twin-state functionals --------------------------------------------------------

@@ -40,12 +40,17 @@ rhs) form the readable reference path the engine is tested against.  One
 engine evaluation runs 20 padded inverse and 16 forward transforms (22
 inverse when it also records energies), so an imex1 step costs 20 + 16 and
 an imex2 step 40 + 32.
+
+One trajectory loop drives the engine: run always records the energy
+balance, iterate is the lazy, record-free lockstep driver, and step is a
+one-step march.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -320,6 +325,24 @@ def rhs(state, coeffs):
 # -- energy and dissipation ------------------------------------------------------
 
 
+class EnergyRecord(NamedTuple):
+    """One time sample of the energy balance along a run."""
+
+    t: float
+    e_total: float
+    e_kin: float
+    e_elastic: float
+    d_total: float
+    d_terms: tuple
+    div_residual: float
+
+
+def _energy_record(t, e_kin, e_elastic, d_terms, div_residual):
+    """The EnergyRecord of one sample; e_total and d_total are the sums."""
+    return EnergyRecord(t, e_kin + e_elastic, e_kin, e_elastic, float(sum(d_terms)),
+                        tuple(float(x) for x in d_terms), div_residual)
+
+
 def _energy_split(uh, dh, q):
     """(e_kin, e_elastic, int |grad u|^2) of one state.
 
@@ -558,76 +581,61 @@ class _Engine:
 # -- public stepping interface -----------------------------------------------------
 
 
+def _march(state, coeffs, config, records=None):
+    """The one trajectory loop behind step, iterate and run.
+
+    Yields (m, state) at m = 0, every multiple of record_cadence and the
+    last step, each before stepping from m.  Given a list, appends each
+    sample's EnergyRecord from the diagnostics of the step from m (at the
+    last sample, from one extra evaluation).
+    """
+    engine = _Engine(state.grid, coeffs, config)
+    uh, dh = engine.start(state)
+    t0, n_steps = state.t, config.n_steps
+    for m in range(n_steps + 1):
+        t = t0 + m * config.dt
+        sample = m % config.record_cadence == 0 or m == n_steps
+        if sample:
+            yield m, engine.state(uh, dh, t)
+        want = sample and records is not None
+        if m < n_steps:
+            uh, dh, diag = engine.step(uh, dh, want_diag=want)
+            if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
+                raise DivergenceError(m, t0 + (m + 1) * config.dt)
+        elif want:
+            diag = engine.nonlinear(uh, dh, want_diag=True)[2]
+        if want:
+            records.append(_energy_record(t, **diag))
+
+
 def step(state, coeffs, config):
     """One IMEX step of the full system; returns the advanced state."""
-    engine = _Engine(state.grid, coeffs, config)
-    un, dn, _ = engine.step(*engine.start(state))
-    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(dn))):
-        raise DivergenceError(0, state.t + config.dt)
-    return engine.state(un, dn, state.t + config.dt)
+    for _, final in _march(state, coeffs, replace(config, t_end=config.dt)):
+        pass
+    return final
 
 
 def iterate(state, coeffs, config):
     """Yield (step_index, state) snapshots every record_cadence steps.
 
-    The initial state is yielded as (0, state); the final step is always
-    yielded.  Raises DivergenceError naming the step if the state stops
-    being finite.  Useful for driving two trajectories in lockstep.  A
-    yielded state holds the arrays the next step reads: copy it before
-    changing it in place.
+    The lazy, record-free driver, for marching two trajectories in
+    lockstep.  The initial state is yielded as (0, state); the final step is
+    always yielded.  Raises DivergenceError naming the step if the state
+    stops being finite.  A yielded state holds the arrays the next step
+    reads: copy it before changing it in place.
     """
-    engine = _Engine(state.grid, coeffs, config)
-    uh, dh = engine.start(state)
-    t0 = state.t
-    yield 0, engine.state(uh, dh, t0)
-    n_steps = config.n_steps
-    for m in range(1, n_steps + 1):
-        uh, dh, _ = engine.step(uh, dh)
-        if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
-            raise DivergenceError(m - 1, t0 + m * config.dt)
-        if m % config.record_cadence == 0 or m == n_steps:
-            yield m, engine.state(uh, dh, t0 + m * config.dt)
+    yield from _march(state, coeffs, config)
 
 
-def run(state, coeffs, config, record=True):
+def run(state, coeffs, config):
     """March the system from state.t over n_steps = t_end/dt steps.
 
     Returns (final_state, records): records is a list of per-time energy
     records (time, energy split, the five dissipation integrands, divergence
-    residual) taken every record_cadence steps plus the final time; empty when
-    record=False.  Raises DivergenceError naming the step if the state stops
-    being finite.
+    residual) taken every record_cadence steps plus the final time.  Raises
+    DivergenceError naming the step if the state stops being finite.
     """
-    from .diagnostics import EnergyRecord
-
-    engine = _Engine(state.grid, coeffs, config)
-    uh, dh = engine.start(state)
     records = []
-    t0 = state.t
-
-    def snap(step_index, diag):
-        t = t0 + step_index * config.dt
-        terms = diag["d_terms"]
-        records.append(EnergyRecord(
-            t=t,
-            e_total=diag["e_kin"] + diag["e_elastic"],
-            e_kin=diag["e_kin"],
-            e_elastic=diag["e_elastic"],
-            d_total=float(sum(terms)),
-            d_terms=tuple(float(x) for x in terms),
-            div_residual=diag["div_residual"],
-        ))
-
-    n_steps = config.n_steps
-    for m in range(n_steps):
-        want = record and (m % config.record_cadence == 0)
-        un, dn, diag = engine.step(uh, dh, want_diag=want)
-        if want:
-            snap(m, diag)
-        uh, dh = un, dn
-        if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
-            raise DivergenceError(m, t0 + (m + 1) * config.dt)
-    if record:
-        _, _, diag = engine.nonlinear(uh, dh, want_diag=True)
-        snap(n_steps, diag)
-    return engine.state(uh, dh, t0 + n_steps * config.dt), records
+    for _, final in _march(state, coeffs, config, records):
+        pass
+    return final, records

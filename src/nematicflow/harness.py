@@ -212,7 +212,8 @@ def _bernstein_ratios(f):
     out = {}
     for p, r in BERNSTEIN_PAIRS:
         den = 2.0 ** (q_arr * 2.0 * (1.0 / p - 1.0 / r)) * norms[p][:, 0]
-        out[f"forward p={p} r={r} k=0"] = _ratios(qs, norms[r][:, 0], den)
+        if p != r:  # at p = r the k = 0 ratio is a norm over itself
+            out[f"forward p={p} r={r} k=0"] = _ratios(qs, norms[r][:, 0], den)
         out[f"forward p={p} r={r} k=1"] = _ratios(
             qs, norms[r][:, 1:].max(axis=1), 2.0 ** q_arr * den)
     for p, n in norms.items():
@@ -322,11 +323,12 @@ def verify_commutator(spec):
 
 def _tail_bounds_ratios(f):
     """One trial of verify_tail_bounds: one inverse of the tails f - S_n f,
-    n = 1..q_max + 1."""
+    n = 1..q_max (one step further S_n is the identity on the resolved ball
+    and the tail vanishes identically)."""
     grid = f.grid
     q_max, _, lows = _partition_tables(grid.n_modes)
-    ns = range(1, q_max + 2)
-    tails = f.coeffs - f.coeffs * lows[1:]
+    ns = range(1, q_max + 1)
+    tails = f.coeffs - f.coeffs * lows[1:q_max + 1]
     h1 = hs_norm_fourier(f, 1.0)
     h2 = hs_norm_fourier(f, 2.0)
     return {

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -76,7 +76,8 @@ def mu_control(r):
 
 
 def _substituted_integrand(modulus):
-    """dL-integrand of int dr/modulus(r) under r = e^{-L}, for the built-ins."""
+    """dL-integrand of int dr/modulus(r) under r = e^{-L}; only the two
+    built-in moduli mu and mu_control have one."""
     if modulus is mu:
         def g(big_l):
             a = big_l + math.log1p(math.exp(-big_l))
@@ -86,13 +87,7 @@ def _substituted_integrand(modulus):
             a = big_l + math.log1p(math.exp(-big_l))
             return 1.0 / (1.0 + a) ** 2
     else:
-        def g(big_l):
-            r = math.exp(-big_l)
-            if r == 0.0:
-                raise OsgoodError(
-                    "generic modulus: eps below the positive double range"
-                )
-            return r / modulus(r)
+        raise OsgoodError("the Osgood integral supports only mu and mu_control")
     return g
 
 
@@ -182,7 +177,6 @@ class OsgoodTrace:
     phi: Sequence[float]
     f: Sequence[float]
     gamma: float = 1.0 / 6.0
-    c_fit: Optional[float] = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)

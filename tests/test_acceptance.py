@@ -246,7 +246,7 @@ def test_criterion_7_uniform_director_matches_the_ode_solution():
                   0.0)
     config = SolverConfig(dt=1e-3, t_end=1.0, scheme="imex2",
                           record_cadence=1000)
-    final, _ = run(state, ANSATZ, config, record=False)
+    final, _ = run(state, ANSATZ, config)
     value = float(final.d.x.coeffs[0, 0].real)
     rel = abs(value - ODE_Y_AT_1) / ODE_Y_AT_1
     print(f"criterion 7: d_x(1) = {value:.12f} vs {ODE_Y_AT_1:.12f}, "
@@ -266,7 +266,7 @@ def test_criterion_8_rest_state_is_preserved_over_1000_steps(grid64):
     for scheme in ("imex1", "imex2"):
         config = SolverConfig(dt=1e-3, t_end=1.0, scheme=scheme,
                               record_cadence=1000)
-        final, _ = run(initial.copy(), ANSATZ, config, record=False)
+        final, _ = run(initial.copy(), ANSATZ, config)
         for before, after in ((initial.u.x, final.u.x),
                               (initial.u.y, final.u.y),
                               (initial.d.x, final.d.x),

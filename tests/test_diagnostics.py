@@ -143,6 +143,14 @@ class TestDissipation:
             total_dissipation(state)[0], rel=1e-14)
         assert rec.t == 0.0
 
+    def test_energy_record_samples_once(self, grid16, fft_counts):
+        """One 7-plane padded inverse (A, d, lap d) serves the energy split
+        and the dissipation terms; no forward transform."""
+        state = _random_state(grid16, seed=5)
+        fft_counts[:] = [0, 0]
+        energy_record(state)
+        assert fft_counts == [7, 0]
+
     def test_short_run_balances_energy_and_dissipation(self, grid32):
         """|E(t) + int D - E(0)| stays within 5 dt E(0) on a short run."""
         state = _random_state(grid32, seed=6)

@@ -313,18 +313,6 @@ class TestStepping:
             assert np.array_equal(mom, mom_plain)
             assert np.array_equal(direc, direc_plain)
 
-    def test_recording_does_not_change_the_trajectory(self, grid32):
-        """run(record=True) and run(record=False) end in the same bits."""
-        for coeffs in (LeslieCoefficients.ansatz(), GENERAL_COEFFS):
-            cfg = SolverConfig(dt=1e-3, t_end=5e-3, scheme="imex2")
-            recorded, records = run(_random_state(grid32, seed=11), coeffs, cfg)
-            plain, no_records = run(_random_state(grid32, seed=11), coeffs,
-                                    cfg, record=False)
-            assert len(records) == cfg.n_steps + 1 and no_records == []
-            for a, b in ((recorded.u, plain.u), (recorded.d, plain.d)):
-                assert np.array_equal(a.x.coeffs, b.x.coeffs)
-                assert np.array_equal(a.y.coeffs, b.y.coeffs)
-
     def test_engine_results_do_not_alias_its_batches(self, grid16):
         """Right sides from one evaluation survive the next evaluation."""
         engine = _Engine(grid16, GENERAL_COEFFS, SolverConfig(dt=1e-3, t_end=1e-3))
@@ -396,19 +384,23 @@ class TestStepping:
         assert np.array_equal(f1.u.x.coeffs, f2.u.x.coeffs)
         assert np.array_equal(f1.d.y.coeffs, f2.d.y.coeffs)
 
-    def test_iterate_agrees_with_run(self, grid32):
-        """The lockstep generator ends at the same state as run()."""
-        coeffs = LeslieCoefficients.ansatz()
-        cfg = SolverConfig(dt=1e-3, t_end=0.02, record_cadence=5)
-        final_run, _ = run(_random_state(grid32, seed=7), coeffs, cfg)
-        last = None
-        count = 0
-        for _, snap in iterate(_random_state(grid32, seed=7), coeffs, cfg):
-            last = snap
-            count += 1
-        assert np.array_equal(last.u.x.coeffs, final_run.u.x.coeffs)
-        assert np.array_equal(last.d.x.coeffs, final_run.d.x.coeffs)
-        assert count == 1 + cfg.n_steps // cfg.record_cadence
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    @pytest.mark.parametrize("coeffs", [LeslieCoefficients.ansatz(), GENERAL_COEFFS],
+                             ids=["ansatz", "general"])
+    def test_iterate_agrees_with_run(self, grid32, coeffs, scheme):
+        """The record-free lockstep generator yields the samples run records
+        (m = 0, every multiple of the cadence and the last step) and ends in
+        the same bits: recording does not change the trajectory."""
+        cfg = SolverConfig(dt=1e-3, t_end=0.012, scheme=scheme, record_cadence=5)
+        final_run, records = run(_random_state(grid32, seed=7), coeffs, cfg)
+        snaps = []
+        for m, last in iterate(_random_state(grid32, seed=7), coeffs, cfg):
+            snaps.append((m, last.t))
+        assert [m for m, _ in snaps] == [0, 5, 10, 12]
+        assert [t for _, t in snaps] == [r.t for r in records]
+        for a, b in ((last.u, final_run.u), (last.d, final_run.d)):
+            assert np.array_equal(a.x.coeffs, b.x.coeffs)
+            assert np.array_equal(a.y.coeffs, b.y.coeffs)
 
     def test_record_cadence_and_endpoints(self, grid32):
         """Records start at t = 0 and end exactly at t_end."""
@@ -421,17 +413,26 @@ class TestStepping:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_raises_divergence_error(self, grid16):
-        """A run driven past stability reports the failing step.
+        """step, iterate and run driven past stability report the failing step.
 
-        Overflow warnings on the way to the non-finite state are expected;
-        the contract is the typed error, raised before results are returned.
+        From t = 0, the step from m = 5 leaves the finite range (t = 3); a
+        single step from t = 2.5 reports index 0 at the same t.  Overflow
+        warnings on the way to the non-finite state are expected; the
+        contract is the typed error, raised before results are returned.
         """
         u, d = generate_initial(grid16, profile="random", seed=9,
                                 amplitude_u=20.0, amplitude_d=20.0)
         state = State(grid16, u, d, 0.0)
+        coeffs = LeslieCoefficients.ansatz()
         cfg = SolverConfig(dt=0.5, t_end=50.0)
-        with pytest.raises(DivergenceError):
-            run(state, LeslieCoefficients.ansatz(), cfg, record=False)
+        for drive in (run, lambda *a: list(iterate(*a))):
+            with pytest.raises(DivergenceError) as err:
+                drive(state, coeffs, cfg)
+            assert (err.value.step_index, err.value.t) == (5, 3.0)
+        with pytest.raises(DivergenceError) as err:
+            for _ in range(cfg.n_steps):
+                state = step(state, coeffs, cfg)
+        assert (state.t, err.value.step_index, err.value.t) == (2.5, 0, 3.0)
 
     def test_solver_config_validation(self):
         """Bad dt, t_end, scheme, cadence, or incompatible t_end/dt raise.
@@ -487,8 +488,7 @@ class TestSchemeAccuracy:
         def final_state(scheme, dt):
             cfg = SolverConfig(dt=dt, t_end=t_end, scheme=scheme,
                                record_cadence=10 ** 9)
-            final, _ = run(_random_state(grid16, seed=10), coeffs, cfg,
-                           record=False)
+            final, _ = run(_random_state(grid16, seed=10), coeffs, cfg)
             return final
 
         for scheme, low, high in (("imex1", 1.6, 2.4), ("imex2", 3.3, 4.7)):

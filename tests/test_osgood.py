@@ -84,6 +84,13 @@ class TestOsgoodIntegral:
         with pytest.raises(OsgoodError):
             osgood_integral(-1e-3)
 
+    def test_rejects_a_modulus_other_than_the_two_built_ins(self):
+        with pytest.raises(OsgoodError):
+            osgood_integral(1e-3, modulus=lambda r: r)
+        with pytest.raises(OsgoodError):
+            osgood_divergence_certificate([1e-3, 1e-6],
+                                          modulus=lambda r: mu_control(r))
+
     def test_divergence_certificate(self):
         """I(eps) increases strictly as eps sweeps down 42 decades."""
         cert = osgood_divergence_certificate(OSGOOD_EPS)
