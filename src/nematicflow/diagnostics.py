@@ -56,6 +56,7 @@ from .dynamics import (
     _dissipation_terms,
     _energy_record,
     _energy_split,
+    _kinetic_energy,
     rhs,
     strain_and_vorticity,
 )
@@ -118,7 +119,9 @@ def _energy_parts(state, q=None):
 
 
 def kinetic_energy(state):
-    return _energy_parts(state)[0]
+    """int |u|^2 / 2 via Parseval; no transform."""
+    u = state.u
+    return _kinetic_energy(np.stack([u.x.coeffs, u.y.coeffs]))
 
 
 def elastic_energy(state):

@@ -36,10 +36,13 @@ a second-order integrating-factor Heun variant.  The inner loop is a batched
 engine on the fields' own half spectra (stacked per vector field, no layout
 conversion) that shares the grid module's real-FFT transform layer; the
 module-level operations (strain_and_vorticity, gl_gradient, leslie_stress,
-rhs) form the readable reference path the engine is tested against.  One
-engine evaluation runs 20 padded inverse and 16 forward transforms (22
-inverse when it also records energies), so an imex1 step costs 20 + 16 and
-an imex2 step 40 + 32.
+rhs) form the readable reference path the engine is tested against.  The
+engine samples each product on the smallest grid where its truncation is
+exact: the cubic terms grad W and d.Ad on the 2N grid, the pairwise
+products on the 3N/2 grid.  One engine evaluation runs 25 padded inverse
+and 16 forward transforms (5 + 3 at 2N, 20 + 13 at 3N/2; 27 inverse when it
+also records energies, whose quadratures stay on the 2N grid), so an imex1
+step costs 25 + 16 and an imex2 step 50 + 32.
 
 One trajectory loop drives the engine: run always records the energy
 balance, iterate is the lazy, record-free lockstep driver, and step is a
@@ -343,6 +346,11 @@ def _energy_record(t, e_kin, e_elastic, d_terms, div_residual):
                         tuple(float(x) for x in d_terms), div_residual)
 
 
+def _kinetic_energy(uh):
+    """int |u|^2 / 2, a Parseval sum over the stacked half spectra uh."""
+    return 0.5 * TWO_PI ** 2 * _weighted_power(_tables(uh.shape[-2])["weight"], uh)
+
+
 def _energy_split(uh, dh, q):
     """(e_kin, e_elastic, int |grad u|^2) of one state.
 
@@ -352,12 +360,11 @@ def _energy_split(uh, dh, q):
     equal-weight quadrature.
     """
     t = _tables(uh.shape[-2])
-    w, wn2 = t["weight"], t["weight"] * t["n2"]
+    wn2 = t["weight"] * t["n2"]
     area = TWO_PI ** 2
-    return (0.5 * area * _weighted_power(w, uh),
+    return (_kinetic_energy(uh),
             0.5 * area * _weighted_power(wn2, dh) + _sample_integral(0.25 * q * q),
             area * _weighted_power(wn2, uh))
-
 
 
 def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
@@ -405,17 +412,20 @@ class _Engine:
         self.coeffs = coeffs
         self.config = config
         self.n = grid.n_modes
-        self.m = grid.padded_size
+        self.m_cubic = grid.padded_size
+        self.m_pair = 3 * self.n // 2
         self.t = _tables(self.n)
         self.ik = np.stack([1j * self.t["nx"], 1j * self.t["ny"]])
         dt = config.dt
         self.exp_u = np.exp(-coeffs.nu * self.t["n2"] * dt)
         self.exp_d = np.exp(-coeffs.kappa * self.t["n2"] * dt)
         # transform batches, rewritten by every nonlinear() call
-        n, h, m = self.n, self.n // 2 + 1, self.m
-        self.in1 = np.empty((14, n, h), dtype=np.complex128)
+        n, h, mc, mp = self.n, self.n // 2 + 1, self.m_cubic, self.m_pair
+        self.in_cubic = np.empty((7, n, h), dtype=np.complex128)
+        self.in1 = np.empty((12, n, h), dtype=np.complex128)
         self.in2 = np.empty((8, n, h), dtype=np.complex128)
-        self.products = np.empty((16, m, m))
+        self.cubic = np.empty((7, mc, mc))
+        self.pairs = np.empty((13, mp, mp))
 
     def start(self, state):
         """A state's stacked (u, d) half spectra (copies), u projected."""
@@ -448,87 +458,121 @@ class _Engine:
 
         The diffusion terms are not included here; the stepper integrates them
         exactly through the per-mode factors.  Terms that share a right side
-        are summed on the padded grid before one forward transform
-        (truncation is linear): 12 + 8 padded inverses, 12 + 4 forwards, and
-        2 more inverses (lap d) only when diagnostics are wanted.
+        are summed on one sample grid before one forward transform
+        (truncation is linear).  Each product is sampled on the smallest grid
+        where its truncation is exact (see the grid module): M = 2N for the
+        cubic terms, M = 3N/2 for the pairwise ones.
+
+        - Cubic part, 2N: 5 inverses (d, A11, A12, A22) and 3 forwards
+          (grad W, d.Ad); 2 more inverses (lap d) only when diagnostics are
+          wanted, which are read from these samples.
+        - Pairwise stage 1, 3N/2: 12 inverses (u, d, their first
+          derivatives) and 9 forwards (u.grad u, the director side, Ad,
+          d x d); the Ericksen planes are kept for stage 2.
+        - Pairwise stage 2, 3N/2: 8 inverses (Ad, d.Ad, d x d,
+          lap d - grad W) and 4 forwards (the stress), with stage 1's
+          samples of d.
         """
         co = self.coeffs
         t = self.t
-        m = self.m
-        b1 = self.in1  # u, d, their first derivatives (, lap d): 2+2+8 (+2)
+        n, mc, mp = self.n, self.m_cubic, self.m_pair
+        ikx, iky = self.ik
+
+        b1 = self.in1  # u, d and their first derivatives (d_k f at 4 + 2f + k)
         b1[0:2] = uh
         b1[2:4] = dh
-        np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, self.n, -1))
+        np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, n, -1))
+        bc = self.in_cubic  # d1, d2, A11, A12, A22 (, lap d1, lap d2)
+        bc[0:2] = dh
+        bc[2] = b1[4]
+        np.add(b1[5], b1[6], out=bc[3])
+        bc[3] *= 0.5
+        bc[4] = b1[7]
         if want_diag:
-            np.multiply(-t["n2"], dh, out=b1[12:14])
-        p = _irfft_padded(b1 if want_diag else b1[:12], m)
-        u1, u2, d1, d2 = p[0:4]
-        grad = p[4:12].reshape(4, 2, m, m)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
-        (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
-
-        # 0-1 u.grad u, 2-3 director side, 4-5 grad W, 6-7 Ad, 8 d.Ad,
-        # 9-11 d x d, the 12 planes of the first forward batch; 12-14 scratch,
-        # then the Ericksen planes, kept for stage 2; 15 |d|^2 - 1, then scratch
-        o = self.products
-        np.multiply(u1, grad[:, 0], out=o[0:4])  # u.grad of u1, u2, d1, d2
-        o[0:4] += np.multiply(u2, grad[:, 1], out=o[12:16])
-        np.multiply(d1, p[2:4], out=o[9:11])
-        np.multiply(d2, d2, out=o[11])
-        q = o[15]
-        np.add(o[9], o[11], out=q)
+            np.multiply(-t["n2"], dh, out=bc[5:7])
+        pc = _irfft_padded(bc if want_diag else bc[:5], mc)
+        d1, d2, a11, a12, a22 = pc[0:5]
+        # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad,
+        # 6 scratch
+        oc = self.cubic
+        gw, dad, q, ad1, ad2, t1 = oc[0:2], oc[2], oc[3], oc[4], oc[5], oc[6]
+        np.multiply(d1, d1, out=q)
+        q += np.multiply(d2, d2, out=t1)
         q -= 1.0
-        np.multiply(q, p[2:4], out=o[4:6])  # grad W = (|d|^2 - 1) d
-        a12, w12, t1 = o[12], o[13], o[14]
-        np.add(gu1, gu2, out=a12)
-        a12 *= 0.5
-        ad1, ad2, dad = o[6], o[7], o[8]
-        np.multiply(gu0, d1, out=ad1)
+        np.multiply(q, pc[0:2], out=gw)  # grad W = (|d|^2 - 1) d
+        np.multiply(a11, d1, out=ad1)
         ad1 += np.multiply(a12, d2, out=t1)
         np.multiply(a12, d1, out=ad2)
-        ad2 += np.multiply(gu3, d2, out=t1)
+        ad2 += np.multiply(a22, d2, out=t1)
         np.multiply(d1, ad1, out=dad)
         dad += np.multiply(d2, ad2, out=t1)
-        # director side -u.grad d + W d + c A d with c = -lambda_2/lambda_1;
-        # the default set has c = 2, where W d + 2 A d is the stretch
-        # (3/2)(grad u) d + (1/2)(grad u)^T d of its director equation
-        side = o[2:4]
-        cad = np.multiply(-co.lambda2 / co.lambda1, o[6:8], out=o[12:14])
-        np.subtract(cad, side, out=side)
-        np.subtract(gu1, gu2, out=w12)
-        w12 *= 0.5
-        side[0] += np.multiply(w12, d2, out=t1)
-        side[1] -= np.multiply(w12, d1, out=t1)
 
         diag = None
         if want_diag:
-            gw1, gw2 = o[4], o[5]
             e_kin, e_elastic, grad_u_int = _energy_split(uh, dh, q)
             diag = {
                 "e_kin": e_kin,
                 "e_elastic": e_elastic,
                 "d_terms": _dissipation_terms(
-                    co, grad_u_int, (ad1, ad2), dad, (p[12] - gw1, p[13] - gw2)
+                    co, grad_u_int, (ad1, ad2), dad, (pc[5] - gw[0], pc[6] - gw[1])
                 ),
                 "div_residual": float(
                     np.max(np.abs(t["nx"] * uh[0] + t["ny"] * uh[1]))
                 ),
             }
+        sc = _rfft_truncated(oc[0:3], n)
+        gw_h = sc[0:2]
 
-        e11, e12, e22 = o[12], o[13], o[14]  # grad d o. grad d
+        p = _irfft_padded(b1, mp)
+        u1, u2, d1, d2 = p[0:4]
+        grad = p[4:12].reshape(4, 2, mp, mp)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
+        (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
+
+        # 0-1 u.grad u, 2-3 director side, 4-5 Ad, 6-8 d x d, the first
+        # pairwise forward batch; 9-12 scratch, then 9-11 the Ericksen
+        # planes, kept for stage 2
+        o = self.pairs
+        np.multiply(u1, grad[:, 0], out=o[0:4])  # u.grad of u1, u2, d1, d2
+        o[0:4] += np.multiply(u2, grad[:, 1], out=o[9:13])
+        a12, t1 = o[9], o[12]
+        np.add(gu1, gu2, out=a12)
+        a12 *= 0.5
+        ad = o[4:6]
+        np.multiply(gu0, d1, out=ad[0])
+        ad[0] += np.multiply(a12, d2, out=t1)
+        np.multiply(a12, d1, out=ad[1])
+        ad[1] += np.multiply(gu3, d2, out=t1)
+        np.multiply(d1, p[2:4], out=o[6:8])
+        np.multiply(d2, d2, out=o[8])
+        # director side -u.grad d + W d + c A d with c = -lambda_2/lambda_1;
+        # the default set has c = 2, where W d + 2 A d is the stretch
+        # (3/2)(grad u) d + (1/2)(grad u)^T d of its director equation
+        side = o[2:4]
+        cad = np.multiply(-co.lambda2 / co.lambda1, ad, out=o[9:11])
+        np.subtract(cad, side, out=side)
+        w12 = o[11]
+        np.subtract(gu1, gu2, out=w12)
+        w12 *= 0.5
+        side[0] += np.multiply(w12, d2, out=t1)
+        side[1] -= np.multiply(w12, d1, out=t1)
+
+        e11, e12, e22 = o[9], o[10], o[11]  # grad d o. grad d
         np.multiply(gd0, gd0, out=e11)
-        e11 += np.multiply(gd2, gd2, out=o[15])
+        e11 += np.multiply(gd2, gd2, out=t1)
         np.multiply(gd0, gd1, out=e12)
-        e12 += np.multiply(gd2, gd3, out=o[15])
+        e12 += np.multiply(gd2, gd3, out=t1)
         np.multiply(gd1, gd1, out=e22)
-        e22 += np.multiply(gd3, gd3, out=o[15])
-        s1 = _rfft_truncated(o[0:12], self.n)
-        advu_h, gw_h = s1[0:2], s1[4:6]
+        e22 += np.multiply(gd3, gd3, out=t1)
+        s1 = _rfft_truncated(o[0:9], n)
+        advu_h = s1[0:2]
 
         b2 = self.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
-        b2[0:6] = s1[6:12]
+        b2[0:2] = s1[4:6]
+        b2[2] = sc[2]
+        b2[3:6] = s1[6:9]
         np.multiply(-t["n2"], dh, out=b2[6:8])
         b2[6:8] -= gw_h  # resolved lap d - grad W
-        p2 = _irfft_padded(b2, m)
+        p2 = _irfft_padded(b2, mp)
         adn, dad_n, ddt, nv = p2[0:2], p2[2], p2[3:6], p2[6:8]
         l1, l2 = co.lambda1, co.lambda2
         nv *= -1.0 / l1
@@ -537,17 +581,16 @@ class _Engine:
         rt = co.mu3 * nv + co.mu6 * adn
         # S = mu1 (d.Ad) d x d + (mu2 N + mu5 Ad) x d + d x (mu3 N + mu6 Ad) - E
         ddt *= co.mu1 * dad_n
-        s = o[0:4]  # S11, S12, S21, S22; stage-1 planes 0-11 are spent
+        s = o[0:4]  # S11, S12, S21, S22; stage-1 planes 0-8 are spent
         np.subtract(ddt[0], e11, out=s[0])
         np.subtract(ddt[1], e12, out=s[1])
         s[2] = s[1]
         np.subtract(ddt[2], e22, out=s[3])
-        outer = o[4:8].reshape(2, 2, m, m)
-        s += np.multiply(lf[:, None], p[None, 2:4], out=outer).reshape(4, m, m)
-        s += np.multiply(p[2:4, None], rt[None], out=outer).reshape(4, m, m)
-        sh = _rfft_truncated(s, self.n)
+        outer = o[4:8].reshape(2, 2, mp, mp)
+        s += np.multiply(lf[:, None], p[None, 2:4], out=outer).reshape(4, mp, mp)
+        s += np.multiply(p[2:4, None], rt[None], out=outer).reshape(4, mp, mp)
+        sh = _rfft_truncated(s, n)
 
-        ikx, iky = self.ik
         mom = np.empty_like(uh)
         mom[0] = -advu_h[0] + ikx * sh[0] + iky * sh[1]
         mom[1] = -advu_h[1] + ikx * sh[2] + iky * sh[3]

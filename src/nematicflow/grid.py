@@ -19,13 +19,18 @@ round trip costs no accuracy.
 On an even grid the modes with |n_i| = N/2 have no conjugate partner; they are
 zeroed on construction and kept at zero by every operation here.
 
-Products of fields are computed pointwise on the 2N grid and truncated back
-to the mode grid.  There the product of two resolved fields is the exact L2
-projection of the true product onto the resolved modes, and a single-shot
-product of three resolved fields is exact as well (alias images of degree-3
-products land outside the retained band).  Degree four and higher
-single-shot products are not exact and callers are expected to stage them
-pairwise.
+Products of fields are computed pointwise on a padded M x M grid and
+truncated back to the mode grid.  A product of k resolved fields (modes
+|n_i| <= N/2 - 1) reaches |n_i| <= k(N/2 - 1); sampled on M points its
+alias images shift by multiples of M, and they miss the retained band
+exactly when M >= k(N/2 - 1) + N/2.  Then the truncated product is the exact
+L2 projection of the true product onto the resolved modes.  That is
+M >= 3N/2 - 2 for two factors (the 3/2 rule) and M >= 2N - 3 for three.
+product and padded_size stay at 2N, where pairwise and single-shot triple
+products are exact; the stepping engine picks its own grid per stage (2N for
+its cubic terms, 3N/2 for its pairwise ones).  Degree four and higher
+single-shot products are not exact on 2N and callers are expected to stage
+them pairwise.
 """
 
 from __future__ import annotations
@@ -87,9 +92,11 @@ class GridSpec:
     Parameters
     ----------
     n_modes : int
-        Modes per axis.  Must be even and at least 8.  Products are sampled
-        on the padded_size = 2N grid, where they are exact (see the module
-        docstring).
+        Modes per axis.  Must be even and at least 8.  A product of k
+        factors is exact on an M grid when M >= k(N/2 - 1) + N/2 (see the
+        module docstring); product samples on the padded_size = 2N grid,
+        where two and three factors are exact.  The stepping engine picks
+        its own per-stage grids.
     """
 
     n_modes: int

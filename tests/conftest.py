@@ -45,14 +45,33 @@ def rng():
     return np.random.default_rng(20260816)
 
 
+class _FFTCounts(list):
+    """[inverse, forward] plane counts; per_size[M] holds the same pair for
+    the transforms whose sample grid is M x M.  Assigning to the list (the
+    reset counts[:] = [0, 0]) clears per_size too."""
+
+    def __init__(self):
+        super().__init__([0, 0])
+        self.per_size = {}
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.per_size.clear()
+
+    def add(self, kind, m, planes):
+        super().__setitem__(kind, self[kind] + planes)
+        self.per_size.setdefault(m, [0, 0])[kind] += planes
+
+
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """[inverse, forward] counts of 2-D transforms, one per batch element.
+    """[inverse, forward] counts of 2-D transforms, one per batch element,
+    with the same counts per sample grid size M in fft_counts.per_size.
 
     Wraps the 2-D/n-D entry points of numpy.fft and scipy.fft (the ones the
     benchmark counts); reset the list in place between measurements.
     """
-    counts = [0, 0]
+    counts = _FFTCounts()
 
     def counted(fn, kind, default_axes):
         @functools.wraps(fn)
@@ -63,8 +82,8 @@ def fft_counts(monkeypatch):
             real_space = out if kind == 0 else np.asarray(x)
             if axes is None:  # n-D default: the last len(s) axes, or all
                 axes = range(-len(shape), 0) if shape else range(out.ndim)
-            points = math.prod(real_space.shape[a] for a in axes)
-            counts[kind] += real_space.size // points
+            sizes = [real_space.shape[a] for a in axes]
+            counts.add(kind, max(sizes), real_space.size // math.prod(sizes))
             return out
         return wrapper
 

@@ -65,8 +65,9 @@ def test_traced_layers_are_modules(tracing):
 
 def test_iterate_is_a_lazy_generator(grid16, fft_counts):
     """iterate is a generator function; its first next() runs no transform,
-    each later next() at cadence 1 one imex1 step (20 inverse + 16 forward
-    transforms), and the one after the last step none."""
+    each later next() at cadence 1 one imex1 step (25 inverse + 16 forward
+    transforms: 5 + 3 on the 2N grid, 20 + 13 on the 3N/2 grid), and the
+    one after the last step none."""
     dynamics = _module("dynamics")
     assert inspect.isgeneratorfunction(dynamics.iterate)
     u, d = generate_initial(grid16, profile="random", seed=3)
@@ -79,7 +80,8 @@ def test_iterate_is_a_lazy_generator(grid16, fft_counts):
     for m in range(1, config.n_steps + 1):
         fft_counts[:] = [0, 0]
         assert next(steps)[0] == m
-        assert fft_counts == [20, 16]
+        assert fft_counts == [25, 16]
+        assert fft_counts.per_size == {32: [5, 3], 24: [20, 13]}
     fft_counts[:] = [0, 0]
     with pytest.raises(StopIteration):
         next(steps)

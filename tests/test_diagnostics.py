@@ -97,6 +97,15 @@ class TestEnergies:
         expected = grad_part + w_part
         assert elastic_energy(state) == pytest.approx(expected, rel=1e-5)
 
+    def test_kinetic_energy_runs_no_transform(self, grid16, fft_counts):
+        """The kinetic energy is a Parseval sum of u alone: no transform, and
+        the same bits as the kinetic part of the energy record."""
+        state = _random_state(grid16, seed=1)
+        fft_counts[:] = [0, 0]
+        e_kin = kinetic_energy(state)
+        assert fft_counts == [0, 0]
+        assert e_kin == energy_record(state).e_kin
+
     def test_total_energy_is_the_sum(self, grid32):
         state = _random_state(grid32, seed=1)
         assert total_energy(state) == pytest.approx(

@@ -179,3 +179,23 @@ def test_transform_pair_results_ignore_earlier_calls(n, m):
     kept = spectra.copy()
     _rfft_truncated(rng.standard_normal((3, m, m)), n)
     assert np.array_equal(spectra, kept)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_pairwise_products_are_exact_on_the_three_halves_grid(n):
+    """k band-N/2 factors truncate exactly on an M grid when
+    M >= k(N/2 - 1) + N/2: a pairwise product sampled at M = 3N/2 gives the
+    N-grid spectrum it gives at 2N, a cubic product at 3N/2 does not."""
+    rng = np.random.default_rng(n)
+    grid = GridSpec(n)
+    half = np.stack([_real(grid, _real_coeffs(n, n // 2 - 1, rng)).coeffs
+                     for _ in range(3)])
+
+    def truncated_product(factors, m):
+        values = _irfft_padded(half[:factors], m)
+        return _rfft_truncated(np.prod(values, axis=0), n)
+
+    pair = truncated_product(2, 2 * n)
+    assert _relative(truncated_product(2, 3 * n // 2), pair) <= 1e-15
+    cubic = truncated_product(3, 2 * n)
+    assert _relative(truncated_product(3, 3 * n // 2), cubic) >= 1e-3
