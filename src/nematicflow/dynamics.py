@@ -44,6 +44,14 @@ and 16 forward transforms (5 + 3 at 2N, 20 + 13 at 3N/2; 27 inverse when it
 also records energies, whose quadratures stay on the 2N grid), so an imex1
 step costs 25 + 16 and an imex2 step 50 + 32.
 
+The engine keeps its transform batches in a workspace: the padded
+inverses write into kept pads and sample arrays instead of fresh ones, so a
+warm step allocates only the transforms' intermediates, the forward spectra
+and its N-grid results.  There is one workspace per thread and grid size,
+shared by every live engine of that size in the thread (the twin's two
+lockstep engines use one).  Right sides and stepped states are always fresh
+arrays, never views of the workspace.
+
 One trajectory loop drives the engine: run always records the energy
 balance, iterate is the lazy, record-free lockstep driver, and step is a
 one-step march.
@@ -52,6 +60,8 @@ one-step march.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -404,6 +414,57 @@ def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
 # -- half-spectrum stepping engine ------------------------------------------------
 
 
+def _shared(*shapes):
+    """Real arrays of the given shapes over one buffer, for arrays that never
+    live at the same time."""
+    buf = np.empty(max(math.prod(shape) for shape in shapes))
+    return [buf[:math.prod(shape)].reshape(shape) for shape in shapes]
+
+
+class _Workspace:
+    """The transform batches of the engines of one grid size in one thread.
+
+    Every nonlinear() call rewrites what it reads here before reading it,
+    and nothing it returns is a view of these arrays, so the engines of one
+    size in one thread (the twin's two lockstep engines) share one
+    workspace.  The pads keep the zero rows that _irfft_padded does not
+    write.
+    """
+
+    def __init__(self, n, mc, mp):
+        h = n // 2
+        self.in_cubic = np.empty((7, n, h + 1), dtype=np.complex128)
+        self.in1 = np.empty((12, n, h + 1), dtype=np.complex128)
+        self.in2 = np.empty((8, n, h + 1), dtype=np.complex128)
+        self.pad_cubic = np.zeros((7, mc, h), dtype=np.complex128)
+        self.pad_pair = np.zeros((12, mp, h), dtype=np.complex128)
+        # samples: 2N ones die before stage 2 starts, and the cubic products
+        # are transformed before stage 1 is sampled
+        self.samples_cubic, self.samples2 = _shared((7, mc, mc), (8, mp, mp))
+        self.cubic, self.samples1 = _shared((7, mc, mc), (12, mp, mp))
+        self.pairs = np.empty((13, mp, mp))
+
+
+class _Workspaces(threading.local):
+    """Per thread: the live workspaces by (N, M_cubic, M_pair), freed with
+    their last engine."""
+
+    def __init__(self):
+        self.by_size = weakref.WeakValueDictionary()
+
+
+_workspaces = _Workspaces()
+
+
+def _workspace(n, mc, mp):
+    """This thread's workspace for N modes padded to M_cubic and M_pair."""
+    kept = _workspaces.by_size
+    ws = kept.get((n, mc, mp))
+    if ws is None:
+        ws = kept[n, mc, mp] = _Workspace(n, mc, mp)
+    return ws
+
+
 class _Engine:
     """Batched real-FFT inner loop for one (grid, coefficients, dt, scheme)."""
 
@@ -419,13 +480,7 @@ class _Engine:
         dt = config.dt
         self.exp_u = np.exp(-coeffs.nu * self.t["n2"] * dt)
         self.exp_d = np.exp(-coeffs.kappa * self.t["n2"] * dt)
-        # transform batches, rewritten by every nonlinear() call
-        n, h, mc, mp = self.n, self.n // 2 + 1, self.m_cubic, self.m_pair
-        self.in_cubic = np.empty((7, n, h), dtype=np.complex128)
-        self.in1 = np.empty((12, n, h), dtype=np.complex128)
-        self.in2 = np.empty((8, n, h), dtype=np.complex128)
-        self.cubic = np.empty((7, mc, mc))
-        self.pairs = np.empty((13, mp, mp))
+        self.ws = _workspace(self.n, self.m_cubic, self.m_pair)
 
     def start(self, state):
         """A state's stacked (u, d) half spectra (copies), u projected."""
@@ -475,14 +530,15 @@ class _Engine:
         """
         co = self.coeffs
         t = self.t
+        ws = self.ws
         n, mc, mp = self.n, self.m_cubic, self.m_pair
         ikx, iky = self.ik
 
-        b1 = self.in1  # u, d and their first derivatives (d_k f at 4 + 2f + k)
+        b1 = ws.in1  # u, d and their first derivatives (d_k f at 4 + 2f + k)
         b1[0:2] = uh
         b1[2:4] = dh
         np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, n, -1))
-        bc = self.in_cubic  # d1, d2, A11, A12, A22 (, lap d1, lap d2)
+        bc = ws.in_cubic  # d1, d2, A11, A12, A22 (, lap d1, lap d2)
         bc[0:2] = dh
         bc[2] = b1[4]
         np.add(b1[5], b1[6], out=bc[3])
@@ -490,11 +546,12 @@ class _Engine:
         bc[4] = b1[7]
         if want_diag:
             np.multiply(-t["n2"], dh, out=bc[5:7])
-        pc = _irfft_padded(bc if want_diag else bc[:5], mc)
+        k = 7 if want_diag else 5
+        pc = _irfft_padded(bc[:k], mc, out=(ws.pad_cubic[:k], ws.samples_cubic[:k]))
         d1, d2, a11, a12, a22 = pc[0:5]
         # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad,
         # 6 scratch
-        oc = self.cubic
+        oc = ws.cubic
         gw, dad, q, ad1, ad2, t1 = oc[0:2], oc[2], oc[3], oc[4], oc[5], oc[6]
         np.multiply(d1, d1, out=q)
         q += np.multiply(d2, d2, out=t1)
@@ -523,7 +580,7 @@ class _Engine:
         sc = _rfft_truncated(oc[0:3], n)
         gw_h = sc[0:2]
 
-        p = _irfft_padded(b1, mp)
+        p = _irfft_padded(b1, mp, out=(ws.pad_pair, ws.samples1))
         u1, u2, d1, d2 = p[0:4]
         grad = p[4:12].reshape(4, 2, mp, mp)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
         (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
@@ -531,7 +588,7 @@ class _Engine:
         # 0-1 u.grad u, 2-3 director side, 4-5 Ad, 6-8 d x d, the first
         # pairwise forward batch; 9-12 scratch, then 9-11 the Ericksen
         # planes, kept for stage 2
-        o = self.pairs
+        o = ws.pairs
         np.multiply(u1, grad[:, 0], out=o[0:4])  # u.grad of u1, u2, d1, d2
         o[0:4] += np.multiply(u2, grad[:, 1], out=o[9:13])
         a12, t1 = o[9], o[12]
@@ -566,13 +623,13 @@ class _Engine:
         s1 = _rfft_truncated(o[0:9], n)
         advu_h = s1[0:2]
 
-        b2 = self.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
+        b2 = ws.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
         b2[0:2] = s1[4:6]
         b2[2] = sc[2]
         b2[3:6] = s1[6:9]
         np.multiply(-t["n2"], dh, out=b2[6:8])
         b2[6:8] -= gw_h  # resolved lap d - grad W
-        p2 = _irfft_padded(b2, mp)
+        p2 = _irfft_padded(b2, mp, out=(ws.pad_pair[:8], ws.samples2))
         adn, dad_n, ddt, nv = p2[0:2], p2[2], p2[3:6], p2[6:8]
         l1, l2 = co.lambda1, co.lambda2
         nv *= -1.0 / l1

@@ -230,29 +230,43 @@ def require_same_grid(*fields):
 #
 # The padded inverse is pruned.  Of the M x M half spectrum only the columns
 # ny = 0..N/2-1 can be nonzero, so the pad holds just those N/2 columns.
-# numpy.fft.irfft2 runs its axis -2 pass on the columns it is given and
+# numpy.fft.irfftn runs its axis -2 pass on the columns it is given and
 # zero-extends them to M/2 + 1 inside the last-axis irfft, so the empty
 # columns are never transformed.  scipy.fft.irfft2 would zero-extend first
-# and transform them all, so the inverse stays on numpy.  The forward goes
-# through scipy.fft.rfft2, which is faster than numpy.fft.rfft2 on batches
-# of real arrays with one worker; its output is then cut to the N grid.  Both
-# use norm="forward" (1/M^2 on the forward side): for a power-of-two M this
-# gives the same bits as scaling after an unnormalized transform.  The FFT
-# functions are looked up on their modules at call time, and only their 2-D
-# entry points are used.  Each call pads into a fresh zero array.
+# and transform them all, so the inverse stays on numpy.  It calls irfftn
+# rather than irfft2 (which runs irfftn, so the bits are the same) because
+# numpy's irfft2 drops its out argument: with a kept pad and sample array
+# the inverse writes into them and allocates only its intermediate.  The
+# forward goes through scipy.fft.rfft2, which is faster than numpy.fft.rfft2
+# on batches of real arrays with one worker and differs from it in the last
+# bits at M = 96 and 192; scipy.fft has no out argument, so each forward
+# returns a fresh array, cut to the N grid.  Both use norm="forward" (1/M^2
+# on the forward side): for a power-of-two M this gives the same bits as
+# scaling after an unnormalized transform.  The FFT functions are looked up
+# on their modules at call time, and only their 2-D and n-D entry points
+# are used.
 
 
-def _irfft_padded(half, m):
+def _irfft_padded(half, m, out=None):
     """Samples on the M x M grid of N-grid half spectra, zero-padded.
 
     half has shape (..., N, N/2 + 1); leading axes form one batched
     transform.  The samples start at 0, not at -pi (see _samples).
+
+    Without out, each call pads into a fresh zero array.  out = (pad,
+    samples) gives kept arrays of shapes (..., M, N/2) complex and
+    (..., M, M) real: only the populated pad rows are written, so the
+    other rows must be zero (as from np.zeros) and stay so, and the samples
+    are written into samples, which is returned.  The bits are the same.
     """
     h = half.shape[-2] // 2
-    pad = np.zeros(half.shape[:-2] + (m, h), dtype=np.complex128)
+    if out is None:
+        out = (np.zeros(half.shape[:-2] + (m, h), dtype=np.complex128), None)
+    pad, samples = out
     pad[..., :h, :] = half[..., :h, :h]
     pad[..., m - h + 1:, :] = half[..., h + 1:, :h]
-    return np.fft.irfft2(pad, s=(m, m), axes=(-2, -1), norm="forward")
+    return np.fft.irfftn(pad, s=(m, m), axes=(-2, -1), norm="forward",
+                         out=samples)
 
 
 def _rfft_truncated(values, n):
@@ -260,7 +274,9 @@ def _rfft_truncated(values, n):
 
     The N-grid Nyquist row and column are left at zero.  The ny = 0 column
     holds both n and -n, which the transform computes separately; each pair
-    is averaged so that f_{-n} = conj(f_n) holds exactly there too.
+    is averaged so that f_{-n} = conj(f_n) holds exactly there too.  The
+    result is always a fresh array: the forward runs on scipy.fft, which
+    has no out argument (see the comment above).
     """
     m = values.shape[-1]
     h = n // 2

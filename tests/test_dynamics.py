@@ -1,6 +1,9 @@
 """Coupled velocity/director dynamics: coefficients, operators, stepping."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +354,87 @@ class TestStepping:
         engine.nonlinear(*engine.start(_random_state(grid16, 2)))
         assert np.array_equal(mom, kept[0])
         assert np.array_equal(direc, kept[1])
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    @pytest.mark.parametrize("coeffs", [LeslieCoefficients.ansatz(), GENERAL_COEFFS],
+                             ids=["ansatz", "general"])
+    def test_engines_of_one_size_share_a_workspace(self, grid32, coeffs, scheme):
+        """Two engines at the same N share one transform workspace; stepped
+        alternately, each ends bitwise where it ends when run alone."""
+        cfg = SolverConfig(dt=1e-3, t_end=5e-3, scheme=scheme)
+        first, second = (_Engine(grid32, coeffs, cfg) for _ in range(2))
+        assert first.ws is second.ws
+        alone = []
+        for seed in (11, 12):
+            for _, last in iterate(_random_state(grid32, seed), coeffs, cfg):
+                pass
+            alone.append(last)
+        lockstep = zip(*(iterate(_random_state(grid32, seed), coeffs, cfg)
+                         for seed in (11, 12)))
+        for (_, a), (_, b) in lockstep:
+            pass
+        for got, want in zip((a, b), alone):
+            for x, y in ((got.u, want.u), (got.d, want.d)):
+                assert np.array_equal(x.x.coeffs, y.x.coeffs)
+                assert np.array_equal(x.y.coeffs, y.y.coeffs)
+
+    def test_runs_in_two_threads_match_runs_one_after_the_other(self, grid32):
+        """Each thread steps with its own workspace: two runs at the same N
+        in two threads at once give the bits of two sequential runs."""
+        cfg = SolverConfig(dt=1e-3, t_end=0.01, scheme="imex2")
+        states = [_random_state(grid32, seed) for seed in (13, 14)]
+        serial = [run(s, GENERAL_COEFFS, cfg) for s in states]
+        threaded = [None, None]
+
+        def work(i):
+            threaded[i] = run(states[i], GENERAL_COEFFS, cfg)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two runs finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (got, got_records), (want, want_records) in zip(threaded, serial):
+            assert got_records == want_records
+            for x, y in ((got.u, want.u), (got.d, want.d)):
+                assert np.array_equal(x.x.coeffs, y.x.coeffs)
+                assert np.array_equal(x.y.coeffs, y.y.coeffs)
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_a_warm_step_writes_its_inverses_into_the_workspace(self, grid32,
+                                                                scheme):
+        """The tracemalloc peak of one warm step at N = 32 stays below two
+        12-plane batches of 3N/2 samples, 2 * 12 * 48^2 * 8 B = 432 KiB.
+
+        With the padded inverses written into the kept workspace a step
+        allocates the transforms' intermediates, the forward spectra and the
+        N-grid results: 296 KiB (imex1) and 366 KiB (imex2) measured.  Any
+        one inverse made fresh again adds its sample batch (216 KiB for
+        stage 1, 144 KiB for stage 2, 160 KiB for the 5 cubic planes at 2N)
+        and crosses the bound; with every inverse fresh the peak was 821 and
+        890 KiB.
+        """
+        engine = _Engine(grid32, GENERAL_COEFFS,
+                         SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
+        uh, dh, _ = engine.step(*engine.start(_random_state(grid32, 15)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            engine.step(uh, dh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 12 * 48 ** 2 * 8
 
     def test_two_stage_scheme_matches_its_reference(self, grid32):
         """The Heun-type variant equals its two-evaluation reference, for the

@@ -181,6 +181,24 @@ def test_transform_pair_results_ignore_earlier_calls(n, m):
     assert np.array_equal(spectra, kept)
 
 
+@pytest.mark.parametrize("n, m", [(16, 32), (16, 24), (64, 128), (64, 96)])
+def test_kept_buffers_give_the_fresh_bits(n, m):
+    """The inverse written into a kept (pad, samples) pair, as the stepping
+    engine calls it (leading-axis slices of one pair, repeated calls with
+    new inputs), is bitwise the fresh path's; the pad rows it does not
+    write stay zero."""
+    rng = np.random.default_rng(n + m)
+    h = n // 2
+    pad = np.zeros((12, m, h), dtype=np.complex128)
+    samples = np.empty((12, m, m))
+    for lead in (12, 5, 8, 12, 8, 5):
+        half = _random_halves(rng, (lead,), n)
+        got = _irfft_padded(half, m, out=(pad[:lead], samples[:lead]))
+        assert np.shares_memory(got, samples)
+        assert np.array_equal(got, _irfft_padded(half, m))
+        assert not np.any(pad[:, h:m - h + 1])
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_pairwise_products_are_exact_on_the_three_halves_grid(n):
     """k band-N/2 factors truncate exactly on an M grid when
