@@ -51,27 +51,24 @@ import numpy as np
 from .dyadic import (DyadicPartition, _block_pair_samples, _lp_weight,
                      hs_norm_vector)
 from .dynamics import (
-    EnergyRecord,  # re-exported
     LeslieCoefficients,
-    _dissipation_terms,
+    _cubic_fields,
     _energy_record,
-    _energy_split,
-    _kinetic_energy,
+    _energy_terms,
     rhs,
     strain_and_vorticity,
 )
 from .grid import (
     TWO_PI,
     SpectralField,
+    _irfft_padded,
     _rfft_truncated,
     _sample_integral,
     _samples,
     _weighted_power,
     divergence,
-    divergence_residual,
     invert_laplacian,
     l2_norm,
-    laplacian,
     require_same_grid,
     vector_hs_norm_fourier,
     vector_l2_norm,
@@ -105,72 +102,21 @@ def _strain(state):
 # -- single-state functionals ----------------------------------------------------
 
 
-def _energy_parts(state, q=None):
-    """dynamics._energy_split of a state: (e_kin, e_elastic, int |grad u|^2).
-
-    q = |d|^2 - 1 on the 2N grid is sampled here unless it is given.
-    """
-    u, d = state.u, state.d
-    if q is None:
-        d1, d2 = _samples([d.x, d.y], state.grid.padded_size)
-        q = d1 * d1 + d2 * d2 - 1.0
-    return _energy_split(np.stack([u.x.coeffs, u.y.coeffs]),
-                         np.stack([d.x.coeffs, d.y.coeffs]), q)
-
-
-def kinetic_energy(state):
-    """int |u|^2 / 2 via Parseval; no transform."""
-    u = state.u
-    return _kinetic_energy(np.stack([u.x.coeffs, u.y.coeffs]))
-
-
-def elastic_energy(state):
-    """int |grad d|^2 / 2 + int W(d); the potential term by 2x quadrature."""
-    return _energy_parts(state)[1]
-
-
-def total_energy(state):
-    """E = kinetic + elastic; the quadratic parts via Parseval."""
-    e_kin, e_ela, _ = _energy_parts(state)
-    return e_kin + e_ela
-
-
-def _pointwise_strain_fields(state):
-    """Samples (2x grid) of A d, d.Ad, G = lap d - grad W and |d|^2 - 1."""
-    a, d = _strain(state), state.d
-    a11, a12, a22, d1, d2, g1, g2 = _samples(
-        [a.xx, a.xy, a.yy, d.x, d.y, laplacian(d.x), laplacian(d.y)],
-        2 * state.grid.n_modes)
-    ad1 = a11 * d1 + a12 * d2
-    ad2 = a12 * d1 + a22 * d2
-    dad = d1 * ad1 + d2 * ad2
-    q = d1 * d1 + d2 * d2 - 1.0
-    g1 -= q * d1
-    g2 -= q * d2
-    return (ad1, ad2), dad, (g1, g2), q
-
-
-def total_dissipation(state, coeffs=None):
-    """Dissipation rate as (total, per-term tuple).
-
-    Default coefficients: the five-square split (nu |grad u|^2, |d.Ad|^2,
-    (3/2)|Ad|^2, |G|^2/2, |Ad+G|^2/2).  Other coefficients: the general
-    five-term quadratic form, in the order (mu_1 |d.Ad|^2, (mu_4/2)|grad u|^2,
-    (mu_5+mu_6)|Ad|^2, -lambda_1 |N|^2, -(lambda_2-mu_2-mu_3) N.Ad).
-    """
-    rec = energy_record(state, coeffs)
-    return rec.d_total, rec.d_terms
-
-
 def energy_record(state, coeffs=None):
-    """Full energy/dissipation snapshot of one state, from one 7-plane sample."""
+    """Full energy/dissipation snapshot of one state, from one 7-plane sample.
+
+    The 2N samples of d, A and lap d go through the engine's recorded-step
+    kernel, dynamics._cubic_fields and _energy_terms.
+    """
     if coeffs is None:
         coeffs = LeslieCoefficients.ansatz()
-    ad, dad, g, q = _pointwise_strain_fields(state)
-    e_kin, e_ela, grad_u_int = _energy_parts(state, q)
-    return _energy_record(state.t, e_kin, e_ela,
-                          _dissipation_terms(coeffs, grad_u_int, ad, dad, g),
-                          divergence_residual(state.u))
+    a = _strain(state)
+    uh, dh = (np.stack([v.x.coeffs, v.y.coeffs]) for v in (state.u, state.d))
+    pc = _irfft_padded(np.concatenate([dh, [a.xx.coeffs, a.xy.coeffs, a.yy.coeffs],
+                                       -state.grid.tables()["n2"] * dh]),
+                       state.grid.padded_size)
+    oc = _cubic_fields(pc, np.empty_like(pc))
+    return _energy_record(state.t, *_energy_terms(coeffs, uh, dh, pc, oc))
 
 
 # -- twin-state functionals --------------------------------------------------------
@@ -243,17 +189,6 @@ def _frak_d_parts(state1, state2, a2):
         contraction = b11 * t11 + 2.0 * b12 * t12 + b22 * t22
         lp_ten += 2.0 ** (-q) * _sample_integral(contraction * contraction)
     return grad_du_sq, grad_dd_sq, lp_vec, lp_ten
-
-
-def frak_d(state1, state2, coeffs=None, partition=None):
-    """frakD and its four addends (asymmetric: d_1 comes from state1)."""
-    if coeffs is None:
-        coeffs = LeslieCoefficients.ansatz()
-    gdu_sq, gdd_sq, lp_vec, lp_ten = frak_d_components(
-        state1, state2, coeffs, partition
-    )
-    addends = (coeffs.nu * gdu_sq, gdd_sq, 2.0 * lp_vec, lp_ten)
-    return float(sum(addends)), tuple(float(x) for x in addends)
 
 
 # -- bound function ----------------------------------------------------------------

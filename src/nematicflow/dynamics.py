@@ -42,7 +42,10 @@ exact: the cubic terms grad W and d.Ad on the 2N grid, the pairwise
 products on the 3N/2 grid.  One engine evaluation runs 25 padded inverse
 and 16 forward transforms (5 + 3 at 2N, 20 + 13 at 3N/2; 27 inverse when it
 also records energies, whose quadratures stay on the 2N grid), so an imex1
-step costs 25 + 16 and an imex2 step 50 + 32.
+step costs 25 + 16 and an imex2 step 50 + 32.  The energy balance is
+written once: the recorded step and diagnostics.energy_record both form
+their 2N cubic samples with _cubic_fields and the energies and dissipation
+terms with _energy_terms.
 
 The engine keeps its transform batches in a workspace: the padded
 inverses write into kept pads and sample arrays instead of fresh ones, so a
@@ -356,27 +359,6 @@ def _energy_record(t, e_kin, e_elastic, d_terms, div_residual):
                         tuple(float(x) for x in d_terms), div_residual)
 
 
-def _kinetic_energy(uh):
-    """int |u|^2 / 2, a Parseval sum over the stacked half spectra uh."""
-    return 0.5 * TWO_PI ** 2 * _weighted_power(_tables(uh.shape[-2])["weight"], uh)
-
-
-def _energy_split(uh, dh, q):
-    """(e_kin, e_elastic, int |grad u|^2) of one state.
-
-    uh and dh hold the half spectra of the components of u and d along
-    axis 0; q = |d|^2 - 1 is sampled on the 2N grid.  The quadratic parts
-    are Parseval sums, and the potential int q^2 / 4 is exact there by
-    equal-weight quadrature.
-    """
-    t = _tables(uh.shape[-2])
-    wn2 = t["weight"] * t["n2"]
-    area = TWO_PI ** 2
-    return (_kinetic_energy(uh),
-            0.5 * area * _weighted_power(wn2, dh) + _sample_integral(0.25 * q * q),
-            area * _weighted_power(wn2, uh))
-
-
 def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
     """The five dissipation integrals from pointwise samples.
 
@@ -408,6 +390,50 @@ def _dissipation_terms(coeffs, grad_u_int, ad, dad, g):
         (coeffs.mu5 + coeffs.mu6) * _sample_integral(ad1 * ad1 + ad2 * ad2),
         -l1 * _sample_integral(n1 * n1 + n2 * n2),
         -(l2 - coeffs.mu2 - coeffs.mu3) * _sample_integral(n1 * ad1 + n2 * ad2),
+    )
+
+
+def _cubic_fields(pc, out):
+    """The cubic-stage pointwise products of 2N samples, into out.
+
+    pc holds the samples of d1, d2, A11, A12, A22 in planes 0-4; out gets
+    0-1 grad W = (|d|^2 - 1) d, 2 d.Ad, 3 |d|^2 - 1, 4-5 Ad, and 6 as
+    scratch.  Returns out.
+    """
+    d1, d2, a11, a12, a22 = pc[0:5]
+    gw, dad, q, ad1, ad2, t1 = out[0:2], out[2], out[3], out[4], out[5], out[6]
+    np.multiply(d1, d1, out=q)
+    q += np.multiply(d2, d2, out=t1)
+    q -= 1.0
+    np.multiply(q, pc[0:2], out=gw)
+    np.multiply(a11, d1, out=ad1)
+    ad1 += np.multiply(a12, d2, out=t1)
+    np.multiply(a12, d1, out=ad2)
+    ad2 += np.multiply(a22, d2, out=t1)
+    np.multiply(d1, ad1, out=dad)
+    dad += np.multiply(d2, ad2, out=t1)
+    return out
+
+
+def _energy_terms(coeffs, uh, dh, pc, oc):
+    """(e_kin, e_elastic, d_terms, div_residual) of one state.
+
+    uh and dh hold the half spectra of the components of u and d along
+    axis 0, pc the 2N samples of d, A and lap d (planes 0-6) and oc their
+    _cubic_fields.  The quadratic energies and int |grad u|^2 are Parseval
+    sums; the potential int (|d|^2 - 1)^2 / 4 and the dissipation terms
+    are exact on the 2N grid by equal-weight quadrature.
+    """
+    t = _tables(uh.shape[-2])
+    wn2 = t["weight"] * t["n2"]
+    area = TWO_PI ** 2
+    gw, dad, q, ad1, ad2 = oc[0:2], oc[2], oc[3], oc[4], oc[5]
+    return (
+        0.5 * area * _weighted_power(t["weight"], uh),
+        0.5 * area * _weighted_power(wn2, dh) + _sample_integral(0.25 * q * q),
+        _dissipation_terms(coeffs, area * _weighted_power(wn2, uh), (ad1, ad2),
+                           dad, (pc[5] - gw[0], pc[6] - gw[1])),
+        float(np.max(np.abs(t["nx"] * uh[0] + t["ny"] * uh[1]))),
     )
 
 
@@ -509,7 +535,8 @@ class _Engine:
     # -- nonlinear assembly --------------------------------------------------------
 
     def nonlinear(self, uh, dh, want_diag=False):
-        """Explicit right sides (momentum projected) and optional diagnostics.
+        """Explicit right sides (momentum projected) and, with want_diag, the
+        state's _energy_terms (else None).
 
         The diffusion terms are not included here; the stepper integrates them
         exactly through the per-mode factors.  Terms that share a right side
@@ -520,7 +547,7 @@ class _Engine:
 
         - Cubic part, 2N: 5 inverses (d, A11, A12, A22) and 3 forwards
           (grad W, d.Ad); 2 more inverses (lap d) only when diagnostics are
-          wanted, which are read from these samples.
+          wanted, whose energy terms are read from these samples.
         - Pairwise stage 1, 3N/2: 12 inverses (u, d, their first
           derivatives) and 9 forwards (u.grad u, the director side, Ad,
           d x d); the Ericksen planes are kept for stage 2.
@@ -548,35 +575,9 @@ class _Engine:
             np.multiply(-t["n2"], dh, out=bc[5:7])
         k = 7 if want_diag else 5
         pc = _irfft_padded(bc[:k], mc, out=(ws.pad_cubic[:k], ws.samples_cubic[:k]))
-        d1, d2, a11, a12, a22 = pc[0:5]
-        # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad,
-        # 6 scratch
-        oc = ws.cubic
-        gw, dad, q, ad1, ad2, t1 = oc[0:2], oc[2], oc[3], oc[4], oc[5], oc[6]
-        np.multiply(d1, d1, out=q)
-        q += np.multiply(d2, d2, out=t1)
-        q -= 1.0
-        np.multiply(q, pc[0:2], out=gw)  # grad W = (|d|^2 - 1) d
-        np.multiply(a11, d1, out=ad1)
-        ad1 += np.multiply(a12, d2, out=t1)
-        np.multiply(a12, d1, out=ad2)
-        ad2 += np.multiply(a22, d2, out=t1)
-        np.multiply(d1, ad1, out=dad)
-        dad += np.multiply(d2, ad2, out=t1)
-
-        diag = None
-        if want_diag:
-            e_kin, e_elastic, grad_u_int = _energy_split(uh, dh, q)
-            diag = {
-                "e_kin": e_kin,
-                "e_elastic": e_elastic,
-                "d_terms": _dissipation_terms(
-                    co, grad_u_int, (ad1, ad2), dad, (pc[5] - gw[0], pc[6] - gw[1])
-                ),
-                "div_residual": float(
-                    np.max(np.abs(t["nx"] * uh[0] + t["ny"] * uh[1]))
-                ),
-            }
+        # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad
+        oc = _cubic_fields(pc, ws.cubic)
+        terms = _energy_terms(co, uh, dh, pc, oc) if want_diag else None
         sc = _rfft_truncated(oc[0:3], n)
         gw_h = sc[0:2]
 
@@ -656,7 +657,7 @@ class _Engine:
         # the lap d part of G duplicates the integrating factor's diffusion,
         # so the explicit side carries only the potential force -kappa grad W
         direc = s1[2:4] - co.kappa * gw_h
-        return mom, direc, diag
+        return mom, direc, terms
 
     # -- steps ----------------------------------------------------------------------
 
@@ -664,7 +665,7 @@ class _Engine:
         cfg = self.config
         dt = cfg.dt
         eu, ed = self.exp_u, self.exp_d
-        fu, fd, diag = self.nonlinear(uh, dh, want_diag)
+        fu, fd, terms = self.nonlinear(uh, dh, want_diag)
         if cfg.scheme == "imex1":
             un = eu * (uh + dt * fu)
             dn = ed * (dh + dt * fd)
@@ -675,7 +676,7 @@ class _Engine:
             un = eu * uh + 0.5 * dt * (eu * fu + fu2)
             dn = ed * dh + 0.5 * dt * (ed * fd + fd2)
         self.project(un)
-        return un, dn, diag
+        return un, dn, terms
 
 
 # -- public stepping interface -----------------------------------------------------
@@ -699,13 +700,13 @@ def _march(state, coeffs, config, records=None):
             yield m, engine.state(uh, dh, t)
         want = sample and records is not None
         if m < n_steps:
-            uh, dh, diag = engine.step(uh, dh, want_diag=want)
+            uh, dh, terms = engine.step(uh, dh, want_diag=want)
             if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
                 raise DivergenceError(m, t0 + (m + 1) * config.dt)
         elif want:
-            diag = engine.nonlinear(uh, dh, want_diag=True)[2]
+            terms = engine.nonlinear(uh, dh, want_diag=True)[2]
         if want:
-            records.append(_energy_record(t, **diag))
+            records.append(_energy_record(t, *terms))
 
 
 def step(state, coeffs, config):

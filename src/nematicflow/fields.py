@@ -23,6 +23,16 @@ from .grid import (
 )
 
 
+def _rescaled(field, amplitude, divergence_free=False):
+    """A scalar or vector field, Leray-projected if asked, rescaled to L2 norm
+    amplitude (a zero field is left at zero)."""
+    if divergence_free:
+        field = leray_project(field)
+    norm = (vector_l2_norm(field) if isinstance(field, VectorField2)
+            else l2_norm(field))
+    return field * (amplitude / norm) if norm > 0.0 else field
+
+
 def random_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0, zero_mean=True):
     """Random real scalar field with an (1+|n|)^(-decay) spectral envelope.
 
@@ -39,11 +49,7 @@ def random_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0, zero_mean=True
         coeffs[t["radius"] > band] = 0.0
     if zero_mean:
         coeffs[0, 0] = 0.0
-    f = SpectralField(grid, coeffs)
-    norm = l2_norm(f)
-    if norm > 0.0:
-        f = f * (amplitude / norm)
-    return f
+    return _rescaled(SpectralField(grid, coeffs), amplitude)
 
 
 def random_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
@@ -53,12 +59,7 @@ def random_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
         random_scalar(grid, rng, decay, band, 1.0, zero_mean),
         random_scalar(grid, rng, decay, band, 1.0, zero_mean),
     )
-    if divergence_free:
-        v = leray_project(v)
-    norm = vector_l2_norm(v)
-    if norm > 0.0:
-        v = v * (amplitude / norm)
-    return v
+    return _rescaled(v, amplitude, divergence_free)
 
 
 def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
@@ -96,11 +97,7 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
         coeffs[t["radius"] > band] = 0.0
     coeffs[t["nyquist"]] = 0.0
     coeffs[0, 0] = 0.0
-    f = SpectralField(grid, coeffs)
-    norm = l2_norm(f)
-    if norm > 0.0:
-        f = f * (amplitude / norm)
-    return f
+    return _rescaled(SpectralField(grid, coeffs), amplitude)
 
 
 def focused_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
@@ -110,12 +107,7 @@ def focused_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
         focused_scalar(grid, rng, decay, band, 1.0),
         focused_scalar(grid, rng, decay, band, 1.0),
     )
-    if divergence_free:
-        v = leray_project(v)
-    norm = vector_l2_norm(v)
-    if norm > 0.0:
-        v = v * (amplitude / norm)
-    return v
+    return _rescaled(v, amplitude, divergence_free)
 
 
 def constant_vector(grid, values):

@@ -15,15 +15,12 @@ from nematicflow import (
     VectorField2,
     constant_vector,
     divergence,
-    elastic_energy,
     energy_record,
     f_bound,
-    frak_d,
     frak_d_components,
     generate_initial,
     gradient,
     jacobian,
-    kinetic_energy,
     l2_norm,
     perturb,
     phi,
@@ -33,13 +30,12 @@ from nematicflow import (
     run,
     strain_and_vorticity,
     to_physical,
-    total_dissipation,
-    total_energy,
     uniqueness_record,
     vector_l2_norm,
 )
 
 from nematicflow.diagnostics import _dad_l2
+from nematicflow.dynamics import _Engine, _energy_record
 
 from _frozen import TORUS_AREA, W_AT_2
 
@@ -72,12 +68,12 @@ class TestEnergies:
         )
         d = constant_vector(grid32, (1.0, 0.0))
         state = State(grid32, u, d, 0.0)
-        assert kinetic_energy(state) == pytest.approx(math.pi ** 2, rel=1e-13)
+        assert energy_record(state).e_kin == pytest.approx(math.pi ** 2, rel=1e-13)
 
     def test_elastic_energy_of_a_stretched_director(self, grid32):
         """Constant d = (2, 0): no gradient part, W = 9/4 over the box."""
         state = _rest_state(grid32, director=(2.0, 0.0))
-        assert elastic_energy(state) == pytest.approx(
+        assert energy_record(state).e_elastic == pytest.approx(
             W_AT_2 * TORUS_AREA, rel=1e-13)
 
     def test_elastic_energy_gradient_part(self, grid32):
@@ -95,39 +91,42 @@ class TestEnergies:
         # relative tolerance for the eps^4 remainder.
         w_part = (eps ** 2) * TORUS_AREA / 4.0 * 2.0
         expected = grad_part + w_part
-        assert elastic_energy(state) == pytest.approx(expected, rel=1e-5)
-
-    def test_kinetic_energy_runs_no_transform(self, grid16, fft_counts):
-        """The kinetic energy is a Parseval sum of u alone: no transform, and
-        the same bits as the kinetic part of the energy record."""
-        state = _random_state(grid16, seed=1)
-        fft_counts[:] = [0, 0]
-        e_kin = kinetic_energy(state)
-        assert fft_counts == [0, 0]
-        assert e_kin == energy_record(state).e_kin
+        assert energy_record(state).e_elastic == pytest.approx(expected, rel=1e-5)
 
     def test_total_energy_is_the_sum(self, grid32):
-        state = _random_state(grid32, seed=1)
-        assert total_energy(state) == pytest.approx(
-            kinetic_energy(state) + elastic_energy(state), rel=1e-14)
+        rec = energy_record(_random_state(grid32, seed=1))
+        assert rec.e_total == pytest.approx(rec.e_kin + rec.e_elastic, rel=1e-14)
 
     def test_energy_vanishes_only_at_the_ground_state(self, grid32):
         """The uniform unit director has zero energy; random states do not."""
-        assert total_energy(_rest_state(grid32)) <= 1e-26
-        assert total_energy(_random_state(grid32, seed=2)) > 1e-3
+        assert energy_record(_rest_state(grid32)).e_total <= 1e-26
+        assert energy_record(_random_state(grid32, seed=2)).e_total > 1e-3
+
+
+def _shear_state(grid, director):
+    """u = (sin y, 0) with a constant director: A12 = cos(y) / 2 is the only
+    strain entry and G = lap d - grad W vanishes."""
+    _, y = grid.points()
+    u = VectorField2(SpectralField.from_samples(grid, np.sin(y)),
+                     SpectralField.zero(grid))
+    return State(grid, u, constant_vector(grid, director), 0.0)
+
+
+SHEAR_GENERAL = LeslieCoefficients(0.5, -2.0, 0.0, 1.0, 1.5, 0.75)
+DIAGONAL = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
 class TestDissipation:
     def test_equilibrium_has_zero_dissipation(self, grid32):
-        total, terms = total_dissipation(_rest_state(grid32))
-        assert total <= 1e-26
-        assert len(terms) == 5
+        rec = energy_record(_rest_state(grid32))
+        assert rec.d_total <= 1e-26
+        assert len(rec.d_terms) == 5
 
     def test_terms_are_nonnegative_for_default_coefficients(self, grid32):
         """The default split is a sum of five squares."""
-        total, terms = total_dissipation(_random_state(grid32, seed=3))
-        assert all(t >= 0.0 for t in terms)
-        assert total == pytest.approx(sum(terms), rel=1e-14)
+        rec = energy_record(_random_state(grid32, seed=3))
+        assert all(t >= 0.0 for t in rec.d_terms)
+        assert rec.d_total == pytest.approx(sum(rec.d_terms), rel=1e-14)
 
     def test_general_form_matches_the_five_square_split(self, grid32):
         """Dual route: the general quadratic form at the default values.
@@ -137,20 +136,58 @@ class TestDissipation:
         five-square split when the default values are inserted.
         """
         state = _random_state(grid32, seed=4)
-        fast, _ = total_dissipation(state, LeslieCoefficients.ansatz())
-        slow, slow_terms = total_dissipation(
-            state, _GeneralView(1.0, -1.0, 0.0, 2.0, 3.0, 1.0))
-        assert slow == pytest.approx(fast, rel=1e-12)
-        assert len(slow_terms) == 5
+        fast = energy_record(state, LeslieCoefficients.ansatz()).d_total
+        slow = energy_record(state, _GeneralView(1.0, -1.0, 0.0, 2.0, 3.0, 1.0))
+        assert slow.d_total == pytest.approx(fast, rel=1e-12)
+        assert len(slow.d_terms) == 5
+
+    @pytest.mark.parametrize("nu", [1.0, 0.25])
+    @pytest.mark.parametrize("director, dad_part", [((1.0, 0.0), 0.0),
+                                                    (DIAGONAL, 0.5)],
+                             ids=["aligned", "diagonal"])
+    def test_shear_flow_default_terms_in_closed_form(self, grid16, nu, director,
+                                                     dad_part):
+        """u = (sin y, 0), constant unit d: in units of pi^2 the five squares
+        are (2 nu, d.Ad part, 3/4, 0, 1/4), with |d.Ad|^2 integrating to 0
+        for d = (1, 0) and to 1/2 for d = (1, 1)/sqrt 2."""
+        rec = energy_record(_shear_state(grid16, director),
+                            LeslieCoefficients.ansatz(nu))
+        pi2 = math.pi ** 2
+        want = (2.0 * nu, dad_part, 0.75, 0.0, 0.25)
+        for got, w in zip(rec.d_terms, want):
+            assert got / pi2 == pytest.approx(w, rel=1e-14, abs=1e-14)
+        assert rec.d_total / pi2 == pytest.approx(2.0 * nu + 1.0 + dad_part,
+                                                  rel=1e-14)
+        assert rec.e_kin == pytest.approx(pi2, rel=1e-14)
+
+    @pytest.mark.parametrize("director, mu1_part, total", [((1.0, 0.0), 0.0, 1.75),
+                                                           (DIAGONAL, 0.25, 2.0)],
+                             ids=["aligned", "diagonal"])
+    def test_shear_flow_general_terms_in_closed_form(self, grid16, director,
+                                                     mu1_part, total):
+        """mu = (0.5, -2, 0, 1, 1.5, 0.75) on the same shear flow: N =
+        (3/8) Ad, so in units of pi^2 the terms are (mu_1 |d.Ad|^2, 1,
+        9/8, 9/64, -33/64)."""
+        rec = energy_record(_shear_state(grid16, director), SHEAR_GENERAL)
+        pi2 = math.pi ** 2
+        want = (mu1_part, 1.0, 1.125, 0.140625, -0.515625)
+        for got, w in zip(rec.d_terms, want):
+            assert got / pi2 == pytest.approx(w, rel=1e-14, abs=1e-14)
+        assert rec.d_total / pi2 == pytest.approx(total, rel=1e-14)
+        assert rec.e_kin == pytest.approx(pi2, rel=1e-14)
 
     def test_energy_record_is_consistent(self, grid32):
-        """The bundled record repeats the individual functionals."""
+        """energy_record and the engine's recorded evaluation share one
+        kernel: the same bits from the same spectra, at the state's time."""
         state = _random_state(grid32, seed=5)
-        rec = energy_record(state)
-        assert rec.e_total == pytest.approx(total_energy(state), rel=1e-14)
-        assert rec.d_total == pytest.approx(
-            total_dissipation(state)[0], rel=1e-14)
-        assert rec.t == 0.0
+        state.t = 0.25
+        halves = [np.stack([v.x.coeffs, v.y.coeffs]) for v in (state.u, state.d)]
+        for coeffs in (LeslieCoefficients.ansatz(), SHEAR_GENERAL):
+            engine = _Engine(grid32, coeffs, SolverConfig(dt=1e-3, t_end=1e-3))
+            terms = engine.nonlinear(*halves, want_diag=True)[2]
+            rec = energy_record(state, coeffs)
+            assert rec == _energy_record(0.25, *terms)
+            assert rec.d_total == pytest.approx(sum(rec.d_terms), rel=1e-14)
 
     def test_energy_record_samples_once(self, grid16, fft_counts):
         """One 7-plane padded inverse (A, d, lap d) serves the energy split
@@ -198,15 +235,14 @@ class TestTwinFunctionals:
         s1 = _random_state(grid32, seed=11)
         u2, d2 = perturb(s1.u, s1.d, seed=5, delta=1e-2)
         s2 = State(grid32, u2, d2, 0.0)
-        total, addends = frak_d(s1, s2)
+        gdu, gdd, lpv, lpt = frak_d_components(s1, s2)
+        addends = (LeslieCoefficients.ansatz().nu * gdu, gdd, 2.0 * lpv, lpt)
         assert all(a >= 0.0 for a in addends)
-        assert total == pytest.approx(sum(addends), rel=1e-14)
-        assert total > 0.0
+        assert sum(addends) > 0.0
 
     def test_frak_d_vanishes_for_identical_states(self, grid32):
         s = _random_state(grid32, seed=12)
-        total, _ = frak_d(s, s.copy())
-        assert total == 0.0
+        assert frak_d_components(s, s.copy()) == (0.0, 0.0, 0.0, 0.0)
 
     def test_uniqueness_record_recomputes_its_parts(self, grid32):
         """phi and frakD in the record match the assembly formulas."""

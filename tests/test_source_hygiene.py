@@ -1,0 +1,53 @@
+"""Source hygiene: no module imports a name it never reads.
+
+Each module of the package except __init__ (whose imports are its
+exports) is parsed with ast.  Every name an import statement binds must be
+read somewhere in the module, as a bare name or as the base of an
+attribute access, or be listed in the module's __all__.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nematicflow"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """Names bound by import statements, with their line numbers."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    return bound
+
+
+def _read(tree):
+    """Names the module reads, plus the strings listed in __all__."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_the_package_has_modules():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read(tree)
+    unread = {name: line for name, line in _imported(tree).items()
+              if name not in read}
+    assert not unread, f"{path.name}: imported but never read: {unread}"
