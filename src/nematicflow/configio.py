@@ -1,23 +1,19 @@
 """Experiment configuration: sectioned key=value files.
 
-Sections and keys (all optional unless noted):
+The sections are [grid], [time], [coefficients], [initial], [twin],
+[verify] and [output]; _KNOWN lists every key with the cast applied to its
+value and the dataclass field it fills.  Each section's dataclass is built
+from the keys that are set, so the defaults and the rules on values live in
+the dataclasses (GridSpec, SolverConfig, LeslieCoefficients.ansatz,
+InitialSpec, TwinSpec, VerifySpec, ExperimentConfig) and nowhere else; the
+README's config reference lists them.  [time] needs both dt and t_end when
+it sets anything, and explicit mu1..mu6 in [coefficients] come as a full set
+that replaces the preset.
 
-  [grid]          n = 64 (required for run/twin/decompose)
-  [time]          dt = 1e-3 (required), t_end = 1.0 (required),
-                  scheme = imex1|imex2, cadence = 1
-  [coefficients]  preset = ansatz (default), nu = 1.0; or explicit
-                  mu1..mu6 overriding the preset
-  [initial]       profile = random|rest-unit|rest-uniform, seed = 0,
-                  decay = 3.0, band = N/4, amplitude_u = 0.5,
-                  amplitude_d = 0.25, director = 1,0
-  [twin]          mode = identical|perturb, seed = 1, delta = 0.0,
-                  decay = 2.5, band = N/4
-  [verify]        n_trials = 100, seed = 7000, grids = 64,128
-  [output]        dir = .
-
-Unknown sections or keys raise ConfigError (catching typos beats silently
-ignoring them), and so do non-finite numbers, negative seeds and bands that
-are not positive.  Values are literal: there is no %(name)s interpolation.
+Unknown sections ([DEFAULT] included) or keys raise ConfigError (catching
+typos beats silently ignoring them), and so does every set number that is
+not finite, whether or not the command reads it, and every value a
+dataclass rejects.  Values are literal: there is no %(name)s interpolation.
 """
 
 from __future__ import annotations
@@ -30,20 +26,52 @@ from typing import Optional
 from .dynamics import LeslieCoefficients, SolverConfig
 from .grid import GridSpec
 
+
+def _director(raw):
+    parts = [float(x) for x in raw.split(",")]
+    if len(parts) != 2:
+        raise ValueError("director needs two comma-separated numbers")
+    return tuple(parts)
+
+
+def _grids(raw):
+    return tuple(int(x) for x in raw.split(","))
+
+
+# section -> key -> (cast of the raw value, field it fills)
 _KNOWN = {
-    "grid": {"n"},
-    "time": {"dt", "t_end", "scheme", "cadence"},
-    "coefficients": {"preset", "nu", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6"},
-    "initial": {"profile", "seed", "decay", "band", "amplitude_u",
-                "amplitude_d", "director"},
-    "twin": {"mode", "seed", "delta", "decay", "band"},
-    "verify": {"n_trials", "seed", "grids"},
-    "output": {"dir"},
+    "grid": {"n": (int, "n_modes")},
+    "time": {"dt": (float, "dt"), "t_end": (float, "t_end"),
+             "scheme": (str, "scheme"), "cadence": (int, "record_cadence")},
+    "coefficients": {"preset": (str, "preset"), "nu": (float, "nu"),
+                     **{f"mu{k}": (float, f"mu{k}") for k in range(1, 7)}},
+    "initial": {"profile": (str, "profile"), "seed": (int, "seed"),
+                "decay": (float, "decay"), "band": (float, "band"),
+                "amplitude_u": (float, "amplitude_u"),
+                "amplitude_d": (float, "amplitude_d"),
+                "director": (_director, "director")},
+    "twin": {"mode": (str, "mode"), "seed": (int, "seed"),
+             "delta": (float, "delta"), "decay": (float, "decay"),
+             "band": (float, "band")},
+    "verify": {"n_trials": (int, "n_trials"), "seed": (int, "seed"),
+               "grids": (_grids, "grids")},
+    "output": {"dir": (str, "output_dir")},
 }
 
 
 class ConfigError(ValueError):
     """Raised for unreadable, unknown, or inconsistent configuration."""
+
+
+def _require(ok, section, message):
+    if not ok:
+        raise ConfigError(f"[{section}] {message}")
+
+
+def _check_seed_and_band(section, seed, band=None):
+    _require(seed >= 0, section, f"seed must be nonnegative, got {seed}")
+    _require(band is None or band > 0, section,
+             f"band must be positive, got {band}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +84,11 @@ class InitialSpec:
     amplitude_d: float = 0.25
     director: tuple = (1.0, 0.0)
 
+    def __post_init__(self):
+        _require(self.profile in ("random", "rest-unit", "rest-uniform"),
+                 "initial", f"unknown profile {self.profile!r}")
+        _check_seed_and_band("initial", self.seed, self.band)
+
 
 @dataclass(frozen=True)
 class TwinSpec:
@@ -65,12 +98,22 @@ class TwinSpec:
     decay: float = 2.5
     band: Optional[float] = None
 
+    def __post_init__(self):
+        _require(self.mode in ("identical", "perturb"), "twin",
+                 f"mode must be identical or perturb, got {self.mode!r}")
+        _require(self.delta >= 0, "twin",
+                 f"delta must be nonnegative, got {self.delta}")
+        _check_seed_and_band("twin", self.seed, self.band)
+
 
 @dataclass(frozen=True)
 class VerifySpec:
     n_trials: int = 100
     seed: int = 7000
     grids: tuple = (64, 128)
+
+    def __post_init__(self):
+        _check_seed_and_band("verify", self.seed)
 
 
 @dataclass(frozen=True)
@@ -84,9 +127,7 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
+def _get(parser, section, key, cast):
     raw = parser.get(section, key)
     try:
         value = cast(raw)
@@ -98,15 +139,28 @@ def _get(parser, section, key, cast, default):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _director(raw):
-    parts = [float(x) for x in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError("director needs two comma-separated numbers")
-    return tuple(parts)
+def _build(section, make, values):
+    """make(**values), its ValueError turned into a ConfigError naming the
+    section."""
+    try:
+        return make(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def _grids(raw):
-    return tuple(int(x) for x in raw.split(","))
+def _coefficients(values):
+    """The explicit mu1..mu6 set when given, else the preset's."""
+    preset = values.pop("preset", None)
+    _require(preset in (None, "ansatz"), "coefficients",
+             f"unknown preset {preset!r}")
+    mus = {k: v for k, v in values.items() if k.startswith("mu")}
+    if not mus:
+        return _build("coefficients", LeslieCoefficients.ansatz, values)
+    _require(len(mus) == 6, "coefficients", "explicit coefficients need all "
+             "of mu1..mu6, got " + ", ".join(sorted(mus)))
+    return _build("coefficients", LeslieCoefficients, mus)
 
 
 def parse_config(path):
@@ -121,94 +175,28 @@ def parse_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    # configparser would copy [DEFAULT] keys into every section
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    values = {section: {} for section in _KNOWN}
     for section in parser.sections():
         if section not in _KNOWN:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
             if key not in _KNOWN[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            cast, name = _KNOWN[section][key]
+            values[section][name] = _get(parser, section, key, cast)
 
-    try:
-        grid = None
-        if parser.has_option("grid", "n"):
-            grid = GridSpec(_get(parser, "grid", "n", int, None))
-        solver = None
-        if parser.has_option("time", "dt"):
-            if not parser.has_option("time", "t_end"):
-                raise ConfigError("[time] t_end is required when dt is given")
-            solver = SolverConfig(
-                dt=_get(parser, "time", "dt", float, None),
-                t_end=_get(parser, "time", "t_end", float, None),
-                scheme=_get(parser, "time", "scheme", str, "imex1"),
-                record_cadence=_get(parser, "time", "cadence", int, 1),
-            )
-        explicit = [k for k in ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6")
-                    if parser.has_option("coefficients", k)]
-        if explicit:
-            if len(explicit) != 6:
-                raise ConfigError(
-                    "explicit coefficients need all of mu1..mu6, got "
-                    + ", ".join(explicit)
-                )
-            coeffs = LeslieCoefficients(*(
-                _get(parser, "coefficients", k, float, None)
-                for k in ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6")
-            ))
-        else:
-            preset = _get(parser, "coefficients", "preset", str, "ansatz")
-            if preset != "ansatz":
-                raise ConfigError(f"unknown coefficient preset {preset!r}")
-            coeffs = LeslieCoefficients.ansatz(
-                _get(parser, "coefficients", "nu", float, 1.0)
-            )
-    except ValueError as exc:
-        # GridSpec/SolverConfig/LeslieCoefficients validation failures
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    initial = InitialSpec(
-        profile=_get(parser, "initial", "profile", str, "random"),
-        seed=_get(parser, "initial", "seed", int, 0),
-        decay=_get(parser, "initial", "decay", float, 3.0),
-        band=_get(parser, "initial", "band", float, None),
-        amplitude_u=_get(parser, "initial", "amplitude_u", float, 0.5),
-        amplitude_d=_get(parser, "initial", "amplitude_d", float, 0.25),
-        director=_get(parser, "initial", "director", _director, (1.0, 0.0)),
-    )
-    if initial.profile not in ("random", "rest-unit", "rest-uniform"):
-        raise ConfigError(f"unknown initial profile {initial.profile!r}")
-
-    twin = TwinSpec(
-        mode=_get(parser, "twin", "mode", str, "identical"),
-        seed=_get(parser, "twin", "seed", int, 1),
-        delta=_get(parser, "twin", "delta", float, 0.0),
-        decay=_get(parser, "twin", "decay", float, 2.5),
-        band=_get(parser, "twin", "band", float, None),
-    )
-    if twin.mode not in ("identical", "perturb"):
-        raise ConfigError(f"twin mode must be identical or perturb, got {twin.mode!r}")
-    if twin.delta < 0:
-        raise ConfigError("twin delta must be nonnegative")
-
-    verify = VerifySpec(
-        n_trials=_get(parser, "verify", "n_trials", int, 100),
-        seed=_get(parser, "verify", "seed", int, 7000),
-        grids=_get(parser, "verify", "grids", _grids, (64, 128)),
-    )
-    for name, spec in (("initial", initial), ("twin", twin), ("verify", verify)):
-        if spec.seed < 0:
-            raise ConfigError(f"[{name}] seed must be nonnegative, got {spec.seed}")
-    for name, band in (("initial", initial.band), ("twin", twin.band)):
-        if band is not None and band <= 0:
-            raise ConfigError(f"[{name}] band must be positive, got {band}")
-    output_dir = _get(parser, "output", "dir", str, ".")
+    grid, time = values["grid"], values["time"]
+    if time and not {"dt", "t_end"} <= time.keys():
+        raise ConfigError("[time] needs both dt and t_end")
     return ExperimentConfig(
-        grid=grid,
-        solver=solver,
-        coeffs=coeffs,
-        initial=initial,
-        twin=twin,
-        verify=verify,
-        output_dir=output_dir,
+        grid=_build("grid", GridSpec, grid) if grid else None,
+        solver=_build("time", SolverConfig, time) if time else None,
+        coeffs=_coefficients(values["coefficients"]),
+        initial=InitialSpec(**values["initial"]),
+        twin=TwinSpec(**values["twin"]),
+        verify=VerifySpec(**values["verify"]),
+        **values["output"],
     )

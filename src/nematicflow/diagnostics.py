@@ -52,16 +52,13 @@ from .dyadic import (DyadicPartition, _block_pair_samples, _lp_weight,
                      hs_norm_vector)
 from .dynamics import (
     LeslieCoefficients,
-    _cubic_fields,
-    _energy_record,
-    _energy_terms,
+    _state_record,
     rhs,
     strain_and_vorticity,
 )
 from .grid import (
     TWO_PI,
     SpectralField,
-    _irfft_padded,
     _rfft_truncated,
     _sample_integral,
     _samples,
@@ -103,20 +100,11 @@ def _strain(state):
 
 
 def energy_record(state, coeffs=None):
-    """Full energy/dissipation snapshot of one state, from one 7-plane sample.
-
-    The 2N samples of d, A and lap d go through the engine's recorded-step
-    kernel, dynamics._cubic_fields and _energy_terms.
-    """
+    """Full energy/dissipation snapshot of one state, from one 7-plane sample
+    (dynamics._state_record, which shares the engine's recorded-step kernel)."""
     if coeffs is None:
         coeffs = LeslieCoefficients.ansatz()
-    a = _strain(state)
-    uh, dh = (np.stack([v.x.coeffs, v.y.coeffs]) for v in (state.u, state.d))
-    pc = _irfft_padded(np.concatenate([dh, [a.xx.coeffs, a.xy.coeffs, a.yy.coeffs],
-                                       -state.grid.tables()["n2"] * dh]),
-                       state.grid.padded_size)
-    oc = _cubic_fields(pc, np.empty_like(pc))
-    return _energy_record(state.t, *_energy_terms(coeffs, uh, dh, pc, oc))
+    return _state_record(state, coeffs)
 
 
 # -- twin-state functionals --------------------------------------------------------

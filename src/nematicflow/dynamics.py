@@ -43,9 +43,10 @@ products on the 3N/2 grid.  One engine evaluation runs 25 padded inverse
 and 16 forward transforms (5 + 3 at 2N, 20 + 13 at 3N/2; 27 inverse when it
 also records energies, whose quadratures stay on the 2N grid), so an imex1
 step costs 25 + 16 and an imex2 step 50 + 32.  The energy balance is
-written once: the recorded step and diagnostics.energy_record both form
-their 2N cubic samples with _cubic_fields and the energies and dissipation
-terms with _energy_terms.
+written once: the recorded step and _state_record (diagnostics.energy_record
+and the last record of a run, which takes no step) both form their 2N cubic
+samples with _cubic_fields and the energies and dissipation terms with
+_energy_terms.
 
 The engine keeps its transform batches in a workspace: the padded
 inverses write into kept pads and sample arrays instead of fresh ones, so a
@@ -437,6 +438,25 @@ def _energy_terms(coeffs, uh, dh, pc, oc):
     )
 
 
+def _state_record(state, coeffs, ws=None):
+    """The EnergyRecord of one state from one 7-plane inverse: the 2N
+    samples of d, A and lap d go through _cubic_fields and _energy_terms,
+    as in the engine's recorded step.  Given an engine's _Workspace, the
+    samples go into its cubic-stage arrays instead of fresh ones."""
+    a = strain_and_vorticity(state.u)[0]
+    uh, dh = (np.stack([v.x.coeffs, v.y.coeffs]) for v in (state.u, state.d))
+    planes = np.concatenate([dh, [a.xx.coeffs, a.xy.coeffs, a.yy.coeffs],
+                             -state.grid.tables()["n2"] * dh])
+    m = state.grid.padded_size
+    if ws is None:
+        pc = _irfft_padded(planes, m)
+        oc = _cubic_fields(pc, np.empty_like(pc))
+    else:
+        pc = _irfft_padded(planes, m, out=(ws.pad_cubic, ws.samples_cubic))
+        oc = _cubic_fields(pc, ws.cubic)
+    return _energy_record(state.t, *_energy_terms(coeffs, uh, dh, pc, oc))
+
+
 # -- half-spectrum stepping engine ------------------------------------------------
 
 
@@ -688,7 +708,7 @@ def _march(state, coeffs, config, records=None):
     Yields (m, state) at m = 0, every multiple of record_cadence and the
     last step, each before stepping from m.  Given a list, appends each
     sample's EnergyRecord from the diagnostics of the step from m (at the
-    last sample, from one extra evaluation).
+    last sample, which takes no step, from _state_record).
     """
     engine = _Engine(state.grid, coeffs, config)
     uh, dh = engine.start(state)
@@ -703,10 +723,11 @@ def _march(state, coeffs, config, records=None):
             uh, dh, terms = engine.step(uh, dh, want_diag=want)
             if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
                 raise DivergenceError(m, t0 + (m + 1) * config.dt)
+            if want:
+                records.append(_energy_record(t, *terms))
         elif want:
-            terms = engine.nonlinear(uh, dh, want_diag=True)[2]
-        if want:
-            records.append(_energy_record(t, *terms))
+            records.append(_state_record(engine.state(uh, dh, t), coeffs,
+                                         engine.ws))
 
 
 def step(state, coeffs, config):

@@ -8,6 +8,7 @@ plus binary snapshots where a final state is worth keeping.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 
 from . import fields, snapshots
@@ -62,19 +63,9 @@ def make_initial_state(config, seed_override=None):
     if config.grid is None:
         raise ConfigError("this command needs a [grid] section with n set")
     ini = config.initial
-    seed = ini.seed if seed_override is None else seed_override
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    u, d = fields.generate_initial(
-        config.grid,
-        profile=ini.profile,
-        seed=seed,
-        decay=ini.decay,
-        band=ini.band,
-        amplitude_u=ini.amplitude_u,
-        amplitude_d=ini.amplitude_d,
-        director=ini.director,
-    )
+    if seed_override is not None:
+        ini = dataclasses.replace(ini, seed=seed_override)
+    u, d = fields.generate_initial(config.grid, **dataclasses.asdict(ini))
     return State(config.grid, u, d, 0.0)
 
 

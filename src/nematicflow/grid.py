@@ -345,10 +345,6 @@ class VectorField2:
     def grid(self):
         return self.x.grid
 
-    @property
-    def components(self):
-        return (self.x, self.y)
-
     @classmethod
     def zero(cls, grid):
         return cls(SpectralField.zero(grid), SpectralField.zero(grid))
@@ -383,10 +379,6 @@ class TensorField22:
     @property
     def grid(self):
         return self.xx.grid
-
-    @property
-    def entries(self):
-        return ((self.xx, self.xy), (self.yx, self.yy))
 
     def __add__(self, other):
         return TensorField22(self.xx + other.xx, self.xy + other.xy,

@@ -195,15 +195,18 @@ class OsgoodTrace:
         self.f = f
 
 
-def check_master_inequality(trace, frakd, tol=None, c_max=1e12, modulus=mu):
+_C_MAX = 1e12  # the largest constant C the master inequality may need
+
+
+def check_master_inequality(trace, frakd, tol=None):
     """Discrete check of Phi(t_m) + gamma * int frakD <= C * int F mu(Phi) + tol.
 
     Integrals are left-rectangle sums over the trace's time samples.  The
     default tol is Phi(0) (plus a tiny floor), which makes the m = 0 sample
     self-consistent when the two trajectories start apart.  Returns a report
     with the smallest sufficient constant c_fit (clamped below by 1), holds
-    (c_fit <= c_max), the largest violation at c_max, and the first violating
-    sample index (None when the inequality holds).
+    (c_fit <= _C_MAX), the largest violation at _C_MAX, and the first
+    violating sample index (None when the inequality holds).
     """
     t = trace.times
     p = trace.phi
@@ -218,7 +221,7 @@ def check_master_inequality(trace, frakd, tol=None, c_max=1e12, modulus=mu):
     dt = np.diff(t)
     # left-rectangle cumulative integrals, aligned so entry m covers [t_0, t_m]
     int_d = np.concatenate(([0.0], np.cumsum(dt * d[:-1])))
-    int_fmu = np.concatenate(([0.0], np.cumsum(dt * f[:-1] * modulus(p[:-1]))))
+    int_fmu = np.concatenate(([0.0], np.cumsum(dt * f[:-1] * mu(p[:-1]))))
     lhs = p + trace.gamma * int_d
     needed = np.ones_like(lhs)
     positive = int_fmu > 0
@@ -226,14 +229,14 @@ def check_master_inequality(trace, frakd, tol=None, c_max=1e12, modulus=mu):
     # samples with a zero right side must be covered by tol alone
     uncovered = (~positive) & (lhs > tol)
     c_required = math.inf if np.any(uncovered) else float(max(1.0, np.max(needed)))
-    holds = bool(c_required <= c_max)
-    c_fit = c_required if holds else float(c_max)
+    holds = bool(c_required <= _C_MAX)
+    c_fit = c_required if holds else _C_MAX
     slack = lhs - (c_fit * int_fmu + tol)
     if holds:
         first = None
         max_violation = 0.0
     else:
-        viol = lhs - (c_max * int_fmu + tol)
+        viol = lhs - (_C_MAX * int_fmu + tol)
         bad = np.where(viol > 0)[0]
         first = int(bad[0]) if bad.size else None
         max_violation = float(np.max(viol))

@@ -334,6 +334,22 @@ class TestStepping:
         assert counts == [27, 16]
         assert counts.per_size == {32: [7, 3], 24: [20, 13]}
 
+    def test_a_recorded_run_takes_its_last_record_from_one_sample(
+            self, grid16, fft_counts):
+        """A one-step recorded run runs its step with diagnostics (27 + 16
+        per recorded evaluation, 25 + 16 per plain one) and then 7 + 0 for
+        the last record, which takes no step: 34 + 16 (imex1) and 59 + 32
+        (imex2).  That record is energy_record of the final state, bitwise."""
+        state = _random_state(grid16, seed=3)
+        for scheme, coeffs, counts in (("imex1", GENERAL_COEFFS, [34, 16]),
+                                       ("imex2", LeslieCoefficients.ansatz(),
+                                        [59, 32])):
+            fft_counts[:] = [0, 0]
+            final, records = run(state, coeffs, SolverConfig(
+                dt=1e-3, t_end=1e-3, scheme=scheme))
+            assert fft_counts == counts, scheme
+            assert records[-1] == energy_record(final, coeffs), scheme
+
     def test_diagnostics_do_not_change_the_right_sides(self, grid32):
         """Asking for diagnostics leaves mom and direc bitwise unchanged."""
         state = _random_state(grid32, seed=10)

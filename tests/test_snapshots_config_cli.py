@@ -1,6 +1,7 @@
 """Snapshot persistence, configuration parsing, and the command line."""
 
 import csv
+import operator
 import struct
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 
 from nematicflow import (
     ConfigError,
+    ExperimentConfig,
     GridSpec,
+    LeslieCoefficients,
     SnapshotFormatError,
     SnapshotSizeError,
+    SolverConfig,
     State,
     generate_initial,
     load,
@@ -20,6 +24,7 @@ from nematicflow import (
     write_snapshot,
 )
 from nematicflow import cli, experiments, snapshots
+from nematicflow.configio import _KNOWN
 
 
 def _state(grid, seed=0, t=0.0):
@@ -280,6 +285,90 @@ class TestConfigParsing:
                 parse_config(path)
 
 
+# Every config key set to a value that is not its default: (section, key,
+# raw value, attribute of the ExperimentConfig it lands in, parsed value).
+# The one preset, "ansatz", has no other value.  Explicit mu1..mu6 replace
+# the preset and nu, so they go into a second file.
+_EVERY_KEY = [
+    ("grid", "n", "32", "grid.n_modes", 32),
+    ("time", "dt", "2e-3", "solver.dt", 2e-3),
+    ("time", "t_end", "0.5", "solver.t_end", 0.5),
+    ("time", "scheme", "imex2", "solver.scheme", "imex2"),
+    ("time", "cadence", "5", "solver.record_cadence", 5),
+    ("coefficients", "preset", "ansatz", "coeffs", LeslieCoefficients.ansatz(2.5)),
+    ("coefficients", "nu", "2.5", "coeffs.nu", 2.5),
+    ("initial", "profile", "rest-uniform", "initial.profile", "rest-uniform"),
+    ("initial", "seed", "9", "initial.seed", 9),
+    ("initial", "decay", "2.75", "initial.decay", 2.75),
+    ("initial", "band", "5", "initial.band", 5.0),
+    ("initial", "amplitude_u", "0.4", "initial.amplitude_u", 0.4),
+    ("initial", "amplitude_d", "0.2", "initial.amplitude_d", 0.2),
+    ("initial", "director", "0.8,0.6", "initial.director", (0.8, 0.6)),
+    ("twin", "mode", "perturb", "twin.mode", "perturb"),
+    ("twin", "seed", "4", "twin.seed", 4),
+    ("twin", "delta", "1e-6", "twin.delta", 1e-6),
+    ("twin", "decay", "1.5", "twin.decay", 1.5),
+    ("twin", "band", "6", "twin.band", 6.0),
+    ("verify", "n_trials", "50", "verify.n_trials", 50),
+    ("verify", "seed", "123", "verify.seed", 123),
+    ("verify", "grids", "32,16", "verify.grids", (32, 16)),
+    ("output", "dir", "results", "output_dir", "results"),
+]
+_EVERY_MU = [("coefficients", f"mu{k}", repr(v), f"coeffs.mu{k}", v)
+             for k, v in enumerate((0.5, -2.0, 0.25, 1.5, 1.25, 0.5), start=1)]
+
+
+def _config_file(path, entries):
+    sections = {}
+    for section, key, raw, _, _ in entries:
+        sections.setdefault(section, []).append(f"{key} = {raw}")
+    path.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n"
+                            for s, lines in sections.items()))
+    return path
+
+
+class TestConfigSchema:
+    """The parser adds no defaults of its own: each key fills one field of
+    the dataclasses, and what is not set keeps the dataclass default."""
+
+    def test_an_empty_file_is_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        assert parse_config(path) == ExperimentConfig(
+            grid=None, solver=None, coeffs=LeslieCoefficients.ansatz())
+
+    def test_a_time_section_with_dt_and_t_end_only(self, tmp_path):
+        path = tmp_path / "time.ini"
+        path.write_text("[time]\ndt = 2e-3\nt_end = 0.5\n")
+        assert parse_config(path).solver == SolverConfig(2e-3, 0.5)
+
+    def test_a_default_section_is_unknown(self, tmp_path):
+        """configparser copies [DEFAULT] keys into every section; the file
+        is rejected instead of seeding [initial] and [twin] at once."""
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nseed = 5\n[initial]\nprofile = random\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config(path)
+
+    def test_the_table_names_every_known_key(self):
+        named = {(s, k) for s, k, *_ in _EVERY_KEY + _EVERY_MU}
+        assert named == {(s, k) for s in _KNOWN for k in _KNOWN[s]}
+
+    @pytest.mark.parametrize("entries", [_EVERY_KEY, _EVERY_MU],
+                             ids=["preset", "explicit"])
+    def test_every_key_lands_in_its_field(self, tmp_path, entries):
+        cfg = parse_config(_config_file(tmp_path / "every.ini", entries))
+        defaults = ExperimentConfig(grid=GridSpec(16),
+                                    solver=SolverConfig(1e-3, 1.0),
+                                    coeffs=LeslieCoefficients.ansatz())
+        for section, key, _, where, value in entries:
+            got = operator.attrgetter(where)(cfg)
+            assert got == value and type(got) is type(value), (section, key)
+            if key != "preset":
+                default = operator.attrgetter(where)(defaults)
+                assert default != value, (section, key)
+
+
 def _write_run_config(path, n=16, dt="2e-3", t_end="0.01", extra=""):
     path.write_text(
         f"[grid]\nn = {n}\n"
@@ -495,8 +584,14 @@ class TestCli:
         ({"extra": "band = 0\n"}, ["run"], "[initial] band must be positive"),
         ({"extra": "[twin]\nmode = perturb\ndelta = 1e-6\nband = -2\n"},
          ["twin"], "[twin] band must be positive"),
+        ({"nu": "nan", "mu": "mu1 = 1\nmu2 = -1\nmu3 = 0\nmu4 = 2\n"
+                             "mu5 = 3\nmu6 = 1\n"},
+         ["run"], "[coefficients] nu = 'nan': not a finite"),
+        ({"time": "t_end = nan\n"}, ["run"],
+         "[time] t_end = 'nan': not a finite"),
     ], ids=["initial_seed", "twin_seed", "verify_seed", "seed_flag", "nan_nu",
-            "nan_delta", "verify_seed_flag", "initial_band", "twin_band"])
+            "nan_delta", "verify_seed_flag", "initial_band", "twin_band",
+            "nan_nu_beside_mus", "nan_t_end_without_dt"])
     def test_values_that_escaped_validation_exit_2(self, tmp_path, capsys,
                                                     config, argv, message):
         """Negative seeds, non-finite numbers, nonpositive bands and a
@@ -504,9 +599,11 @@ class TestCli:
         usage line first, and main returns its code instead of exiting."""
         cfg = tmp_path / "c.ini"
         cfg.write_text(
-            "[grid]\nn = 16\n[time]\ndt = 2e-3\nt_end = 0.01\n"
-            f"[coefficients]\nnu = {config.get('nu', '1.0')}\n"
-            f"[initial]\nseed = {config.get('seed', '3')}\n"
+            "[grid]\nn = 16\n[time]\n"
+            + config.get("time", "dt = 2e-3\nt_end = 0.01\n")
+            + f"[coefficients]\nnu = {config.get('nu', '1.0')}\n"
+            + config.get("mu", "")
+            + f"[initial]\nseed = {config.get('seed', '3')}\n"
             + config.get("extra", ""))
         out = tmp_path / "o"
         rc = cli.main(argv[:1] + ["--config", str(cfg), "--out", str(out),

@@ -1,9 +1,13 @@
-"""Source hygiene: no module imports a name it never reads.
+"""Source hygiene: no module imports a name it never reads, and no private
+module-level function or class goes unread.
 
 Each module of the package except __init__ (whose imports are its
 exports) is parsed with ast.  Every name an import statement binds must be
 read somewhere in the module, as a bare name or as the base of an
-attribute access, or be listed in the module's __all__.
+attribute access, or be listed in the module's __all__.  Every function or
+class defined at module level under a private name (one leading
+underscore) must be read by some module of the package, __init__ included,
+as a bare name or as an attribute; what only the tests read is dead code.
 """
 
 import ast
@@ -51,3 +55,31 @@ def test_every_imported_name_is_read(path):
     unread = {name: line for name, line in _imported(tree).items()
               if name not in read}
     assert not unread, f"{path.name}: imported but never read: {unread}"
+
+
+def _private_definitions(tree):
+    """Private module-level functions and classes, with their line numbers."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _package_reads():
+    """Every bare name and attribute name any package module reads."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_definition_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _package_reads()
+    unread = {name: line for name, line in _private_definitions(tree).items()
+              if name not in read}
+    assert not unread, f"{path.name}: defined but never read: {unread}"
