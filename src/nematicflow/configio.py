@@ -114,6 +114,10 @@ class VerifySpec:
 
     def __post_init__(self):
         _check_seed_and_band("verify", self.seed)
+        _require(self.n_trials >= 30, "verify",
+                 f"ensembles need at least 30 trials, got {self.n_trials}")
+        _require(all(n >= 16 and n % 2 == 0 for n in self.grids), "verify",
+                 f"grids must be even and at least 16, got {self.grids}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,12 @@ over the modes (dyadic.hs_norm).  Each block Delta_q delta A and its
 low-passes S_{q-1} d_1, S_{q-1}(d_1 x d_1) are sampled on a band-sized grid,
 the smallest on which the sampled integral of the squared integrands is
 exact, not on the 2N grid; dyadic._block_pair_samples does this here and
-for the harness identity checks.  The bound function F_hat
+for the harness identity checks, into pads and samples the partition keeps.
+frakD's S_{q-1}(d_1 x d_1) needs the truncated d_1 x d_1 and F_hat the
+truncated d_2.A_2 d_2.  uniqueness_record forms both itself (2 + 3 and
+5 + 1 transform planes).  The twin driver instead hands _twin_record the
+ones the two engines formed exactly at the same states (dynamics._march),
+so its records run only the block-pair inverses.  The bound function F_hat
 is a polynomial in standard norms of the two states (f1 + f2 + f3 + f4
 below, every hidden constant set to 1) that multiplies mu(Phi) in the
 two-state comparison inequality; the fitted-constant check lives in the
@@ -149,28 +154,31 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     Returns (grad_du_sq, grad_dd_sq, lp_sum_vector, lp_sum_tensor) where the
     first two are the squared lp-form norms (no nu yet) and the sums carry no
     prefactor; frakD = nu*grad_du_sq + grad_dd_sq + 2*lp_vec + lp_tensor.
-    Each block pair is sampled by dyadic._block_pair_samples.
+    Each block pair is sampled by dyadic._block_pair_samples, into buffers
+    the partition keeps when one is given.
     """
     _require_shared_grid(state1, state2)
     if partition is not None:
         partition._check_grid(state1.u.x)
-    return _frak_d_parts(state1, state2, _strain(state2))
+    return _frak_d_parts(state1.u - state2.u, state1.d - state2.d, state1.d,
+                         _strain(state1) - _strain(state2),
+                         _outer_half(state1.d), partition)
 
 
-def _frak_d_parts(state1, state2, a2):
-    """frak_d_components, given the strain a2 of state2."""
-    grad_du_sq = _grad_sq(state1.u - state2.u, -0.5)
-    grad_dd_sq = _grad_sq(state1.d - state2.d, 0.5)
+def _frak_d_parts(du, dd, d1, da, dd1, partition):
+    """frak_d_components, given the differences du, dd and da of the two
+    velocities, directors and strains, the director d1 of the first state and
+    the half spectra dd1 of its truncated d1 d1, d1 d2, d2 d2."""
+    grad_du_sq = _grad_sq(du, -0.5)
+    grad_dd_sq = _grad_sq(dd, 0.5)
 
-    da = _strain(state1) - a2
-    d1 = state1.d
     blocks = np.stack([da.xx.coeffs, da.xy.coeffs, da.yy.coeffs])
-    lows = np.concatenate([np.stack([d1.x.coeffs, d1.y.coeffs]), _outer_half(d1)])
+    lows = np.concatenate([np.stack([d1.x.coeffs, d1.y.coeffs]), dd1])
     lp_vec = 0.0
     lp_ten = 0.0
     # S_{q-1} vanishes for q <= 0, so the sums start at q = 1
     for q, (b11, b12, b22), (s1, s2, t11, t12, t22) in _block_pair_samples(
-            blocks, lows):
+            blocks, lows, partition):
         v1 = b11 * s1 + b12 * s2
         v2 = b12 * s1 + b22 * s2
         lp_vec += 2.0 ** (-q) * _sample_integral(v1 * v1 + v2 * v2)
@@ -193,15 +201,15 @@ def _state_norms(state):
     }
 
 
-def _dad_l2(a, d):
-    """||d.(A d)||_{L2} for a strain A: one padded inverse of (A11, A12, A22,
-    d1, d2), the cubic form summed pointwise (exact on the 2N grid), one
-    forward transform."""
+def _dad_half(a, d):
+    """Half spectrum of the truncated d.(A d) for a strain A: one padded
+    inverse of (A11, A12, A22, d1, d2), the cubic form summed pointwise
+    (exact on the 2N grid), one forward transform."""
     grid = d.grid
     a11, a12, a22, d1, d2 = _samples([a.xx, a.xy, a.yy, d.x, d.y],
                                      grid.padded_size)
     dad = a11 * d1 * d1 + 2.0 * (a12 * d1 * d2) + a22 * d2 * d2
-    return l2_norm(SpectralField(grid, _rfft_truncated(dad, grid.n_modes)))
+    return _rfft_truncated(dad, grid.n_modes)
 
 
 def f_bound(state1, state2):
@@ -211,11 +219,13 @@ def f_bound(state1, state2):
     states vanish, and is nondecreasing in each norm.
     """
     _require_shared_grid(state1, state2)
-    return _f_hat(state1, state2, _dad_l2(_strain(state2), state2.d))
+    return _f_hat(state1, state2, _dad_half(_strain(state2), state2.d))
 
 
-def _f_hat(state1, state2, a2d2):
-    """f_bound, given ||d.(A d)||_{L2} of state2."""
+def _f_hat(state1, state2, dad2):
+    """f_bound, given the half spectrum dad2 of the truncated d.(A d) of
+    state2."""
+    a2d2 = l2_norm(SpectralField(state2.grid, dad2))
     n1 = _state_norms(state1)
     n2 = _state_norms(state2)
 
@@ -283,12 +293,23 @@ def uniqueness_record(state1, state2, coeffs=None, partition=None):
         coeffs = LeslieCoefficients.ansatz()
     if partition is None:
         partition = DyadicPartition(state1.grid)
+    return _twin_record(state1, state2, coeffs, partition)
+
+
+def _twin_record(state1, state2, coeffs, partition, products=None):
+    """uniqueness_record.  products = (dd1, dad2) are the half spectra of the
+    truncated d1 d1, d1 d2, d2 d2 of state1 and d.(A d) of state2, which the
+    twin driver takes from the engines' evaluations at these states; the
+    record then runs no forward transform.  Without them they are formed
+    here (_outer_half, _dad_half)."""
     du = state1.u - state2.u
     dd = state1.d - state2.d
     du_norm = hs_norm_vector(du, -0.5, form="lp", partition=partition)
     dd_norm = hs_norm_vector(dd, 0.5, form="lp", partition=partition)
     a2 = _strain(state2)  # formed once, for frakD and F_hat
-    gdu_sq, gdd_sq, lp_vec, lp_ten = _frak_d_parts(state1, state2, a2)
+    dd1, dad2 = products or (_outer_half(state1.d), _dad_half(a2, state2.d))
+    gdu_sq, gdd_sq, lp_vec, lp_ten = _frak_d_parts(
+        du, dd, state1.d, _strain(state1) - a2, dd1, partition)
     total = coeffs.nu * gdu_sq + gdd_sq + 2.0 * lp_vec + lp_ten
     return UniquenessRecord(
         t=state1.t,
@@ -300,5 +321,5 @@ def uniqueness_record(state1, state2, coeffs=None, partition=None):
         grad_dd_norm=math.sqrt(gdd_sq),
         lp_sum_vector=float(lp_vec),
         lp_sum_tensor=float(lp_ten),
-        f_hat=_f_hat(state1, state2, _dad_l2(a2, state2.d)),
+        f_hat=_f_hat(state1, state2, dad2),
     )

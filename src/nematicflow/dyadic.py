@@ -15,12 +15,19 @@ and blocks two or more apart are exactly orthogonal (disjoint supports).
 Low-pass operators follow S_q = sum_{k=-1}^{q-1} Delta_k (so S_0 = Delta_{-1},
 and S_q = 0 for q <= -1 wherever block sums reference it), with multiplier
 chi(2^{-q}|n|).
+
+_block_pair_samples samples (Delta_q, S_{q-1}) block pairs on band-sized
+grids for frakD and the harness identity checks.  Its padded inverses write
+into pads and samples that the DyadicPartition passed to it keeps, per
+thread and stack shapes, so they live as long as the partition: a twin run
+or a harness check holds one partition for all its records or trials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +37,7 @@ from .grid import (
     SpectralField,
     _irfft_padded,
     _lp_norms,
+    _shared,
     _tables,
     _weighted_power,
     l2_norm,
@@ -135,7 +143,21 @@ def _block_subgrids(n_modes):
     return tuple(out)
 
 
-def _block_pair_samples(blocks, lows):
+def _block_pair_buffers(n, *stacks):
+    """Per q of _block_subgrids(n), a (pad, samples) pair for each stack
+    shape.  Per stack, the pads of every q share one buffer and the samples
+    another: one q's arrays are done with before the next q's are written.
+    """
+    subgrids = _block_subgrids(n)
+    per_stack = [zip(_shared(*(lead + (m, cols - 1)
+                               for _, _, cols, _, _, m in subgrids),
+                             dtype=np.complex128),
+                     _shared(*(lead + (m, m) for *_, m in subgrids)))
+                 for lead in stacks]
+    return list(zip(*per_stack))
+
+
+def _block_pair_samples(blocks, lows, partition=None):
     """(q, Delta_q blocks, S_{q-1} lows) for q = 1..q_max, each stack of N-grid
     half spectra sampled by one padded inverse on the M_q x M_q grid.
 
@@ -143,10 +165,27 @@ def _block_pair_samples(blocks, lows):
     s = floor((4/3) 2^{q-1}), capped at N/2 - 1, and M_q = 2^i 3^j > 2(b + s),
     so the grid mean of a product of at most two blocks and two lows is its
     exact integral.  M_q is even: the unphased samples sit on points().
+
+    The inverses write into pads and samples of _block_pair_buffers.  Given
+    a partition, it keeps them per thread and stack shapes, so a warm call
+    allocates neither.  The samples of one q are overwritten by the next q
+    (and by the next call).
     """
-    for q, rows, cols, block, low, m in _block_subgrids(blocks.shape[-2]):
-        yield (q, _irfft_padded(blocks[..., rows, :cols] * block, m),
-               _irfft_padded(lows[..., rows, :cols] * low, m))
+    n = blocks.shape[-2]
+    stacks = (blocks.shape[:-2], lows.shape[:-2])
+    if partition is None:
+        buffers = _block_pair_buffers(n, *stacks)
+    else:
+        key = (threading.get_ident(), n, *stacks)
+        buffers = partition._kept.get(key)
+        if buffers is None:
+            buffers = partition._kept[key] = _block_pair_buffers(n, *stacks)
+    for (q, rows, cols, block, low, m), (out_b, out_l) in zip(
+            _block_subgrids(n), buffers):
+        out_b[0].fill(0.0)  # _irfft_padded writes only the populated rows
+        out_l[0].fill(0.0)
+        yield (q, _irfft_padded(blocks[..., rows, :cols] * block, m, out=out_b),
+               _irfft_padded(lows[..., rows, :cols] * low, m, out=out_l))
 
 
 @dataclass(frozen=True)
@@ -158,6 +197,9 @@ class DyadicPartition:
     """
 
     grid: "object"
+    # the pads and samples of _block_pair_samples, by thread and stack shapes
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def q_max(self):

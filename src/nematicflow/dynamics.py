@@ -58,7 +58,11 @@ arrays, never views of the workspace.
 
 One trajectory loop drives the engine: run always records the energy
 balance, iterate is the lazy, record-free lockstep driver, and step is a
-one-step march.
+one-step march.  The twin driver calls the loop directly with a products
+list.  The first evaluation of the step from each sample then hands out
+the truncated d x d and d.Ad it formed at the sample's state, for the
+sample's twin record.  Nothing else asks for them, and the engine does not
+store them.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ from .grid import (
     _irfft_padded,
     _rfft_truncated,
     _sample_integral,
+    _shared,
     _tables,
     _weighted_power,
     derivative,
@@ -460,13 +465,6 @@ def _state_record(state, coeffs, ws=None):
 # -- half-spectrum stepping engine ------------------------------------------------
 
 
-def _shared(*shapes):
-    """Real arrays of the given shapes over one buffer, for arrays that never
-    live at the same time."""
-    buf = np.empty(max(math.prod(shape) for shape in shapes))
-    return [buf[:math.prod(shape)].reshape(shape) for shape in shapes]
-
-
 class _Workspace:
     """The transform batches of the engines of one grid size in one thread.
 
@@ -554,9 +552,11 @@ class _Engine:
 
     # -- nonlinear assembly --------------------------------------------------------
 
-    def nonlinear(self, uh, dh, want_diag=False):
+    def nonlinear(self, uh, dh, want_diag=False, products=None):
         """Explicit right sides (momentum projected) and, with want_diag, the
-        state's _energy_terms (else None).
+        state's _energy_terms (else None).  Given a list as products, appends
+        the half spectra of the state's truncated (d x d, d.Ad), which the
+        evaluation forms anyway.
 
         The diffusion terms are not included here; the stepper integrates them
         exactly through the per-mode factors.  Terms that share a right side
@@ -677,15 +677,18 @@ class _Engine:
         # the lap d part of G duplicates the integrating factor's diffusion,
         # so the explicit side carries only the potential force -kappa grad W
         direc = s1[2:4] - co.kappa * gw_h
+        if products is not None:  # copies: the rest of s1 and sc is freed
+            products.append((s1[6:9].copy(), sc[2].copy()))
         return mom, direc, terms
 
     # -- steps ----------------------------------------------------------------------
 
-    def step(self, uh, dh, want_diag=False):
+    def step(self, uh, dh, want_diag=False, products=None):
         cfg = self.config
         dt = cfg.dt
         eu, ed = self.exp_u, self.exp_d
-        fu, fd, terms = self.nonlinear(uh, dh, want_diag)
+        # the first evaluation is at the step's own state (uh, dh)
+        fu, fd, terms = self.nonlinear(uh, dh, want_diag, products)
         if cfg.scheme == "imex1":
             un = eu * (uh + dt * fu)
             dn = ed * (dh + dt * fd)
@@ -702,13 +705,16 @@ class _Engine:
 # -- public stepping interface -----------------------------------------------------
 
 
-def _march(state, coeffs, config, records=None):
-    """The one trajectory loop behind step, iterate and run.
+def _march(state, coeffs, config, records=None, products=None):
+    """The one trajectory loop behind step, iterate, run and the twin driver.
 
     Yields (m, state) at m = 0, every multiple of record_cadence and the
-    last step, each before stepping from m.  Given a list, appends each
-    sample's EnergyRecord from the diagnostics of the step from m (at the
-    last sample, which takes no step, from _state_record).
+    last step, each before stepping from m.  Given a list as records,
+    appends each sample's EnergyRecord from the diagnostics of the step from
+    m (at the last sample, which takes no step, from _state_record).  Given
+    a list as products, the step from each sample but the last appends the
+    sample's truncated (d x d, d.Ad) half spectra (see _Engine.nonlinear),
+    so they arrive after the sample is yielded and before the next one is.
     """
     engine = _Engine(state.grid, coeffs, config)
     uh, dh = engine.start(state)
@@ -720,7 +726,8 @@ def _march(state, coeffs, config, records=None):
             yield m, engine.state(uh, dh, t)
         want = sample and records is not None
         if m < n_steps:
-            uh, dh, terms = engine.step(uh, dh, want_diag=want)
+            uh, dh, terms = engine.step(uh, dh, want_diag=want,
+                                        products=products if sample else None)
             if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
                 raise DivergenceError(m, t0 + (m + 1) * config.dt)
             if want:

@@ -13,11 +13,11 @@ import os
 
 from . import fields, snapshots
 from .configio import ConfigError
-from .diagnostics import uniqueness_record
+from .diagnostics import _twin_record, uniqueness_record
 from .dyadic import DyadicPartition
-from .dynamics import State, iterate, run
+from .dynamics import State, _march, run
 from .grid import l2_norm
-from .harness import ALL_CHECKS, EnsembleSpec, HarnessError
+from .harness import ALL_CHECKS, EnsembleSpec
 from .osgood import (
     OsgoodTrace,
     check_master_inequality,
@@ -116,16 +116,25 @@ def twin_experiment(config, out_dir, seed_override=None, quiet=False):
         state2 = State(config.grid, u2, d2, 0.0)
     else:
         state2 = state1.copy()
+    coeffs = config.coeffs
     part = DyadicPartition(config.grid)
+    # The step from each sample hands out the products its first evaluation
+    # formed at the sample (dynamics._march); trajectory 1's d x d and
+    # trajectory 2's d.Ad serve the sample's record, taken once both
+    # trajectories have stepped.  The last sample takes no step, so its
+    # record forms its own.
+    held = ([], [])
     records = []
-    finals = []
-    for (_, s1), (_, s2) in zip(
-        iterate(state1, config.coeffs, config.solver),
-        iterate(state2, config.coeffs, config.solver),
-    ):
-        records.append(uniqueness_record(s1, s2, config.coeffs, part))
-        finals = [s1, s2]
-    nu = config.coeffs.nu
+    pending = None
+    for (_, s1), (_, s2) in zip(*(_march(s, coeffs, config.solver, products=h)
+                                  for s, h in zip((state1, state2), held))):
+        if pending is not None:
+            records.append(_twin_record(*pending, coeffs, part, (
+                held[0].pop()[0], held[1].pop()[1])))
+        pending = (s1, s2)
+    records.append(uniqueness_record(*pending, coeffs, part))
+    finals = pending
+    nu = coeffs.nu
     rows = [
         (
             r.t, r.phi, r.frak_d,
@@ -285,12 +294,9 @@ def verify_experiment(config, out_dir, checks=("all",), quiet=False):
                 names.append(name)
     lemma_checks = dict(ALL_CHECKS)
     selected = [n for n in names if n in lemma_checks]
-    v = config.verify
-    try:
-        specs = [EnsembleSpec(grid_n=grid_n, n_trials=v.n_trials, seed=v.seed)
-                 for grid_n in (v.grids if selected else ())]
-    except HarnessError as exc:
-        raise ConfigError(f"[verify] {exc}") from exc
+    v = config.verify  # VerifySpec applies the EnsembleSpec rules
+    specs = [EnsembleSpec(grid_n=grid_n, n_trials=v.n_trials, seed=v.seed)
+             for grid_n in (v.grids if selected else ())]
     out = _ensure_dir(out_dir)
     all_ok = True
     for spec in specs:

@@ -269,6 +269,13 @@ def _irfft_padded(half, m, out=None):
                          out=samples)
 
 
+def _shared(*shapes, dtype=np.float64):
+    """Arrays of the given shapes over one buffer, for arrays that never
+    live at the same time."""
+    buf = np.empty(max(math.prod(shape) for shape in shapes), dtype=dtype)
+    return [buf[:math.prod(shape)].reshape(shape) for shape in shapes]
+
+
 def _rfft_truncated(values, n):
     """N-grid half spectra of real M x M samples (any leading axes).
 

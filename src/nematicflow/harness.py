@@ -45,7 +45,8 @@ grid._lp_norms.  The samples are not phase-shifted to points(): on the even
 2N grid that is a whole-point shift, which no L^p norm sees.  The norms
 (L^1, L^{4/3}, L^inf among them) are not polynomial integrals, so they stay
 on the 2N grid.  The identity checks sample each (Delta_q, S_{q-1}) block
-pair on the band-sized grids of dyadic._block_pair_samples.
+pair on the band-sized grids of dyadic._block_pair_samples, into buffers
+that one partition per check keeps across its trials.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as field_gen
-from .dyadic import _block_pair_samples, _partition_tables, hs_norm
+from .dyadic import (DyadicPartition, _block_pair_samples, _partition_tables,
+                     hs_norm)
 from .dynamics import strain_and_vorticity
 from .grid import (
     GridSpec,
@@ -351,21 +353,23 @@ def verify_tail_bounds(spec):
 
 
 def _identity_report(spec, check, label, cap, residual, draws):
-    """Worst residual(*fields) over the ensemble, each trial drawing one
-    random vector per (decay shift, divergence_free) in draws."""
+    """Worst residual(*fields, partition) over the ensemble, each trial
+    drawing one random vector per (decay shift, divergence_free) in draws;
+    the one partition keeps the block-pair buffers across the trials."""
     grid = spec.grid()
+    part = DyadicPartition(grid)
     worst = 0.0
     for trial in range(spec.n_trials):
         rng = spec.rng(trial)
         fields = [field_gen.random_vector(grid, rng, decay=FIELD_DECAY + shift,
                                           divergence_free=div_free)
                   for shift, div_free in draws]
-        worst = max(worst, residual(*fields))
+        worst = max(worst, residual(*fields, part))
     return RatioReport(check, ((label, worst, worst),), worst <= cap, cap,
                        1.0, worst, spec.n_trials)
 
 
-def _cancellation_sums(du, dd, d1):
+def _cancellation_sums(du, dd, d1, partition=None):
     """(I3, J3) of verify_cancellation for one draw."""
     gdu = jacobian(du)
     blocks = np.stack([f.coeffs for f in (gdu.xx, gdu.xy, gdu.yx, gdu.yy,
@@ -374,7 +378,7 @@ def _cancellation_sums(du, dd, d1):
     i3 = 0.0
     j3 = 0.0
     for q, (a11, a12, a21, a22, w1, w2), (s1, s2) in _block_pair_samples(
-            blocks, lows):
+            blocks, lows, partition):
         i3 -= 2.0 ** (-q) * _sample_integral(
             (a11 * s1 + a12 * s2) * w1 + (a21 * s1 + a22 * s2) * w2
         )
@@ -385,8 +389,8 @@ def _cancellation_sums(du, dd, d1):
     return i3, j3
 
 
-def _cancellation_residual(du, dd, d1):
-    i3, j3 = _cancellation_sums(du, dd, d1)
+def _cancellation_residual(du, dd, d1, partition):
+    i3, j3 = _cancellation_sums(du, dd, d1, partition)
     return abs(i3 + j3) / max(abs(i3), abs(j3), 1e-290)
 
 
@@ -408,7 +412,7 @@ def verify_cancellation(spec):
                             ((0.0, True), (1.0, False), (0.0, False)))
 
 
-def _skew_residual(du, d1):
+def _skew_residual(du, d1, partition=None):
     """Worst int T : W_q / int |T| |W_q| over q for one draw.  Every tensor
     entry is sampled, the zero and repeated ones included: building W_q from
     its one free entry would make the check pass by construction."""
@@ -418,7 +422,7 @@ def _skew_residual(du, d1):
     lows = np.stack([d1.x.coeffs, d1.y.coeffs])
     worst = 0.0
     for _, (a11, a12, a21, a22, w11, w12, w21, w22), (v1, v2) in (
-            _block_pair_samples(blocks, lows)):
+            _block_pair_samples(blocks, lows, partition)):
         m1 = a11 * v1 + a12 * v2
         m2 = a21 * v1 + a22 * v2
         t11 = 2.0 * v1 * m1

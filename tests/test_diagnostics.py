@@ -1,6 +1,7 @@
 """Energy, dissipation, twin-state functionals, and pressure recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nematicflow import (
     frak_d_components,
     generate_initial,
     gradient,
+    iterate,
     jacobian,
     l2_norm,
     perturb,
@@ -34,8 +36,11 @@ from nematicflow import (
     vector_l2_norm,
 )
 
-from nematicflow.diagnostics import _dad_l2
+from nematicflow import diagnostics
+from nematicflow.configio import ExperimentConfig, TwinSpec
+from nematicflow.diagnostics import UniquenessRecord, _dad_half, _twin_record
 from nematicflow.dynamics import _Engine, _energy_record
+from nematicflow.experiments import make_initial_state, twin_experiment
 
 from _frozen import TORUS_AREA, W_AT_2
 
@@ -343,12 +348,15 @@ class TestTwinRecordOracle:
                                       GridSpec(48)],
                              ids=_grid_id)
     def test_dad_l2_matches_the_cubic_products(self, grid):
+        """F_hat's d.Ad spectrum is the truncated cubic product, to 1e-12 of
+        its L2 norm."""
         state = _twins(grid, near=False)[1]
         a, _ = strain_and_vorticity(state.u)
         d = state.d
-        want = l2_norm(product(a.xx, d.x, d.x) + 2.0 * product(a.xy, d.x, d.y)
-                       + product(a.yy, d.y, d.y))
-        assert _dad_l2(a, d) == pytest.approx(want, rel=1e-12)
+        want = (product(a.xx, d.x, d.x) + 2.0 * product(a.xy, d.x, d.y)
+                + product(a.yy, d.y, d.y))
+        got = SpectralField(grid, _dad_half(a, d))
+        assert l2_norm(got - want) <= 1e-12 * l2_norm(want)
 
     def test_record_runs_the_counted_transforms(self, grid16, fft_counts):
         """At N = 16 (q = 1..3): 3 x 8 block planes, 2 + 3 for d x d and
@@ -358,6 +366,105 @@ class TestTwinRecordOracle:
         fft_counts[:] = [0, 0]
         uniqueness_record(s1, s2, partition=part)
         assert fft_counts == [31, 4]
+
+
+class TestFusedTwinRecord:
+    """The twin driver records each sample from the d x d and d.Ad that the
+    engines form at it; only the last sample, which takes no step, forms
+    its own."""
+
+    @pytest.mark.parametrize("coeffs", [LeslieCoefficients.ansatz(), SHEAR_GENERAL],
+                             ids=["ansatz", "general"])
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_driver_records_match_the_standalone_record(
+            self, tmp_path, monkeypatch, scheme, cadence, coeffs):
+        """Every record of twin_experiment equals uniqueness_record of the
+        states iterate yields, to 1e-12 relative per field, and the driver
+        forms d x d and d.Ad itself only once, for the last sample."""
+        config = ExperimentConfig(
+            grid=GridSpec(32), coeffs=coeffs,
+            solver=SolverConfig(1e-3, 7e-3, scheme, cadence),
+            twin=TwinSpec(mode="perturb", delta=1e-4, seed=5))
+        formed = []
+        for name in ("_outer_half", "_dad_half"):
+            def counted(*args, _name=name, _fn=getattr(diagnostics, name)):
+                formed.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(diagnostics, name, counted)
+        records, _ = twin_experiment(config, tmp_path, quiet=True)
+        monkeypatch.undo()
+        assert sorted(formed) == ["_dad_half", "_outer_half"]
+
+        state1 = make_initial_state(config)
+        u2, d2 = perturb(state1.u, state1.d, 5, 1e-4, decay=config.twin.decay)
+        part = DyadicPartition(config.grid)
+        want = [uniqueness_record(s1, s2, coeffs, part)
+                for (_, s1), (_, s2) in zip(
+                    iterate(state1, coeffs, config.solver),
+                    iterate(State(config.grid, u2, d2), coeffs, config.solver))]
+        assert len(records) == len(want) == (8 if cadence == 1 else 4)
+        for got, expected in zip(records, want):
+            for name, g, w in zip(UniquenessRecord._fields, got, expected):
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0), name
+
+    @staticmethod
+    def _fused_sample(grid, coeffs):
+        """Two engine states at t = 0 and the products the engines form at
+        them, as the twin driver hands them to _twin_record."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-3)
+        states, products = [], []
+        for s in _twins(grid, near=True):
+            engine = _Engine(grid, coeffs, cfg)
+            halves = engine.start(s)
+            engine.nonlinear(*halves, products=products)
+            states.append(engine.state(*halves, s.t))
+        return states, (products[0][0], products[1][1])
+
+    def test_a_fused_record_runs_only_the_block_inverses(self, grid16,
+                                                         fft_counts):
+        """Given the engines' products, a record at N = 16 runs the 3 x 8
+        block planes (q = 1..3) and nothing else: no d x d, no d.Ad and no
+        forward transform."""
+        coeffs = LeslieCoefficients.ansatz()
+        states, products = self._fused_sample(grid16, coeffs)
+        fft_counts[:] = [0, 0]
+        _twin_record(*states, coeffs, DyadicPartition(grid16), products)
+        assert fft_counts == [24, 0]
+
+    def test_a_warm_record_allocates_no_block_pair_buffers(self, grid32,
+                                                           monkeypatch):
+        """Every pad and sample array a warm fused record transforms was made
+        by the first record and kept by the partition: tracemalloc, started
+        after the first record, has no allocation traceback for any of them
+        (a fresh np.zeros pad would carry the one of its allocation)."""
+        coeffs = LeslieCoefficients.ansatz()
+        states, products = self._fused_sample(grid32, coeffs)
+        part = DyadicPartition(grid32)
+        _twin_record(*states, coeffs, part, products)
+        seen = []
+        irfftn = np.fft.irfftn
+
+        def spy(pad, *args, out=None, **kwargs):
+            seen.append((pad, out, tracemalloc.get_object_traceback(pad),
+                         tracemalloc.get_object_traceback(out)))
+            return irfftn(pad, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", spy)
+        traced = tracemalloc.is_tracing()
+        if not traced:
+            tracemalloc.start()
+        try:
+            _twin_record(*states, coeffs, part, products)
+            fresh = np.zeros(3)
+            assert tracemalloc.get_object_traceback(fresh) is not None
+        finally:
+            if not traced:
+                tracemalloc.stop()
+        assert len(seen) == 2 * 4  # blocks and lows at q = 1..4
+        for pad, out, pad_trace, out_trace in seen:
+            assert out is not None
+            assert pad_trace is None and out_trace is None
 
 
 class TestPressureRecovery:

@@ -36,7 +36,7 @@ from nematicflow import (
     to_physical,
     vector_l2_norm,
 )
-from nematicflow.dynamics import _Engine
+from nematicflow.dynamics import _Engine, _march
 
 from _frozen import GL_FORCE_AT_2, ODE_Y0
 
@@ -510,6 +510,41 @@ class TestStepping:
         for a, b in ((last.u, final_run.u), (last.d, final_run.d)):
             assert np.array_equal(a.x.coeffs, b.x.coeffs)
             assert np.array_equal(a.y.coeffs, b.y.coeffs)
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_only_a_march_given_a_list_keeps_products(self, grid16, monkeypatch,
+                                                      scheme):
+        """A recorded run and iterate ask no evaluation for its products.  A
+        march given a list gets one (d x d, d.Ad) pair per sample but the
+        last, the bits an evaluation at the yielded state gives: imex2 hands
+        out its first evaluation's, not its predictor's."""
+        cfg = SolverConfig(dt=1e-3, t_end=7e-3, scheme=scheme, record_cadence=3)
+        asked = []
+        nonlinear = _Engine.nonlinear
+
+        def spy(self, uh, dh, want_diag=False, products=None):
+            asked.append(products)
+            return nonlinear(self, uh, dh, want_diag, products)
+
+        monkeypatch.setattr(_Engine, "nonlinear", spy)
+        run(_random_state(grid16, 4), GENERAL_COEFFS, cfg)
+        for _ in iterate(_random_state(grid16, 4), GENERAL_COEFFS, cfg):
+            pass
+        monkeypatch.undo()
+        assert len(asked) == 2 * 7 * (1 if scheme == "imex1" else 2)
+        assert all(p is None for p in asked)
+
+        products = []
+        samples = [s for _, s in _march(_random_state(grid16, 4), GENERAL_COEFFS,
+                                        cfg, products=products)]
+        assert len(samples) == 4 and len(products) == 3
+        engine = _Engine(grid16, GENERAL_COEFFS, cfg)
+        for s, (ddt, dad) in zip(samples, products):
+            want = []
+            engine.nonlinear(*(np.stack([v.x.coeffs, v.y.coeffs])
+                               for v in (s.u, s.d)), products=want)
+            assert np.array_equal(ddt, want[0][0])
+            assert np.array_equal(dad, want[0][1])
 
     def test_record_cadence_and_endpoints(self, grid32):
         """Records start at t = 0 and end exactly at t_end."""

@@ -568,6 +568,23 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "twin", "decompose"])
+    def test_a_bad_verify_section_fails_every_command(self, tmp_path, capsys,
+                                                       command):
+        """The [verify] rules hold for the commands that do not verify too:
+        the config is rejected as a whole, with one line and exit 2."""
+        cfg = tmp_path / "c.ini"
+        _write_run_config(cfg, extra="[twin]\nmode = perturb\ndelta = 1e-6\n"
+                                     "[verify]\nn_trials = 5\ngrids = 7\n")
+        out = tmp_path / "o"
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error: [verify] ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, argv, message", [
         ({"seed": "-1"}, ["run"], "[initial] seed must be nonnegative"),
         ({"extra": "[twin]\nmode = perturb\ndelta = 1e-6\nseed = -2\n"},
