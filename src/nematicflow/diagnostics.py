@@ -38,8 +38,8 @@ for the harness identity checks, into pads and samples the partition keeps.
 frakD's S_{q-1}(d_1 x d_1) needs the truncated d_1 x d_1 and F_hat the
 truncated d_2.A_2 d_2.  uniqueness_record forms both itself (2 + 3 and
 5 + 1 transform planes).  The twin driver instead hands _twin_record the
-ones the two engines formed exactly at the same states (dynamics._march),
-so its records run only the block-pair inverses.  The bound function F_hat
+ones its engine formed exactly at the same states (dynamics._march), so
+its records run only the block-pair inverses.  The bound function F_hat
 is a polynomial in standard norms of the two states (f1 + f2 + f3 + f4
 below, every hidden constant set to 1) that multiplies mu(Phi) in the
 two-state comparison inequality; the fitted-constant check lives in the
@@ -297,17 +297,19 @@ def uniqueness_record(state1, state2, coeffs=None, partition=None):
 
 
 def _twin_record(state1, state2, coeffs, partition, products=None):
-    """uniqueness_record.  products = (dd1, dad2) are the half spectra of the
-    truncated d1 d1, d1 d2, d2 d2 of state1 and d.(A d) of state2, which the
-    twin driver takes from the engines' evaluations at these states; the
-    record then runs no forward transform.  Without them they are formed
-    here (_outer_half, _dad_half)."""
+    """uniqueness_record.  products is an entry of a lockstep march's
+    products list (dynamics._march): per state, the half spectra of its
+    truncated d1 d1, d1 d2, d2 d2 and d.(A d), formed by the engine's
+    evaluations at these states.  The record reads those of d x d of state1
+    and d.(A d) of state2 and then runs no forward transform.  Without
+    them it forms the two here (_outer_half, _dad_half)."""
     du = state1.u - state2.u
     dd = state1.d - state2.d
     du_norm = hs_norm_vector(du, -0.5, form="lp", partition=partition)
     dd_norm = hs_norm_vector(dd, 0.5, form="lp", partition=partition)
     a2 = _strain(state2)  # formed once, for frakD and F_hat
-    dd1, dad2 = products or (_outer_half(state1.d), _dad_half(a2, state2.d))
+    dd1, dad2 = ((products[0][0], products[1][1]) if products
+                 else (_outer_half(state1.d), _dad_half(a2, state2.d)))
     gdu_sq, gdd_sq, lp_vec, lp_ten = _frak_d_parts(
         du, dd, state1.d, _strain(state1) - a2, dd1, partition)
     total = coeffs.nu * gdu_sq + gdd_sq + 2.0 * lp_vec + lp_ten

@@ -48,28 +48,26 @@ and the last record of a run, which takes no step) both form their 2N cubic
 samples with _cubic_fields and the energies and dissipation terms with
 _energy_terms.
 
-The engine keeps its transform batches in a workspace: the padded
-inverses write into kept pads and sample arrays instead of fresh ones, so a
-warm step allocates only the transforms' intermediates, the forward spectra
-and its N-grid results.  There is one workspace per thread and grid size,
-shared by every live engine of that size in the thread (the twin's two
-lockstep engines use one).  Right sides and stepped states are always fresh
-arrays, never views of the workspace.
+Each engine keeps its transform batches in a workspace of its own: the
+padded inverses write into kept pads and sample arrays instead of fresh
+ones, so a warm step allocates only the transforms' intermediates, the
+forward spectra and its N-grid results.  Right sides and stepped states are
+always fresh arrays, never views of the workspace, and the engine holds no
+state of any trajectory.
 
-One trajectory loop drives the engine: run always records the energy
-balance, iterate is the lazy, record-free lockstep driver, and step is a
-one-step march.  The twin driver calls the loop directly with a products
-list.  The first evaluation of the step from each sample then hands out
-the truncated d x d and d.Ad it formed at the sample's state, for the
-sample's twin record.  Nothing else asks for them, and the engine does not
-store them.
+One loop, _march, drives the engine.  It marches a tuple of states in
+lockstep with one engine, stepping them in turn: run, iterate and step
+march one state, and the twin driver marches its two.  run always records
+the energy balance, iterate is the lazy, record-free generator, and step is
+a one-step march.  The twin driver also passes a products list.  The first
+evaluation of the step from each sample then hands out the truncated d x d
+and d.Ad it formed at each trajectory's state, for the sample's twin
+record.  Nothing else asks for them, and the engine does not store them.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -101,12 +99,17 @@ class CoefficientError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the state stops being finite during time stepping."""
+    """Raised when the state stops being finite during time stepping.  In a
+    lockstep march of several states, trajectory is the index of the one
+    that did (None for a march of one)."""
 
-    def __init__(self, step_index, t):
+    def __init__(self, step_index, t, trajectory=None):
         self.step_index = step_index
         self.t = t
-        super().__init__(f"non-finite state after step {step_index} (t = {t:.6g})")
+        self.trajectory = trajectory
+        of = "" if trajectory is None else f" of trajectory {trajectory}"
+        super().__init__(
+            f"non-finite state{of} after step {step_index} (t = {t:.6g})")
 
 
 @dataclass(frozen=True)
@@ -466,13 +469,12 @@ def _state_record(state, coeffs, ws=None):
 
 
 class _Workspace:
-    """The transform batches of the engines of one grid size in one thread.
+    """The transform batches of one engine.
 
     Every nonlinear() call rewrites what it reads here before reading it,
-    and nothing it returns is a view of these arrays, so the engines of one
-    size in one thread (the twin's two lockstep engines) share one
-    workspace.  The pads keep the zero rows that _irfft_padded does not
-    write.
+    and nothing it returns is a view of these arrays, so one engine steps
+    any number of trajectories in turn with one workspace.  The pads keep
+    the zero rows that _irfft_padded does not write.
     """
 
     def __init__(self, n, mc, mp):
@@ -487,26 +489,6 @@ class _Workspace:
         self.samples_cubic, self.samples2 = _shared((7, mc, mc), (8, mp, mp))
         self.cubic, self.samples1 = _shared((7, mc, mc), (12, mp, mp))
         self.pairs = np.empty((13, mp, mp))
-
-
-class _Workspaces(threading.local):
-    """Per thread: the live workspaces by (N, M_cubic, M_pair), freed with
-    their last engine."""
-
-    def __init__(self):
-        self.by_size = weakref.WeakValueDictionary()
-
-
-_workspaces = _Workspaces()
-
-
-def _workspace(n, mc, mp):
-    """This thread's workspace for N modes padded to M_cubic and M_pair."""
-    kept = _workspaces.by_size
-    ws = kept.get((n, mc, mp))
-    if ws is None:
-        ws = kept[n, mc, mp] = _Workspace(n, mc, mp)
-    return ws
 
 
 class _Engine:
@@ -524,7 +506,7 @@ class _Engine:
         dt = config.dt
         self.exp_u = np.exp(-coeffs.nu * self.t["n2"] * dt)
         self.exp_d = np.exp(-coeffs.kappa * self.t["n2"] * dt)
-        self.ws = _workspace(self.n, self.m_cubic, self.m_pair)
+        self.ws = _Workspace(self.n, self.m_cubic, self.m_pair)
 
     def start(self, state):
         """A state's stacked (u, d) half spectra (copies), u projected."""
@@ -705,41 +687,51 @@ class _Engine:
 # -- public stepping interface -----------------------------------------------------
 
 
-def _march(state, coeffs, config, records=None, products=None):
-    """The one trajectory loop behind step, iterate, run and the twin driver.
+def _march(states, coeffs, config, records=None, products=None):
+    """The one loop behind step, iterate, run and the twin driver.
 
-    Yields (m, state) at m = 0, every multiple of record_cadence and the
-    last step, each before stepping from m.  Given a list as records,
-    appends each sample's EnergyRecord from the diagnostics of the step from
-    m (at the last sample, which takes no step, from _state_record).  Given
-    a list as products, the step from each sample but the last appends the
-    sample's truncated (d x d, d.Ad) half spectra (see _Engine.nonlinear),
-    so they arrive after the sample is yielded and before the next one is.
+    Marches a tuple of states on one grid, from the first one's time, in
+    lockstep with one engine, stepping them in turn.  Yields (m, states at
+    m) at m = 0, every multiple of record_cadence and the last step, each
+    before stepping from m.  Given a list as records, a march of one state
+    appends each sample's EnergyRecord from the diagnostics of the step
+    from m (at the last sample, which takes no step, from _state_record).
+    Given a list as products, the step from each sample but the last
+    appends one entry: per trajectory, the (d x d, d.Ad) half spectra its
+    first evaluation formed at the sample's state (see _Engine.nonlinear).
+    So each entry arrives after its sample is yielded and before the next
+    sample is.
     """
-    engine = _Engine(state.grid, coeffs, config)
-    uh, dh = engine.start(state)
-    t0, n_steps = state.t, config.n_steps
+    assert records is None or len(states) == 1
+    engine = _Engine(states[0].grid, coeffs, config)
+    halves = [engine.start(s) for s in states]
+    t0, n_steps = states[0].t, config.n_steps
     for m in range(n_steps + 1):
         t = t0 + m * config.dt
         sample = m % config.record_cadence == 0 or m == n_steps
         if sample:
-            yield m, engine.state(uh, dh, t)
+            yield m, tuple(engine.state(uh, dh, t) for uh, dh in halves)
         want = sample and records is not None
         if m < n_steps:
-            uh, dh, terms = engine.step(uh, dh, want_diag=want,
-                                        products=products if sample else None)
-            if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
-                raise DivergenceError(m, t0 + (m + 1) * config.dt)
+            formed = [] if sample and products is not None else None
+            for k, (uh, dh) in enumerate(halves):
+                uh, dh, terms = engine.step(uh, dh, want, formed)
+                if not (np.all(np.isfinite(uh)) and np.all(np.isfinite(dh))):
+                    raise DivergenceError(m, t0 + (m + 1) * config.dt,
+                                          k if len(states) > 1 else None)
+                halves[k] = uh, dh
+            if formed is not None:
+                products.append(tuple(formed))
             if want:
                 records.append(_energy_record(t, *terms))
         elif want:
-            records.append(_state_record(engine.state(uh, dh, t), coeffs,
+            records.append(_state_record(engine.state(*halves[0], t), coeffs,
                                          engine.ws))
 
 
 def step(state, coeffs, config):
     """One IMEX step of the full system; returns the advanced state."""
-    for _, final in _march(state, coeffs, replace(config, t_end=config.dt)):
+    for _, (final,) in _march((state,), coeffs, replace(config, t_end=config.dt)):
         pass
     return final
 
@@ -747,13 +739,15 @@ def step(state, coeffs, config):
 def iterate(state, coeffs, config):
     """Yield (step_index, state) snapshots every record_cadence steps.
 
-    The lazy, record-free driver, for marching two trajectories in
-    lockstep.  The initial state is yielded as (0, state); the final step is
-    always yielded.  Raises DivergenceError naming the step if the state
-    stops being finite.  A yielded state holds the arrays the next step
-    reads: copy it before changing it in place.
+    The lazy, record-free driver of one trajectory.  The initial state is
+    yielded as (0, state); the final step is always yielded.  Raises
+    DivergenceError naming the step if the state stops being finite.  A
+    yielded state holds the arrays the next step reads: copy it before
+    changing it in place.  Generators zipped to march in lockstep each step
+    with an engine and a workspace of their own.
     """
-    yield from _march(state, coeffs, config)
+    for m, (state,) in _march((state,), coeffs, config):
+        yield m, state
 
 
 def run(state, coeffs, config):
@@ -765,6 +759,6 @@ def run(state, coeffs, config):
     DivergenceError naming the step if the state stops being finite.
     """
     records = []
-    for _, final in _march(state, coeffs, config, records):
+    for _, (final,) in _march((state,), coeffs, config, records):
         pass
     return final, records

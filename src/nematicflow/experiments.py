@@ -118,20 +118,21 @@ def twin_experiment(config, out_dir, seed_override=None, quiet=False):
         state2 = state1.copy()
     coeffs = config.coeffs
     part = DyadicPartition(config.grid)
-    # The step from each sample hands out the products its first evaluation
-    # formed at the sample (dynamics._march); trajectory 1's d x d and
-    # trajectory 2's d.Ad serve the sample's record, taken once both
-    # trajectories have stepped.  The last sample takes no step, so its
-    # record forms its own.
-    held = ([], [])
+    # One march steps both trajectories with one engine.  The step from each
+    # sample hands out the products its first evaluations formed at the
+    # sample's two states (dynamics._march); the sample's record, taken once
+    # the step is done, reads trajectory 1's d x d and trajectory 2's d.Ad.
+    # The entry goes from the list straight into the record, so that no
+    # local keeps its spectra alive through the next step.  The last sample
+    # takes no step, so its record forms its own.
+    products = []
     records = []
     pending = None
-    for (_, s1), (_, s2) in zip(*(_march(s, coeffs, config.solver, products=h)
-                                  for s, h in zip((state1, state2), held))):
+    for _, states in _march((state1, state2), coeffs, config.solver,
+                            products=products):
         if pending is not None:
-            records.append(_twin_record(*pending, coeffs, part, (
-                held[0].pop()[0], held[1].pop()[1])))
-        pending = (s1, s2)
+            records.append(_twin_record(*pending, coeffs, part, products.pop()))
+        pending = states
     records.append(uniqueness_record(*pending, coeffs, part))
     finals = pending
     nu = coeffs.nu

@@ -11,11 +11,14 @@ import pytest
 from nematicflow import (
     CoefficientError,
     DivergenceError,
+    ExperimentConfig,
     GridSpec,
+    InitialSpec,
     LeslieCoefficients,
     SolverConfig,
     SpectralField,
     State,
+    TwinSpec,
     VectorField2,
     constant_vector,
     divergence_residual,
@@ -34,6 +37,7 @@ from nematicflow import (
     step,
     strain_and_vorticity,
     to_physical,
+    twin_experiment,
     vector_l2_norm,
 )
 from nematicflow.dynamics import _Engine, _march
@@ -71,6 +75,19 @@ def _max_energy_residual(state, coeffs, dt, t_end):
 
 def _vector_diff(a, b):
     return math.hypot(l2_norm(a.x - b.x), l2_norm(a.y - b.y))
+
+
+def _count_engines(monkeypatch):
+    """A one-item list counting the _Engine objects built from now on."""
+    built = [0]
+    init = _Engine.__init__
+
+    def spy(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "__init__", spy)
+    return built
 
 
 def _exp_factor(grid, rate, dt):
@@ -374,21 +391,22 @@ class TestStepping:
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     @pytest.mark.parametrize("coeffs", [LeslieCoefficients.ansatz(), GENERAL_COEFFS],
                              ids=["ansatz", "general"])
-    def test_engines_of_one_size_share_a_workspace(self, grid32, coeffs, scheme):
-        """Two engines at the same N share one transform workspace; stepped
-        alternately, each ends bitwise where it ends when run alone."""
+    def test_engines_of_one_size_share_a_workspace(self, grid32, coeffs, scheme,
+                                                   monkeypatch):
+        """Two trajectories of one size share a workspace: one march of two
+        states builds one engine, which steps both in turn, and each ends
+        bitwise where it ends when run alone."""
         cfg = SolverConfig(dt=1e-3, t_end=5e-3, scheme=scheme)
-        first, second = (_Engine(grid32, coeffs, cfg) for _ in range(2))
-        assert first.ws is second.ws
         alone = []
         for seed in (11, 12):
             for _, last in iterate(_random_state(grid32, seed), coeffs, cfg):
                 pass
             alone.append(last)
-        lockstep = zip(*(iterate(_random_state(grid32, seed), coeffs, cfg)
-                         for seed in (11, 12)))
-        for (_, a), (_, b) in lockstep:
+        built = _count_engines(monkeypatch)
+        for _, (a, b) in _march(tuple(_random_state(grid32, seed)
+                                      for seed in (11, 12)), coeffs, cfg):
             pass
+        assert built == [1]
         for got, want in zip((a, b), alone):
             for x, y in ((got.u, want.u), (got.d, want.d)):
                 assert np.array_equal(x.x.coeffs, y.x.coeffs)
@@ -515,9 +533,10 @@ class TestStepping:
     def test_only_a_march_given_a_list_keeps_products(self, grid16, monkeypatch,
                                                       scheme):
         """A recorded run and iterate ask no evaluation for its products.  A
-        march given a list gets one (d x d, d.Ad) pair per sample but the
-        last, the bits an evaluation at the yielded state gives: imex2 hands
-        out its first evaluation's, not its predictor's."""
+        march of two states given a list gets one entry per sample but the
+        last, holding a (d x d, d.Ad) pair per trajectory, the bits an
+        evaluation at the yielded state gives: imex2 hands out its first
+        evaluation's, not its predictor's."""
         cfg = SolverConfig(dt=1e-3, t_end=7e-3, scheme=scheme, record_cadence=3)
         asked = []
         nonlinear = _Engine.nonlinear
@@ -535,16 +554,19 @@ class TestStepping:
         assert all(p is None for p in asked)
 
         products = []
-        samples = [s for _, s in _march(_random_state(grid16, 4), GENERAL_COEFFS,
-                                        cfg, products=products)]
+        samples = [s for _, s in _march(tuple(_random_state(grid16, seed)
+                                              for seed in (4, 5)),
+                                        GENERAL_COEFFS, cfg, products=products)]
         assert len(samples) == 4 and len(products) == 3
         engine = _Engine(grid16, GENERAL_COEFFS, cfg)
-        for s, (ddt, dad) in zip(samples, products):
-            want = []
-            engine.nonlinear(*(np.stack([v.x.coeffs, v.y.coeffs])
-                               for v in (s.u, s.d)), products=want)
-            assert np.array_equal(ddt, want[0][0])
-            assert np.array_equal(dad, want[0][1])
+        for states, entry in zip(samples, products):
+            assert len(entry) == 2
+            for s, (ddt, dad) in zip(states, entry):
+                want = []
+                engine.nonlinear(*(np.stack([v.x.coeffs, v.y.coeffs])
+                                   for v in (s.u, s.d)), products=want)
+                assert np.array_equal(ddt, want[0][0])
+                assert np.array_equal(dad, want[0][1])
 
     def test_record_cadence_and_endpoints(self, grid32):
         """Records start at t = 0 and end exactly at t_end."""
@@ -577,6 +599,37 @@ class TestStepping:
             for _ in range(cfg.n_steps):
                 state = step(state, coeffs, cfg)
         assert (state.t, err.value.step_index, err.value.t) == (2.5, 0, 3.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_lockstep_march_names_the_trajectory_that_diverged(self, grid16):
+        """Marched beside a stable state, the blow-up data above fail at the
+        same step and time, and the error names trajectory 1; a march of
+        one state names none, in the message run's error has always had."""
+        u, d = generate_initial(grid16, profile="random", seed=9,
+                                amplitude_u=20.0, amplitude_d=20.0)
+        unstable = State(grid16, u, d, 0.0)
+        stable = State(grid16, *generate_initial(grid16, profile="rest-unit"))
+        coeffs = LeslieCoefficients.ansatz()
+        cfg = SolverConfig(dt=0.5, t_end=50.0)
+        with pytest.raises(DivergenceError) as err:
+            list(_march((stable, unstable), coeffs, cfg))
+        got = err.value
+        assert (got.step_index, got.t, got.trajectory) == (5, 3.0, 1)
+        assert str(got) == "non-finite state of trajectory 1 after step 5 (t = 3)"
+        with pytest.raises(DivergenceError) as err:
+            list(_march((unstable,), coeffs, cfg))
+        assert err.value.trajectory is None
+        assert str(err.value) == "non-finite state after step 5 (t = 3)"
+
+    def test_a_twin_run_builds_one_engine(self, grid16, tmp_path, monkeypatch):
+        """twin_experiment marches both trajectories with one engine."""
+        config = ExperimentConfig(
+            grid=grid16, solver=SolverConfig(dt=1e-3, t_end=3e-3),
+            coeffs=LeslieCoefficients.ansatz(), initial=InitialSpec(seed=3),
+            twin=TwinSpec(mode="perturb", delta=1e-4))
+        built = _count_engines(monkeypatch)
+        records, _ = twin_experiment(config, str(tmp_path), quiet=True)
+        assert built == [1] and len(records) == 4
 
     def test_solver_config_validation(self):
         """Bad dt, t_end, scheme, cadence, or incompatible t_end/dt raise.
