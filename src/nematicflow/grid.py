@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,7 +156,7 @@ class SpectralField:
         if np.iscomplexobj(values):
             raise GridError("samples must be real")
         t = grid.tables()
-        coeffs = np.fft.fft2(values)[:, : n // 2 + 1] / (n * n)
+        coeffs = np.fft.rfft2(values) / (n * n)
         coeffs *= t["phase"]
         coeffs[t["nyquist"]] = 0.0
         return cls(grid, coeffs)
@@ -232,19 +231,21 @@ def require_same_grid(*fields):
 # ny = 0..N/2-1 can be nonzero, so the pad holds just those N/2 columns.
 # numpy.fft.irfftn runs its axis -2 pass on the columns it is given and
 # zero-extends them to M/2 + 1 inside the last-axis irfft, so the empty
-# columns are never transformed.  scipy.fft.irfft2 would zero-extend first
-# and transform them all, so the inverse stays on numpy.  It calls irfftn
-# rather than irfft2 (which runs irfftn, so the bits are the same) because
-# numpy's irfft2 drops its out argument: with a kept pad and sample array
-# the inverse writes into them and allocates only its intermediate.  The
-# forward goes through scipy.fft.rfft2, which is faster than numpy.fft.rfft2
-# on batches of real arrays with one worker and differs from it in the last
-# bits at M = 96 and 192; scipy.fft has no out argument, so each forward
-# returns a fresh array, cut to the N grid.  Both use norm="forward" (1/M^2
-# on the forward side): for a power-of-two M this gives the same bits as
-# scaling after an unnormalized transform.  The FFT functions are looked up
-# on their modules at call time, and only their 2-D and n-D entry points
-# are used.
+# columns are never transformed.  It calls irfftn rather than irfft2
+# (which runs irfftn, so the bits are the same) because numpy's irfft2
+# drops its out argument: with a kept pad and sample array the inverse
+# writes into them and allocates only its intermediate.
+#
+# The forward is pruned the same way, in two 1-D passes: a last-axis
+# numpy.fft.rfft, then a numpy.fft.fft along axis -2 of only the N/2
+# columns ny = 0..N/2-1 that the cut keeps, written back into those columns
+# of the rfft's output (out=), so the pass allocates no spectrum of its
+# own.  The other M/2 + 1 - N/2 columns are never transformed along axis -2.
+# The kept rows are then cut into a fresh N-grid half spectrum.  Both
+# directions use norm="forward" (1/M^2 on the forward side, 1/M per pass
+# here): for a power-of-two M this gives the same bits as one 2-D transform
+# that scales once.  The FFT functions are looked up on numpy.fft at call
+# time; the forward is its only 1-D use.
 
 
 def _irfft_padded(half, m, out=None):
@@ -279,15 +280,17 @@ def _shared(*shapes, dtype=np.float64):
 def _rfft_truncated(values, n):
     """N-grid half spectra of real M x M samples (any leading axes).
 
+    Two 1-D passes: a last-axis rfft, then an axis -2 fft of the N/2
+    columns that are kept, written back into them (see the comment above).
     The N-grid Nyquist row and column are left at zero.  The ny = 0 column
     holds both n and -n, which the transform computes separately; each pair
     is averaged so that f_{-n} = conj(f_n) holds exactly there too.  The
-    result is always a fresh array: the forward runs on scipy.fft, which
-    has no out argument (see the comment above).
+    result is a fresh array.
     """
     m = values.shape[-1]
     h = n // 2
-    c = scipy.fft.rfft2(values, axes=(-2, -1), norm="forward")
+    c = np.fft.rfft(values, axis=-1, norm="forward")
+    np.fft.fft(c[..., :h], axis=-2, norm="forward", out=c[..., :h])
     out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
     out[..., :h, :h] = c[..., :h, :h]
     out[..., h + 1:, :h] = c[..., m - h + 1:, :h]

@@ -21,17 +21,21 @@ is triple-logarithmic in 1/epsilon; substituting r = e^{-L} gives
     A(L) = L + log1p(e^{-L}),
 
 a smooth bounded integrand on a short interval, stable down to eps near the
-smallest positive double.
+smallest positive double.  It is integrated by a composite Gauss-Legendre
+rule on the panels [0, 1], [1, 2], [2, 4], ... up to ln(1/eps): on each
+panel the integrand varies on the scale of the panel itself, so 24 nodes
+per panel reach double precision, and a 16-node rule on the same panels
+gives the error estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 
 class OsgoodError(ValueError):
@@ -76,31 +80,56 @@ def mu_control(r):
 
 
 def _substituted_integrand(modulus):
-    """dL-integrand of int dr/modulus(r) under r = e^{-L}; only the two
-    built-in moduli mu and mu_control have one."""
+    """dL-integrand of int dr/modulus(r) under r = e^{-L}, on arrays;
+    only the two built-in moduli mu and mu_control have one."""
     if modulus is mu:
         def g(big_l):
-            a = big_l + math.log1p(math.exp(-big_l))
-            return 1.0 / ((1.0 + a) * (1.0 + math.log1p(a)))
+            a = big_l + np.log1p(np.exp(-big_l))
+            return 1.0 / ((1.0 + a) * (1.0 + np.log1p(a)))
     elif modulus is mu_control:
         def g(big_l):
-            a = big_l + math.log1p(math.exp(-big_l))
+            a = big_l + np.log1p(np.exp(-big_l))
             return 1.0 / (1.0 + a) ** 2
     else:
         raise OsgoodError("the Osgood integral supports only mu and mu_control")
     return g
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _panel_sums(g, lo, hi, order):
+    """The order-node Gauss-Legendre rule for int g on each panel [lo, hi]."""
+    x, w = _gauss_legendre(order)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return (g(half[:, None] * x + mid[:, None]) * w).sum(axis=1) * half
+
+
 def osgood_integral(eps, modulus=mu):
-    """I(eps) = int_eps^1 dr / modulus(r), by substituted adaptive quadrature."""
+    """I(eps) = int_eps^1 dr / modulus(r), by substituted composite
+    Gauss-Legendre quadrature (see the module docstring)."""
     if not 0.0 < eps < 1.0:
         raise OsgoodError(f"eps must lie in (0, 1), got {eps}")
     g = _substituted_integrand(modulus)
     upper = -math.log(eps)
-    value, err = quad(g, 0.0, upper, limit=400, epsabs=1e-14, epsrel=1e-12)
+    edges = [0.0, 1.0]
+    while edges[-1] < upper:
+        edges.append(2.0 * edges[-1])
+    edges = np.array(edges)
+    edges[-1] = upper  # the first edge at or beyond ln(1/eps) moves onto it
+    lo, hi = edges[:-1], edges[1:]
+    fine = _panel_sums(g, lo, hi, 24)
+    value = float(fine.sum())
+    err = float(np.abs(fine - _panel_sums(g, lo, hi, 16)).sum())
     if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
         raise OsgoodError(f"quadrature failed for eps = {eps}: estimate {err}")
-    return float(value)
+    return value
 
 
 def osgood_divergence_certificate(eps_list, modulus=mu):
@@ -149,6 +178,7 @@ def comparison_ode(times, f_values, y0, c_fit=1.0, modulus=mu):
         raise OsgoodError("y0 must be nonnegative")
     if y0 == 0.0:
         return np.zeros_like(t)
+    from scipy.integrate import solve_ivp  # loaded here, not on import
 
     def rhs(s, y):
         yy = max(float(y[0]), 0.0)

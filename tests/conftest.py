@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from nematicflow import GridSpec, SpectralField
 
@@ -68,8 +67,11 @@ def fft_counts(monkeypatch):
     """[inverse, forward] counts of 2-D transforms, one per batch element,
     with the same counts per sample grid size M in fft_counts.per_size.
 
-    Wraps the 2-D/n-D entry points of numpy.fft and scipy.fft (the ones the
-    benchmark counts); reset the list in place between measurements.
+    Wraps the 2-D/n-D entry points of numpy.fft, and its rfft: a last-axis
+    rfft of real (..., M, M) planes is the first pass of a truncated forward
+    and counts one forward per plane at size M (the axis -2 fft that
+    completes it is not counted again).  Reset the list in place between
+    measurements.
     """
     counts = _FFTCounts()
 
@@ -87,11 +89,22 @@ def fft_counts(monkeypatch):
             return out
         return wrapper
 
-    for module in (np.fft, scipy.fft):
-        for kind, names in ((0, ("ifft2", "irfft2", "ifftn", "irfftn")),
-                            (1, ("fft2", "rfft2", "fftn", "rfftn"))):
-            for name in names:
-                axes = (-2, -1) if name.endswith("2") else None
-                monkeypatch.setattr(module, name,
-                                    counted(getattr(module, name), kind, axes))
+    def counted_rfft(fn):
+        @functools.wraps(fn)
+        def wrapper(a, n=None, axis=-1, *args, **kwargs):
+            out = fn(a, n, axis, *args, **kwargs)
+            shape = np.shape(a)
+            if (len(shape) >= 2 and axis in (-1, len(shape) - 1)
+                    and shape[-2] == shape[-1]):
+                counts.add(1, shape[-1], math.prod(shape[:-2]))
+            return out
+        return wrapper
+
+    for kind, names in ((0, ("ifft2", "irfft2", "ifftn", "irfftn")),
+                        (1, ("fft2", "rfft2", "fftn", "rfftn"))):
+        for name in names:
+            axes = (-2, -1) if name.endswith("2") else None
+            monkeypatch.setattr(np.fft, name,
+                                counted(getattr(np.fft, name), kind, axes))
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft(np.fft.rfft))
     return counts

@@ -330,8 +330,8 @@ class TestStepping:
     def test_step_runs_the_counted_transforms(self, grid16, fft_counts):
         """One imex1 step runs 25 inverse and 16 forward 2-D transforms,
         one imex2 step 50 and 32, and an evaluation with diagnostics 27 and
-        16, all through the 2-D/n-D entry points of numpy.fft and scipy.fft
-        (the ones the benchmark counts).  Per evaluation, the cubic terms
+        16, as tests/conftest.py::fft_counts counts them (one forward per
+        M x M plane of a truncated forward).  Per evaluation, the cubic terms
         take 5 + 3 of them (7 + 3 with diagnostics) on the 2N grid and the
         pairwise products 20 + 13 on the 3N/2 grid."""
         counts = fft_counts

@@ -76,6 +76,23 @@ class TestOsgoodIntegral:
             assert osgood_integral(eps, modulus=mu_control) == pytest.approx(
                 CONTROL_INTEGRALS[eps], rel=1e-9), eps
 
+    def test_the_rule_reaches_double_precision(self):
+        """The composite Gauss-Legendre rule matches the 40-digit oracle to
+        1e-14 relative, for both moduli at every eps."""
+        for modulus, table in ((mu, OSGOOD_INTEGRALS),
+                               (mu_control, CONTROL_INTEGRALS)):
+            for eps in OSGOOD_EPS:
+                assert osgood_integral(eps, modulus) == pytest.approx(
+                    table[eps], rel=1e-14), (modulus.__name__, eps)
+
+    def test_stable_down_to_the_smallest_double(self):
+        """At eps = 5e-324, the smallest positive double, the integral is
+        finite and above its value at 1e-300."""
+        for modulus in (mu, mu_control):
+            smallest = osgood_integral(5e-324, modulus)
+            assert math.isfinite(smallest)
+            assert smallest > osgood_integral(1e-300, modulus), modulus.__name__
+
     def test_rejects_eps_outside_the_unit_interval(self):
         with pytest.raises(OsgoodError):
             osgood_integral(0.0)

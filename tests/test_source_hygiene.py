@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never reads, and no private
-module-level function or class goes unread.
+"""Source hygiene: no module imports a name it never reads, no private
+module-level function or class goes unread, and the package and its
+commands run on numpy alone.
 
 Each module of the package except __init__ (whose imports are its
 exports) is parsed with ast.  Every name an import statement binds must be
@@ -11,7 +12,10 @@ as a bare name or as an attribute; what only the tests read is dead code.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +87,43 @@ def test_every_private_definition_is_read(path):
     unread = {name: line for name, line in _private_definitions(tree).items()
               if name not in read}
     assert not unread, f"{path.name}: defined but never read: {unread}"
+
+
+# Runs in a fresh interpreter: the package, then every command at N = 16,
+# then the comparison ODE, which alone loads scipy.
+_COMMANDS_ON_NUMPY_ALONE = """
+import pathlib, sys
+import numpy as np
+import nematicflow
+from nematicflow import cli, comparison_ode
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), ("import", scipy_modules())
+out = pathlib.Path(sys.argv[1])
+config = out / "case.ini"
+config.write_text("[grid]\\nn = 16\\n[time]\\ndt = 1e-3\\nt_end = 0.004\\n"
+                  "[verify]\\nn_trials = 30\\ngrids = 16\\n")
+for words in (["run"], ["twin"],
+              ["decompose", "--snapshot", str(out / "final.lcsf")],
+              ["verify", "--checks", "all"]):
+    assert cli.main([*words, "--config", str(config), "--out", str(out),
+                     "--quiet"]) == 0, words
+    assert not scipy_modules(), (words, scipy_modules())
+t = np.linspace(0.0, 1.0, 5)
+assert np.all(np.isfinite(comparison_ode(t, np.ones_like(t), 1e-3)))
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_the_package_and_its_commands_import_no_scipy(tmp_path):
+    """import nematicflow and the commands run, twin, decompose and verify
+    leave no scipy module loaded; comparison_ode loads scipy.integrate
+    when called and works."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_ON_NUMPY_ALONE,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
