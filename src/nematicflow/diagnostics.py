@@ -36,10 +36,14 @@ the smallest on which the sampled integral of the squared integrands is
 exact, not on the 2N grid; dyadic._block_pair_samples does this here and
 for the harness identity checks, into pads and samples the partition keeps.
 frakD's S_{q-1}(d_1 x d_1) needs the truncated d_1 x d_1 and F_hat the
-truncated d_2.A_2 d_2.  uniqueness_record forms both itself (2 + 3 and
-5 + 1 transform planes).  The twin driver instead hands _twin_record the
-ones its engine formed exactly at the same states (dynamics._march), so
-its records run only the block-pair inverses.  The bound function F_hat
+truncated d_2.A_2 d_2.  Every record forms its products with the engine's
+kernels on the engine's grids: the strains with dynamics._strain_half,
+d x d from 2 + 3 transform planes on the 3N/2 grid, and d.Ad from 5 + 1
+on the 2N grid through dynamics._cubic_fields.  uniqueness_record forms
+the two products itself; the twin driver hands _twin_record the ones
+its engine formed at the same states (dynamics._march), so its records
+run only the block-pair inverses and equal uniqueness_record of the
+same states bit for bit.  The bound function F_hat
 is a polynomial in standard norms of the two states (f1 + f2 + f3 + f4
 below, every hidden constant set to 1) that multiplies mu(Phi) in the
 two-state comparison inequality; the fitted-constant check lives in the
@@ -57,16 +61,18 @@ from .dyadic import (DyadicPartition, _block_pair_samples, _lp_weight,
                      hs_norm_vector)
 from .dynamics import (
     LeslieCoefficients,
+    _cubic_fields,
+    _stacked,
     _state_record,
+    _velocity_strain,
     rhs,
-    strain_and_vorticity,
 )
 from .grid import (
     TWO_PI,
     SpectralField,
+    _irfft_padded,
     _rfft_truncated,
     _sample_integral,
-    _samples,
     _weighted_power,
     divergence,
     invert_laplacian,
@@ -95,10 +101,6 @@ class UniquenessRecord(NamedTuple):
     lp_sum_vector: float
     lp_sum_tensor: float
     f_hat: float
-
-
-def _strain(state):
-    return strain_and_vorticity(state.u)[0]
 
 
 # -- single-state functionals ----------------------------------------------------
@@ -141,11 +143,25 @@ def _grad_sq(vec, s=None):
     return TWO_PI ** 2 * _weighted_power(w * t["n2"], vec.x.coeffs, vec.y.coeffs)
 
 
-def _outer_half(d):
-    """Half spectra of the truncated products d1 d1, d1 d2, d2 d2: one
-    padded inverse of (d1, d2), one forward transform of the three planes."""
-    d1, d2 = _samples([d.x, d.y], d.grid.padded_size)
-    return _rfft_truncated(np.stack([d1 * d1, d1 * d2, d2 * d2]), d.grid.n_modes)
+def _outer_half(dh):
+    """Half spectra of the truncated products d1 d1, d1 d2, d2 d2 of the
+    director with stacked half spectra dh, as the engine forms them: one
+    padded inverse of (d1, d2) on its pairwise 3N/2 grid, one forward
+    transform of the three planes."""
+    n = dh.shape[-2]
+    d1, d2 = _irfft_padded(dh, 3 * n // 2)
+    return _rfft_truncated(np.stack([d1 * d1, d1 * d2, d2 * d2]), n)
+
+
+def _dad_half(a, dh):
+    """Half spectrum of the truncated d.(A d) for the strain and director
+    with half spectra a = (A11, A12, A22) and dh = (d1, d2), as the engine
+    forms it: one padded inverse of (d, A) on the 2N grid, the engine's
+    dynamics._cubic_fields, one forward transform of its d.Ad plane."""
+    n = dh.shape[-2]
+    pc = _irfft_padded(np.concatenate([dh, a]), 2 * n)
+    oc = _cubic_fields(pc, np.empty((7,) + pc.shape[1:]))
+    return _rfft_truncated(oc[2], n)
 
 
 def frak_d_components(state1, state2, coeffs=None, partition=None):
@@ -160,31 +176,27 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     _require_shared_grid(state1, state2)
     if partition is not None:
         partition._check_grid(state1.u.x)
-    return _frak_d_parts(state1.u - state2.u, state1.d - state2.d, state1.d,
-                         _strain(state1) - _strain(state2),
-                         _outer_half(state1.d), partition)
+    d1 = _stacked(state1.d)
+    da = _velocity_strain(_stacked(state1.u)) - _velocity_strain(_stacked(state2.u))
+    return (_grad_sq(state1.u - state2.u, -0.5), _grad_sq(state1.d - state2.d, 0.5),
+            *_lp_sums(d1, da, _outer_half(d1), partition))
 
 
-def _frak_d_parts(du, dd, d1, da, dd1, partition):
-    """frak_d_components, given the differences du, dd and da of the two
-    velocities, directors and strains, the director d1 of the first state and
-    the half spectra dd1 of its truncated d1 d1, d1 d2, d2 d2."""
-    grad_du_sq = _grad_sq(du, -0.5)
-    grad_dd_sq = _grad_sq(dd, 0.5)
-
-    blocks = np.stack([da.xx.coeffs, da.xy.coeffs, da.yy.coeffs])
-    lows = np.concatenate([np.stack([d1.x.coeffs, d1.y.coeffs]), dd1])
+def _lp_sums(d1, da, dd1, partition):
+    """frakD's bare dyadic sums (lp_sum_vector, lp_sum_tensor), given the
+    half spectra of the director d1 of the first state, of the difference
+    da of the two strains, and dd1 of the truncated d1 d1, d1 d2, d2 d2."""
     lp_vec = 0.0
     lp_ten = 0.0
     # S_{q-1} vanishes for q <= 0, so the sums start at q = 1
     for q, (b11, b12, b22), (s1, s2, t11, t12, t22) in _block_pair_samples(
-            blocks, lows, partition):
+            da, np.concatenate([d1, dd1]), partition):
         v1 = b11 * s1 + b12 * s2
         v2 = b12 * s1 + b22 * s2
         lp_vec += 2.0 ** (-q) * _sample_integral(v1 * v1 + v2 * v2)
         contraction = b11 * t11 + 2.0 * b12 * t12 + b22 * t22
         lp_ten += 2.0 ** (-q) * _sample_integral(contraction * contraction)
-    return grad_du_sq, grad_dd_sq, lp_vec, lp_ten
+    return lp_vec, lp_ten
 
 
 # -- bound function ----------------------------------------------------------------
@@ -201,17 +213,6 @@ def _state_norms(state):
     }
 
 
-def _dad_half(a, d):
-    """Half spectrum of the truncated d.(A d) for a strain A: one padded
-    inverse of (A11, A12, A22, d1, d2), the cubic form summed pointwise
-    (exact on the 2N grid), one forward transform."""
-    grid = d.grid
-    a11, a12, a22, d1, d2 = _samples([a.xx, a.xy, a.yy, d.x, d.y],
-                                     grid.padded_size)
-    dad = a11 * d1 * d1 + 2.0 * (a12 * d1 * d2) + a22 * d2 * d2
-    return _rfft_truncated(dad, grid.n_modes)
-
-
 def f_bound(state1, state2):
     """F_hat = f1 + f2 + f3 + g1 + g2, every hidden constant set to 1.
 
@@ -219,7 +220,8 @@ def f_bound(state1, state2):
     states vanish, and is nondecreasing in each norm.
     """
     _require_shared_grid(state1, state2)
-    return _f_hat(state1, state2, _dad_half(_strain(state2), state2.d))
+    return _f_hat(state1, state2, _dad_half(_velocity_strain(_stacked(state2.u)),
+                                            _stacked(state2.d)))
 
 
 def _f_hat(state1, state2, dad2):
@@ -303,15 +305,19 @@ def _twin_record(state1, state2, coeffs, partition, products=None):
     evaluations at these states.  The record reads those of d x d of state1
     and d.(A d) of state2 and then runs no forward transform.  Without
     them it forms the two here (_outer_half, _dad_half)."""
+    a2 = _velocity_strain(_stacked(state2.u))  # formed once, for frakD and F_hat
+    d1 = _stacked(state1.d)
+    # d.(A d) first, while little else is alive: its 2N samples and their
+    # _cubic_fields (12 planes) are a standalone record's memory peak
+    dad2, dd1 = ((products[1][1], products[0][0]) if products
+                 else (_dad_half(a2, _stacked(state2.d)), _outer_half(d1)))
     du = state1.u - state2.u
     dd = state1.d - state2.d
     du_norm = hs_norm_vector(du, -0.5, form="lp", partition=partition)
     dd_norm = hs_norm_vector(dd, 0.5, form="lp", partition=partition)
-    a2 = _strain(state2)  # formed once, for frakD and F_hat
-    dd1, dad2 = ((products[0][0], products[1][1]) if products
-                 else (_outer_half(state1.d), _dad_half(a2, state2.d)))
-    gdu_sq, gdd_sq, lp_vec, lp_ten = _frak_d_parts(
-        du, dd, state1.d, _strain(state1) - a2, dd1, partition)
+    gdu_sq, gdd_sq = _grad_sq(du, -0.5), _grad_sq(dd, 0.5)
+    lp_vec, lp_ten = _lp_sums(d1, _velocity_strain(_stacked(state1.u)) - a2,
+                              dd1, partition)
     total = coeffs.nu * gdu_sq + gdd_sq + 2.0 * lp_vec + lp_ten
     return UniquenessRecord(
         t=state1.t,

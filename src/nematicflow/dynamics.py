@@ -46,7 +46,9 @@ step costs 25 + 16 and an imex2 step 50 + 32.  The energy balance is
 written once: the recorded step and _state_record (diagnostics.energy_record
 and the last record of a run, which takes no step) both form their 2N cubic
 samples with _cubic_fields and the energies and dissipation terms with
-_energy_terms.
+_energy_terms.  Every record forms the strain with the engine's
+_strain_half, and the twin records form d.Ad with _cubic_fields and d x d
+on the 3N/2 grid, as the engine does.
 
 Each engine keeps its transform batches in a workspace of its own: the
 padded inverses write into kept pads and sample arrays instead of fresh
@@ -446,14 +448,37 @@ def _energy_terms(coeffs, uh, dh, pc, oc):
     )
 
 
+def _stacked(vec):
+    """The half spectra of a vector field's components, stacked (a copy)."""
+    return np.stack([vec.x.coeffs, vec.y.coeffs])
+
+
+def _strain_half(grad, out):
+    """Half spectra of the strain (A11, A12, A22) into out, from those of
+    the velocity gradient planes grad = (d_x u1, d_y u1, d_x u2, d_y u2):
+    the one strain kernel, for the engine's planes and _velocity_strain's."""
+    out[0] = grad[0]
+    np.add(grad[1], grad[2], out=out[1])
+    out[1] *= 0.5
+    out[2] = grad[3]
+    return out
+
+
+def _velocity_strain(uh):
+    """_strain_half of the velocity whose stacked half spectra are uh."""
+    t = _tables(uh.shape[-2])
+    ik = 1j * t["nx"], 1j * t["ny"]
+    return _strain_half([k * u for u in uh for k in ik],
+                        np.empty((3,) + uh.shape[1:], dtype=np.complex128))
+
+
 def _state_record(state, coeffs, ws=None):
     """The EnergyRecord of one state from one 7-plane inverse: the 2N
     samples of d, A and lap d go through _cubic_fields and _energy_terms,
     as in the engine's recorded step.  Given an engine's _Workspace, the
     samples go into its cubic-stage arrays instead of fresh ones."""
-    a = strain_and_vorticity(state.u)[0]
-    uh, dh = (np.stack([v.x.coeffs, v.y.coeffs]) for v in (state.u, state.d))
-    planes = np.concatenate([dh, [a.xx.coeffs, a.xy.coeffs, a.yy.coeffs],
+    uh, dh = _stacked(state.u), _stacked(state.d)
+    planes = np.concatenate([dh, _velocity_strain(uh),
                              -state.grid.tables()["n2"] * dh])
     m = state.grid.padded_size
     if ws is None:
@@ -510,9 +535,7 @@ class _Engine:
 
     def start(self, state):
         """A state's stacked (u, d) half spectra (copies), u projected."""
-        u, d = state.u, state.d
-        return (self.project(np.stack([u.x.coeffs, u.y.coeffs])),
-                np.stack([d.x.coeffs, d.y.coeffs]))
+        return self.project(_stacked(state.u)), _stacked(state.d)
 
     def state(self, uh, dh, t):
         """A State whose fields hold the rows of uh and dh (no copy)."""
@@ -569,10 +592,7 @@ class _Engine:
         np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, n, -1))
         bc = ws.in_cubic  # d1, d2, A11, A12, A22 (, lap d1, lap d2)
         bc[0:2] = dh
-        bc[2] = b1[4]
-        np.add(b1[5], b1[6], out=bc[3])
-        bc[3] *= 0.5
-        bc[4] = b1[7]
+        _strain_half(b1[4:8], out=bc[2:5])
         if want_diag:
             np.multiply(-t["n2"], dh, out=bc[5:7])
         k = 7 if want_diag else 5

@@ -158,18 +158,8 @@ def twin_experiment(config, out_dir, seed_override=None, quiet=False):
         [r.f_hat for r in records],
     )
     report = check_master_inequality(trace, [r.frak_d for r in records])
-    write_csv(
-        os.path.join(out, "osgood.csv"),
-        ["holds", "c_fit", "c_required", "max_violation",
-         "first_violation_index", "tol", "gamma", "max_slack"],
-        [(
-            report["holds"], report["c_fit"], report["c_required"],
-            report["max_violation"],
-            -1 if report["first_violation_index"] is None
-            else report["first_violation_index"],
-            report["tol"], report["gamma"], report["max_slack"],
-        )],
-    )
+    write_csv(os.path.join(out, "osgood.csv"), list(report),
+              [[-1 if v is None else v for v in report.values()]])
     with open(os.path.join(out, "osgood_summary.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(
@@ -238,17 +228,9 @@ def _verify_osgood(out_dir, quiet):
     """Divergence certificate for the modulus plus the converging control."""
     cert = osgood_divergence_certificate(OSGOOD_EPS_SWEEP, mu)
     control = osgood_divergence_certificate(OSGOOD_EPS_SWEEP, mu_control)
-    rows = []
-    for k, eps in enumerate(cert["eps"]):
-        rows.append((
-            "osgood", eps, cert["integrals"][k],
-            cert["increments"][k - 1] if k else 0.0,
-        ))
-    for k, eps in enumerate(control["eps"]):
-        rows.append((
-            "control", eps, control["integrals"][k],
-            control["increments"][k - 1] if k else 0.0,
-        ))
+    rows = [(label, eps, c["integrals"][k], c["increments"][k - 1] if k else 0.0)
+            for label, c in (("osgood", cert), ("control", control))
+            for k, eps in enumerate(c["eps"])]
     write_csv(
         os.path.join(out_dir, "verify_osgood.csv"),
         ["modulus", "eps", "integral", "increment"],
@@ -283,16 +265,16 @@ def verify_experiment(config, out_dir, checks=("all",), quiet=False):
     ratio_median, verdict) plus the osgood certificate files when selected.
     Returns True when every selected verdict holds.
     """
+    choices = "choose from " + ", ".join(sorted(VERIFY_ALIASES))
     names = []
     for c in checks:
         if c not in VERIFY_ALIASES:
-            raise ConfigError(
-                f"unknown verify target {c!r}; choose from "
-                + ", ".join(sorted(VERIFY_ALIASES))
-            )
+            raise ConfigError(f"unknown verify target {c!r}; {choices}")
         for name in VERIFY_ALIASES[c]:
             if name not in names:
                 names.append(name)
+    if not names:
+        raise ConfigError(f"no verify target selected; {choices}")
     lemma_checks = dict(ALL_CHECKS)
     selected = [n for n in names if n in lemma_checks]
     v = config.verify  # VerifySpec applies the EnsembleSpec rules

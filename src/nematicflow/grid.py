@@ -252,7 +252,9 @@ def _irfft_padded(half, m, out=None):
     """Samples on the M x M grid of N-grid half spectra, zero-padded.
 
     half has shape (..., N, N/2 + 1); leading axes form one batched
-    transform.  The samples start at 0, not at -pi (see _samples).
+    transform.  The samples start at 0, not at -pi: the grid is shifted by
+    (pi, pi), which pointwise products do not see (to_physical phases the
+    half spectrum onto points() first).
 
     Without out, each call pads into a fresh zero array.  out = (pad,
     samples) gives kept arrays of shapes (..., M, N/2) complex and
@@ -299,22 +301,10 @@ def _rfft_truncated(values, n):
     return out
 
 
-def _samples(fields, m, phase=False):
-    """Samples of fields on an M x M grid from one batched inverse transform,
-    stacked along axis 0.
-
-    With phase=True they sit at the points() of the box; without it the
-    grid is shifted by (pi, pi), which pointwise products do not see.
-    """
-    half = np.stack([f.coeffs for f in fields])
-    if phase:
-        half *= _tables(fields[0].grid.n_modes)["phase"]
-    return _irfft_padded(half, m)
-
-
 def to_physical(field, oversample=1):
     """Real samples of a field on the (oversample * N)^2 grid of points()."""
-    return _samples([field], field.grid.n_modes * oversample, phase=True)[0]
+    n = field.grid.n_modes
+    return _irfft_padded(field.coeffs * _tables(n)["phase"], n * oversample)
 
 
 # -- calculus -----------------------------------------------------------------
@@ -467,7 +457,8 @@ def product(*fields):
     product is exactly Hermitian.
     """
     grid = require_same_grid(*fields)
-    values = _samples(fields, grid.padded_size)
+    values = _irfft_padded(np.stack([f.coeffs for f in fields]),
+                           grid.padded_size)
     acc = values[0]
     for v in values[1:]:
         acc = acc * v
@@ -516,7 +507,7 @@ def _lp_norms(samples, p):
     values = np.abs(samples)
     if p == np.inf or p == "inf":
         return np.max(values, axis=(-2, -1))
-    if p <= 0:
+    if not p > 0:
         raise GridError(f"p must be positive or inf, got {p}")
     return np.mean(values ** p, axis=(-2, -1)) ** (1.0 / p) * TWO_PI ** (2.0 / p)
 

@@ -125,55 +125,36 @@ class RatioReport:
     n_trials: int
 
 
-class _Collector:
-    """Accumulates per-trial {param: ratio} maps per inequality family."""
-
-    def __init__(self, check):
-        self.check = check
-        self.cap = UNIFORMITY_CAP
-        self.data = {}
-
-    def add(self, family, trial_ratios):
-        if trial_ratios:
-            self.data.setdefault(family, []).append(trial_ratios)
-
-    def report(self, n_trials):
-        rows = []
-        worst = 0.0
-        ok = True
-        for family in sorted(self.data):
-            trials = self.data[family]
-            params = sorted({p for tr in trials for p in tr})
-            for p in params:
-                vals = [tr[p] for tr in trials if p in tr]
-                rows.append((f"{family}|{p}", float(max(vals)),
-                             float(np.median(vals))))
-            for tr in trials:
-                vals = list(tr.values())
-                if any(not math.isfinite(v) or v < 0 for v in vals):
-                    ok = False
-                    continue
-                if len(vals) >= 2:
-                    med = float(np.median(vals))
-                    if med > 0:
-                        u = max(vals) / med
-                        worst = max(worst, u)
-                        if u > self.cap:
-                            ok = False
-        max_ratio = max((r[1] for r in rows), default=0.0)
-        return RatioReport(self.check, tuple(rows), ok, self.cap, worst,
-                           max_ratio, n_trials)
-
-
 def _ratio_report(spec, check, trial_ratios):
-    """Collects trial_ratios(grid, rng) -> {family: {param: ratio}} over the
-    ensemble, one rng stream per trial."""
+    """The RatioReport of trial_ratios(grid, rng) -> {family: {param: ratio}}
+    over the ensemble, one rng stream per trial and one row per (family,
+    param)."""
     grid = spec.grid()
-    col = _Collector(check)
+    data = {}
     for trial in range(spec.n_trials):
         for family, ratios in trial_ratios(grid, spec.rng(trial)).items():
-            col.add(family, ratios)
-    return col.report(spec.n_trials)
+            if ratios:
+                data.setdefault(family, []).append(ratios)
+    rows = []
+    worst = 0.0
+    ok = True
+    for family in sorted(data):
+        trials = data[family]
+        for p in sorted({p for tr in trials for p in tr}):
+            vals = [tr[p] for tr in trials if p in tr]
+            rows.append((f"{family}|{p}", float(max(vals)),
+                         float(np.median(vals))))
+        for tr in trials:
+            vals = list(tr.values())
+            if any(not math.isfinite(v) or v < 0 for v in vals):
+                ok = False
+            elif len(vals) >= 2:
+                med = float(np.median(vals))
+                if med > 0:
+                    worst = max(worst, max(vals) / med)
+    max_ratio = max((r[1] for r in rows), default=0.0)
+    return RatioReport(check, tuple(rows), ok and worst <= UNIFORMITY_CAP,
+                       UNIFORMITY_CAP, worst, max_ratio, spec.n_trials)
 
 
 def _focused(ratios, decay=FIELD_DECAY, count=1):

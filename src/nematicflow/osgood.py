@@ -236,7 +236,8 @@ def check_master_inequality(trace, frakd, tol=None):
     self-consistent when the two trajectories start apart.  Returns a report
     with the smallest sufficient constant c_fit (clamped below by 1), holds
     (c_fit <= _C_MAX), the largest violation at _C_MAX, and the first
-    violating sample index (None when the inequality holds).
+    violating sample index (None when the inequality holds).  The twin
+    command's osgood.csv has the report's keys, in order, as its columns.
     """
     t = trace.times
     p = trace.phi

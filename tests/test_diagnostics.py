@@ -38,8 +38,9 @@ from nematicflow import (
 
 from nematicflow import diagnostics
 from nematicflow.configio import ExperimentConfig, TwinSpec
-from nematicflow.diagnostics import UniquenessRecord, _dad_half, _twin_record
-from nematicflow.dynamics import _Engine, _energy_record
+from nematicflow.diagnostics import (UniquenessRecord, _dad_half, _outer_half,
+                                     _twin_record)
+from nematicflow.dynamics import _Engine, _energy_record, _velocity_strain
 from nematicflow.experiments import make_initial_state, twin_experiment
 
 from _frozen import TORUS_AREA, W_AT_2
@@ -355,17 +356,38 @@ class TestTwinRecordOracle:
         d = state.d
         want = (product(a.xx, d.x, d.x) + 2.0 * product(a.xy, d.x, d.y)
                 + product(a.yy, d.y, d.y))
-        got = SpectralField(grid, _dad_half(a, d))
+        got = SpectralField(grid, _dad_half(
+            np.stack([a.xx.coeffs, a.xy.coeffs, a.yy.coeffs]),
+            np.stack([d.x.coeffs, d.y.coeffs])))
         assert l2_norm(got - want) <= 1e-12 * l2_norm(want)
 
+    @pytest.mark.parametrize("coeffs", [LeslieCoefficients.ansatz(), SHEAR_GENERAL],
+                             ids=["ansatz", "general"])
+    @pytest.mark.parametrize("grid", [GridSpec(16), GridSpec(48)], ids=_grid_id)
+    def test_record_products_are_the_engines_bitwise(self, grid, coeffs):
+        """_outer_half and _dad_half form d x d and d.Ad with the engine's
+        kernels on the engine's grids, so they equal the products an engine
+        evaluation hands out at the same state bit for bit."""
+        engine = _Engine(grid, coeffs, SolverConfig(dt=1e-3, t_end=1e-3))
+        uh, dh = engine.start(_twins(grid, near=False)[1])
+        products = []
+        engine.nonlinear(uh, dh, products=products)
+        ((outer, dad),) = products
+        assert np.array_equal(_outer_half(dh), outer)
+        assert np.array_equal(_dad_half(_velocity_strain(uh), dh), dad)
+
     def test_record_runs_the_counted_transforms(self, grid16, fft_counts):
-        """At N = 16 (q = 1..3): 3 x 8 block planes, 2 + 3 for d x d and
-        5 + 1 for d.Ad; Phi and the gradient norms need none."""
+        """At N = 16 (q = 1..3, on grids M_q = 16, 24, 32): 3 x 8 block
+        planes, 2 + 3 for d x d on the engine's 3N/2 = 24 grid and 5 + 1
+        for d.Ad on the 2N = 32 grid; Phi and the gradient norms need
+        none."""
         s1, s2 = _twins(grid16, near=True)
         part = DyadicPartition(grid16)
         fft_counts[:] = [0, 0]
         uniqueness_record(s1, s2, partition=part)
         assert fft_counts == [31, 4]
+        assert fft_counts.per_size == {16: [8, 0], 24: [8 + 2, 3],
+                                       32: [8 + 5, 1]}
 
 
 class TestFusedTwinRecord:
@@ -380,8 +402,8 @@ class TestFusedTwinRecord:
     def test_driver_records_match_the_standalone_record(
             self, tmp_path, monkeypatch, scheme, cadence, coeffs):
         """Every record of twin_experiment equals uniqueness_record of the
-        states iterate yields, to 1e-12 relative per field, and the driver
-        forms d x d and d.Ad itself only once, for the last sample."""
+        states iterate yields exactly, and the driver forms d x d and d.Ad
+        itself only once, for the last sample."""
         config = ExperimentConfig(
             grid=GridSpec(32), coeffs=coeffs,
             solver=SolverConfig(1e-3, 7e-3, scheme, cadence),
@@ -406,7 +428,7 @@ class TestFusedTwinRecord:
         assert len(records) == len(want) == (8 if cadence == 1 else 4)
         for got, expected in zip(records, want):
             for name, g, w in zip(UniquenessRecord._fields, got, expected):
-                assert g == pytest.approx(w, rel=1e-12, abs=0.0), name
+                assert g == w, name
 
     @staticmethod
     def _fused_sample(grid, coeffs):

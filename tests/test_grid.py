@@ -301,8 +301,9 @@ class TestIntegralsAndNorms:
         f = SpectralField.from_samples(grid32, np.cos(3 * x))
         assert lp_norm(f, 2) == pytest.approx(l2_norm(f), rel=1e-12)
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(GridError):
-            lp_norm(f, -1)
+        for p in (-1, math.nan):
+            with pytest.raises(GridError):
+                lp_norm(f, p)
 
     def test_sobolev_weight_form(self, grid32, real_mode):
         """H^s norm of sqrt(2) cos(n.x) is (2 pi) (1+|n|)^s."""

@@ -544,12 +544,16 @@ class TestCli:
         assert rc == 2 and "'%(x)s'" in err
 
     def test_verify_unknown_check_is_a_config_error(self, tmp_path):
+        """An unknown target, or a selection of none, exits 2 and writes
+        nothing."""
         cfg = tmp_path / "v.ini"
         cfg.write_text("[verify]\nn_trials = 30\ngrids = 16\n")
-        rc = cli.main(["verify", "--config", str(cfg), "--out",
-                       str(tmp_path / "o"), "--checks", "everything",
-                       "--quiet"])
-        assert rc == 2
+        for checks in ("everything", ",", ""):
+            rc = cli.main(["verify", "--config", str(cfg), "--out",
+                           str(tmp_path / "o"), "--checks", checks,
+                           "--quiet"])
+            assert rc == 2, checks
+            assert not (tmp_path / "o").exists(), checks
 
     @pytest.mark.parametrize("body", ["n_trials = 5\ngrids = 16\n",
                                       "n_trials = 30\ngrids = 16,10\n"],
