@@ -5,10 +5,10 @@ The sections are [grid], [time], [coefficients], [initial], [twin],
 value and the dataclass field it fills.  Each section's dataclass is built
 from the keys that are set, so the defaults and the rules on values live in
 the dataclasses (GridSpec, SolverConfig, LeslieCoefficients.ansatz,
-InitialSpec, TwinSpec, VerifySpec, ExperimentConfig) and nowhere else; the
-README's config reference lists them.  [time] needs both dt and t_end when
-it sets anything, and explicit mu1..mu6 in [coefficients] come as a full set
-that replaces the preset.
+InitialSpec, TwinSpec, the EnsembleSpecs of VerifySpec, ExperimentConfig)
+and nowhere else; the README's config reference lists them.  [time] needs
+both dt and t_end when it sets anything, and explicit mu1..mu6 in
+[coefficients] come as a full set that replaces the preset.
 
 Unknown sections ([DEFAULT] included) or keys raise ConfigError (catching
 typos beats silently ignoring them), and so does every set number that is
@@ -25,6 +25,7 @@ from typing import Optional
 
 from .dynamics import LeslieCoefficients, SolverConfig
 from .grid import GridSpec
+from .harness import EnsembleSpec
 
 
 def _director(raw):
@@ -68,7 +69,7 @@ def _require(ok, section, message):
         raise ConfigError(f"[{section}] {message}")
 
 
-def _check_seed_and_band(section, seed, band=None):
+def _check_seed_and_band(section, seed, band):
     _require(seed >= 0, section, f"seed must be nonnegative, got {seed}")
     _require(band is None or band > 0, section,
              f"band must be positive, got {band}")
@@ -103,6 +104,8 @@ class TwinSpec:
                  f"mode must be identical or perturb, got {self.mode!r}")
         _require(self.delta >= 0, "twin",
                  f"delta must be nonnegative, got {self.delta}")
+        _require(self.mode == "perturb" or self.delta == 0, "twin",
+                 f"delta = {self.delta} needs mode = perturb")
         _check_seed_and_band("twin", self.seed, self.band)
 
 
@@ -113,11 +116,11 @@ class VerifySpec:
     grids: tuple = (64, 128)
 
     def __post_init__(self):
-        _check_seed_and_band("verify", self.seed)
-        _require(self.n_trials >= 30, "verify",
-                 f"ensembles need at least 30 trials, got {self.n_trials}")
-        _require(all(n >= 16 and n % 2 == 0 for n in self.grids), "verify",
-                 f"grids must be even and at least 16, got {self.grids}")
+        self.ensembles()
+
+    def ensembles(self):
+        """One EnsembleSpec per grid; EnsembleSpec holds the rules."""
+        return [EnsembleSpec(n, self.n_trials, self.seed) for n in self.grids]
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,6 @@ def parse_config(path):
         coeffs=_coefficients(values["coefficients"]),
         initial=InitialSpec(**values["initial"]),
         twin=TwinSpec(**values["twin"]),
-        verify=VerifySpec(**values["verify"]),
+        verify=_build("verify", VerifySpec, values["verify"]),
         **values["output"],
     )

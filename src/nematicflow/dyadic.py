@@ -40,6 +40,8 @@ from .grid import (
     _shared,
     _tables,
     _weighted_power,
+    hs_norm_fourier,
+    inner,
     l2_norm,
     product,
     require_same_grid,
@@ -76,10 +78,7 @@ def chi(r):
 
 def phi(r):
     """Shell profile phi(xi) = chi(xi/2) - chi(xi), nonnegative, support [3/4, 8/3]."""
-    scalar = np.ndim(r) == 0
-    arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    out = chi(arr / 2.0) - chi(arr)
-    return float(out[0]) if scalar else out
+    return chi(np.asarray(r, dtype=np.float64) / 2.0) - chi(r)
 
 
 @lru_cache(maxsize=32)
@@ -110,6 +109,8 @@ def _lp_weight(n_modes, s):
     """w_s(n) = sum_q 4^{qs} phi_q(n)^2 times the Parseval multiplicity, so
     that the lp-form H^s norm is ||f||^2 = (2 pi)^2 sum_n w_s(n) |f_n|^2
     over the half spectrum (Parseval on each block)."""
+    if not math.isfinite(s):
+        raise DyadicError(f"s must be finite, got {s}")
     q_max, mults, _ = _partition_tables(n_modes)
     w = np.zeros_like(mults[0])
     for q in range(-1, q_max + 1):
@@ -260,6 +261,8 @@ def besov_norm(field, s, p, r, partition, variant="blocks"):
     tail is summed in closed form.  The L^p norms of all the pieces come
     from one padded inverse on the 2N grid.
     """
+    if not math.isfinite(s):
+        raise DyadicError(f"s must be finite, got {s}")
     if not (r == np.inf or r == "inf" or r > 0):
         raise DyadicError(f"r must be positive or inf, got {r}")
     if variant not in ("blocks", "lowpass"):
@@ -300,8 +303,6 @@ def hs_norm(field, s, form="fourier", partition=None):
     At s = 0 both forms return the true L2 norm (the block form is
     special-cased; blocks overlap, so the raw block sum would undershoot).
     """
-    from .grid import hs_norm_fourier
-
     if form == "fourier":
         return hs_norm_fourier(field, s)
     if form == "lp":
@@ -322,9 +323,9 @@ def hs_norm_vector(vec, s, form="fourier", partition=None):
 
 def hs_inner(f, g, s, partition):
     """Block Sobolev pairing sum_q 2^{2qs} int Delta_q f conj(Delta_q g) dx."""
-    from .grid import inner
-
     require_same_grid(f, g)
+    if not math.isfinite(s):
+        raise DyadicError(f"s must be finite, got {s}")
     total = 0.0
     for q in partition.q_range:
         total += 4.0 ** (q * s) * inner(partition.delta(f, q), partition.delta(g, q))

@@ -17,7 +17,7 @@ from .diagnostics import _twin_record, uniqueness_record
 from .dyadic import DyadicPartition
 from .dynamics import State, _march, run
 from .grid import l2_norm
-from .harness import ALL_CHECKS, EnsembleSpec
+from .harness import ALL_CHECKS
 from .osgood import (
     OsgoodTrace,
     check_master_inequality,
@@ -110,7 +110,7 @@ def twin_experiment(config, out_dir, seed_override=None, quiet=False):
     _require_solver(config)
     state1 = make_initial_state(config, seed_override)
     tw = config.twin
-    if tw.mode == "perturb" and tw.delta > 0.0:
+    if tw.delta > 0.0:  # TwinSpec allows it only with mode = perturb
         u2, d2 = fields.perturb(state1.u, state1.d, tw.seed, tw.delta,
                                 decay=tw.decay, band=tw.band)
         state2 = State(config.grid, u2, d2, 0.0)
@@ -277,9 +277,7 @@ def verify_experiment(config, out_dir, checks=("all",), quiet=False):
         raise ConfigError(f"no verify target selected; {choices}")
     lemma_checks = dict(ALL_CHECKS)
     selected = [n for n in names if n in lemma_checks]
-    v = config.verify  # VerifySpec applies the EnsembleSpec rules
-    specs = [EnsembleSpec(grid_n=grid_n, n_trials=v.n_trials, seed=v.seed)
-             for grid_n in (v.grids if selected else ())]
+    specs = config.verify.ensembles() if selected else []
     out = _ensure_dir(out_dir)
     all_ok = True
     for spec in specs:

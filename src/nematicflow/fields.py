@@ -17,6 +17,7 @@ from .grid import (
     GridError,
     SpectralField,
     VectorField2,
+    _rfft_truncated,
     l2_norm,
     leray_project,
     vector_l2_norm,
@@ -41,9 +42,8 @@ def random_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0, zero_mean=True
     """
     n = grid.n_modes
     t = grid.tables()
-    noise = rng.standard_normal((n, n))
     # the spectrum of the noise read as samples from x = 0, not from -pi
-    coeffs = SpectralField.from_samples(grid, noise).coeffs * t["phase"]
+    coeffs = _rfft_truncated(rng.standard_normal((n, n)), n)
     coeffs *= (1.0 + t["radius"]) ** (-float(decay))
     if band is not None:
         coeffs[t["radius"] > band] = 0.0

@@ -29,7 +29,7 @@ M >= 3N/2 - 2 for two factors (the 3/2 rule) and M >= 2N - 3 for three.
 product and padded_size stay at 2N, where pairwise and single-shot triple
 products are exact; the stepping engine picks its own grid per stage (2N for
 its cubic terms, 3N/2 for its pairwise ones).  Degree four and higher
-single-shot products are not exact on 2N and callers are expected to stage
+single-shot products are not exact on 2N, so product refuses them: stage
 them pairwise.
 """
 
@@ -78,6 +78,8 @@ def _tables(n_modes):
 @lru_cache(maxsize=64)
 def _hs_weight(n_modes, s):
     """(1 + |n|)^{2s} times the Parseval multiplicity, read-only."""
+    if not math.isfinite(s):
+        raise GridError(f"s must be finite, got {s}")
     t = _tables(n_modes)
     w = (1.0 + t["radius"]) ** (2.0 * s) * t["weight"]
     w.setflags(write=False)
@@ -146,7 +148,8 @@ class SpectralField:
 
     @classmethod
     def from_samples(cls, grid, values):
-        """Build a field from real physical samples on the N x N grid of points()."""
+        """Build a field from real physical samples on the N x N grid of
+        points(), through the one forward, _rfft_truncated."""
         values = np.asarray(values)
         n = grid.n_modes
         if values.shape != (n, n):
@@ -155,11 +158,7 @@ class SpectralField:
             )
         if np.iscomplexobj(values):
             raise GridError("samples must be real")
-        t = grid.tables()
-        coeffs = np.fft.rfft2(values) / (n * n)
-        coeffs *= t["phase"]
-        coeffs[t["nyquist"]] = 0.0
-        return cls(grid, coeffs)
+        return cls(grid, _rfft_truncated(values, n) * _tables(n)["phase"])
 
     @classmethod
     def from_coeffs(cls, grid, coeffs):
@@ -453,9 +452,11 @@ def product(*fields):
     """Pointwise product of fields on the 2N grid, truncated once to the mode grid.
 
     Exact (equal to the L2 projection of the true product) for two and for
-    three factors.  More factors alias; stage them pairwise instead.  The
-    product is exactly Hermitian.
+    three factors.  More factors would alias and raise GridError; stage them
+    pairwise instead.  The product is exactly Hermitian.
     """
+    if len(fields) > 3:
+        raise GridError(f"product takes at most 3 factors, got {len(fields)}")
     grid = require_same_grid(*fields)
     values = _irfft_padded(np.stack([f.coeffs for f in fields]),
                            grid.padded_size)

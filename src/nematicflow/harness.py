@@ -94,9 +94,11 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.n_trials < 30:
-            raise HarnessError("ensembles need at least 30 trials")
+            raise HarnessError(
+                f"ensembles need at least 30 trials, got {self.n_trials}")
         if self.grid_n < 16 or self.grid_n % 2:
-            raise HarnessError("grid_n must be even and at least 16")
+            raise HarnessError(
+                f"grid_n must be even and at least 16, got {self.grid_n}")
         if self.seed < 0:
             raise HarnessError(f"seed must be nonnegative, got {self.seed}")
 

@@ -42,11 +42,19 @@ class OsgoodError(ValueError):
     """Raised for domain violations or quadrature failures."""
 
 
-def _check_nonnegative(r):
+def _modulus(r, formula):
+    """formula(r, ln(1 + 1/r)) at r > 0 and 0 at r = 0, for a scalar (a
+    float back) or an array of nonnegative r."""
     arr = np.asarray(r, dtype=np.float64)
     if np.any(arr < 0):
         raise OsgoodError("the modulus is defined for nonnegative arguments only")
-    return arr
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    rp = arr[pos]
+    out[pos] = formula(rp, np.log1p(1.0 / rp))
+    return float(out[0]) if scalar else out
 
 
 def mu(r):
@@ -54,29 +62,12 @@ def mu(r):
 
     Accepts scalars or arrays; stable from 0 and ~1e-300 up to ~1e300.
     """
-    arr = _check_nonnegative(r)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    rp = arr[pos]
-    a = np.log1p(1.0 / rp)
-    b = np.log1p(a)
-    out[pos] = rp * (1.0 + a) * (1.0 + b)
-    return float(out[0]) if scalar else out
+    return _modulus(r, lambda rp, a: rp * (1.0 + a) * (1.0 + np.log1p(a)))
 
 
 def mu_control(r):
     """The non-Osgood control modulus r (1+ln(1+1/r))^2."""
-    arr = _check_nonnegative(r)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    rp = arr[pos]
-    a = np.log1p(1.0 / rp)
-    out[pos] = rp * (1.0 + a) ** 2
-    return float(out[0]) if scalar else out
+    return _modulus(r, lambda rp, a: rp * (1.0 + a) ** 2)
 
 
 def _substituted_integrand(modulus):

@@ -8,6 +8,7 @@ import pytest
 from nematicflow import (
     DyadicError,
     DyadicPartition,
+    GridError,
     GridSpec,
     SpectralField,
     besov_norm,
@@ -218,10 +219,14 @@ class TestBesovAndSobolev:
                              ids=["blocks", "lowpass"])
     @pytest.mark.parametrize("r", [0, -1])
     def test_besov_rejects_nonpositive_r(self, grid16, rng, variant, s, r):
-        """Both variants take r > 0 or inf only."""
+        """Both variants take r > 0 or inf only, and a finite s only."""
         f = _rand(grid16, rng)
+        part = DyadicPartition(grid16)
         with pytest.raises(DyadicError, match="r must be positive"):
-            besov_norm(f, s, 2, r, DyadicPartition(grid16), variant=variant)
+            besov_norm(f, s, 2, r, part, variant=variant)
+        for bad in (math.nan, -math.inf, math.inf):
+            with pytest.raises(DyadicError, match="s must be finite"):
+                besov_norm(f, bad, 2, 2, part, variant=variant)
 
     def test_sobolev_forms_are_equivalent(self, grid64, rng):
         """The Fourier-weight and block forms of H^s agree within constants."""
@@ -257,8 +262,17 @@ class TestBesovAndSobolev:
         )
 
     def test_hs_zero_matches_l2_weighting(self, grid32, real_mode):
-        """H^0 in weight form is the plain L2 norm."""
+        """H^0 in weight form is the plain L2 norm; a non-finite s raises in
+        both forms and in the block pairing."""
         f = real_mode(grid32, (4, 1), "sin")
         assert hs_norm(f, 0.0, form="fourier") == pytest.approx(
             l2_norm(f), rel=1e-14
         )
+        part = DyadicPartition(grid32)
+        for s in (math.nan, math.inf):
+            with pytest.raises(GridError, match="s must be finite"):
+                hs_norm(f, s, form="fourier")
+            with pytest.raises(DyadicError, match="s must be finite"):
+                hs_norm(f, s, form="lp", partition=part)
+            with pytest.raises(DyadicError, match="s must be finite"):
+                hs_inner(f, f, s, part)

@@ -25,6 +25,8 @@ from nematicflow import (
     leray_project,
     lp_norm,
     product,
+    random_scalar,
+    random_vector,
     tensor_divergence,
     to_physical,
 )
@@ -96,10 +98,18 @@ class TestTransforms:
 
     def test_real_fields_have_hermitian_coefficients(self, grid32, rng):
         """from_samples of real data stores the half spectrum, which samples
-        back to real values."""
+        back to real values.  Its ny = 0 column, and those of the random
+        fields, are exactly Hermitian: all come through the one forward."""
         f = SpectralField.from_samples(grid32, rng.standard_normal((32, 32)))
         assert f.coeffs.shape == (32, 17)
         assert to_physical(f).dtype == np.float64
+        for n in (16, 48):
+            grid = GridSpec(n)
+            v = random_vector(grid, rng, divergence_free=True)
+            for field in (SpectralField.from_samples(
+                              grid, rng.standard_normal((n, n))),
+                          random_scalar(grid, rng, zero_mean=False), v.x, v.y):
+                assert _is_exactly_hermitian(field), n
 
     def test_complex_samples_are_rejected(self, grid16):
         """Fields are real: complex samples raise instead of losing their
@@ -213,12 +223,15 @@ class TestProducts:
 
     def test_triple_product_single_stage(self, grid32, real_mode):
         """product(f, g, h) multiplies three factors in one padded pass:
-        cos^3 2x = (3 cos 2x + cos 6x) / 4."""
+        cos^3 2x = (3 cos 2x + cos 6x) / 4.  Four factors raise."""
         f = real_mode(grid32, (2, 0))
         h = product(f, f, f)
         expected = real_mode(grid32, (2, 0), amplitude=0.75) + real_mode(
             grid32, (6, 0), amplitude=0.25)
         assert np.max(np.abs(h.coeffs - expected.coeffs)) <= 1e-14
+        # four factors would alias on the 2N grid
+        with pytest.raises(GridError, match="at most 3 factors"):
+            product(f, f, f, f)
 
 
 class TestVectorOps:
@@ -296,7 +309,8 @@ class TestIntegralsAndNorms:
         assert inner(f, g) == pytest.approx(quad, rel=1e-12)
 
     def test_lp_norm_special_cases(self, grid32):
-        """p = 2 matches Parseval and p = inf is the sup of |f|."""
+        """p = 2 matches Parseval and p = inf is the sup of |f|; a
+        nonpositive or NaN p, and a non-finite H^s index s, raise."""
         x, _ = grid32.points()
         f = SpectralField.from_samples(grid32, np.cos(3 * x))
         assert lp_norm(f, 2) == pytest.approx(l2_norm(f), rel=1e-12)
@@ -304,6 +318,9 @@ class TestIntegralsAndNorms:
         for p in (-1, math.nan):
             with pytest.raises(GridError):
                 lp_norm(f, p)
+        for s in (math.nan, math.inf):
+            with pytest.raises(GridError, match="s must be finite"):
+                hs_norm_fourier(f, s)
 
     def test_sobolev_weight_form(self, grid32, real_mode):
         """H^s norm of sqrt(2) cos(n.x) is (2 pi) (1+|n|)^s."""

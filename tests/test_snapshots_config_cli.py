@@ -277,6 +277,7 @@ class TestConfigParsing:
             "[initial]\nprofile = vortex\n",
             "[twin]\nmode = mirrored\n",
             "[twin]\nmode = perturb\ndelta = -1.0\n",
+            "[twin]\ndelta = 1e-4\n",
             "[initial]\ndirector = 1,2,3\n",
         ):
             path = tmp_path / "bad.ini"
@@ -555,13 +556,15 @@ class TestCli:
             assert rc == 2, checks
             assert not (tmp_path / "o").exists(), checks
 
-    @pytest.mark.parametrize("body", ["n_trials = 5\ngrids = 16\n",
-                                      "n_trials = 30\ngrids = 16,10\n"],
+    @pytest.mark.parametrize("body, value",
+                             [("n_trials = 5\ngrids = 16\n", "got 5"),
+                              ("n_trials = 30\ngrids = 16,10\n", "got 10")],
                              ids=["few_trials", "small_grid"])
     def test_bad_verify_ensemble_exits_2_before_any_check(self, tmp_path,
-                                                           capsys, body):
+                                                           capsys, body, value):
         """Every ensemble is checked before the first verifier runs, so a
-        bad grid after a good one writes nothing."""
+        bad grid after a good one writes nothing; the message names the
+        bad value."""
         cfg = tmp_path / "v.ini"
         cfg.write_text("[verify]\n" + body)
         out = tmp_path / "o"
@@ -569,6 +572,7 @@ class TestCli:
                        "--checks", "skew", "--quiet"])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("configuration error: [verify] ")
+        assert err.rstrip().endswith(value)
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -9,6 +9,7 @@ attribute access, or be listed in the module's __all__.  Every function or
 class defined at module level under a private name (one leading
 underscore) must be read by some module of the package, __init__ included,
 as a bare name or as an attribute; what only the tests read is dead code.
+Only the transform layer of grid reads numpy.fft.
 """
 
 import ast
@@ -87,6 +88,44 @@ def test_every_private_definition_is_read(path):
     unread = {name: line for name, line in _private_definitions(tree).items()
               if name not in read}
     assert not unread, f"{path.name}: defined but never read: {unread}"
+
+
+# The one transform layer: numpy.fft is read only by these definitions.
+_FFT_OWNERS = {"grid._irfft_padded", "grid._rfft_truncated", "grid._tables"}
+
+
+def _fft_users(path):
+    """The qualified name (<module> at module level) of every definition
+    in a package module that reads np.fft or numpy.fft or imports a module
+    or name called fft (numpy.fft, scipy.fft)."""
+    users = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        reads = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("np", "numpy"))
+        imports = (isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "fft" in ".".join([getattr(node, "module", None) or ""]
+                                         + [a.name for a in node.names]
+                                         ).split("."))
+        if reads or imports:
+            users.add(".".join((path.stem,) + (scope or ("<module>",))))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return users
+
+
+def test_only_the_transform_layer_calls_numpy_fft():
+    """Samples become spectra, and spectra samples, only through
+    grid._irfft_padded and grid._rfft_truncated (grid._tables reads
+    fftfreq), so every field the package makes shares their conventions."""
+    users = set().union(*(_fft_users(p) for p in SRC.glob("*.py")))
+    assert users == _FFT_OWNERS
 
 
 # Runs in a fresh interpreter: the package, then every command at N = 16,
