@@ -17,10 +17,12 @@ and S_q = 0 for q <= -1 wherever block sums reference it), with multiplier
 chi(2^{-q}|n|).
 
 _block_pair_samples samples (Delta_q, S_{q-1}) block pairs on band-sized
-grids for frakD and the harness identity checks.  Its padded inverses write
-into pads and samples that the DyadicPartition passed to it keeps, per
-thread and stack shapes, so they live as long as the partition: a twin run
-or a harness check holds one partition for all its records or trials.
+grids for frakD and the harness identity checks.  It multiplies the N-grid
+stacks by their multipliers straight into the band rows of its pads, and
+its padded inverses write into pads and samples that the DyadicPartition
+passed to it keeps, per thread and stack shapes, so they live as long as
+the partition: a twin run or a harness check holds one partition for all
+its records or trials.
 """
 
 from __future__ import annotations
@@ -128,18 +130,16 @@ def _fast_even_size(k):
 
 @lru_cache(maxsize=32)
 def _block_subgrids(n_modes):
-    """(q, rows, cols, block, low, M_q), q = 1..q_max, for _block_pair_samples:
-    [rows, :cols] cuts the 2(b + 1)-grid half spectrum out of an N-grid one,
-    block/low are the multipliers of Delta_q and S_{q-1} cut the same way."""
+    """(q, b + 1, block, low, M_q), q = 1..q_max, for _block_pair_samples:
+    the band width b + 1 of the pads, the N-grid multipliers of Delta_q and
+    S_{q-1}, and the sample grid size."""
     q_max, mults, lows = _partition_tables(n_modes)
     top = n_modes // 2 - 1
     out = []
     for q in range(1, q_max + 1):
         b = min(top, 2 ** (q + 3) // 3)
         s = min(top, 2 ** (q + 1) // 3)
-        rows = np.r_[0:b + 2, n_modes - b:n_modes]
-        cut = np.ix_(rows, np.arange(b + 2))
-        out.append((q, rows, b + 2, mults[q + 1][cut], lows[q - 1][cut],
+        out.append((q, b + 1, mults[q + 1], lows[q - 1],
                     _fast_even_size(2 * (b + s))))
     return tuple(out)
 
@@ -150,8 +150,7 @@ def _block_pair_buffers(n, *stacks):
     another: one q's arrays are done with before the next q's are written.
     """
     subgrids = _block_subgrids(n)
-    per_stack = [zip(_shared(*(lead + (m, cols - 1)
-                               for _, _, cols, _, _, m in subgrids),
+    per_stack = [zip(_shared(*(lead + (m, h) for _, h, _, _, m in subgrids),
                              dtype=np.complex128),
                      _shared(*(lead + (m, m) for *_, m in subgrids)))
                  for lead in stacks]
@@ -167,10 +166,11 @@ def _block_pair_samples(blocks, lows, partition=None):
     so the grid mean of a product of at most two blocks and two lows is its
     exact integral.  M_q is even: the unphased samples sit on points().
 
-    The inverses write into pads and samples of _block_pair_buffers.  Given
-    a partition, it keeps them per thread and stack shapes, so a warm call
-    allocates neither.  The samples of one q are overwritten by the next q
-    (and by the next call).
+    Each stack is multiplied by its q's multiplier straight into the band
+    rows of a pad b + 1 columns wide, and the inverses write into pads and
+    samples of _block_pair_buffers.  Given a partition, it keeps them per
+    thread and stack shapes, so a warm call allocates neither.  The samples
+    of one q are overwritten by the next q (and by the next call).
     """
     n = blocks.shape[-2]
     stacks = (blocks.shape[:-2], lows.shape[:-2])
@@ -181,12 +181,12 @@ def _block_pair_samples(blocks, lows, partition=None):
         buffers = partition._kept.get(key)
         if buffers is None:
             buffers = partition._kept[key] = _block_pair_buffers(n, *stacks)
-    for (q, rows, cols, block, low, m), (out_b, out_l) in zip(
-            _block_subgrids(n), buffers):
-        out_b[0].fill(0.0)  # _irfft_padded writes only the populated rows
+    for (q, _, block, low, m), (out_b, out_l) in zip(_block_subgrids(n),
+                                                     buffers):
+        out_b[0].fill(0.0)  # _irfft_padded writes only the band rows
         out_l[0].fill(0.0)
-        yield (q, _irfft_padded(blocks[..., rows, :cols] * block, m, out=out_b),
-               _irfft_padded(lows[..., rows, :cols] * low, m, out=out_l))
+        yield (q, _irfft_padded(blocks, m, out=out_b, mult=block),
+               _irfft_padded(lows, m, out=out_l, mult=low))
 
 
 @dataclass(frozen=True)

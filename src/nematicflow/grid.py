@@ -233,21 +233,24 @@ def require_same_grid(*fields):
 # columns are never transformed.  It calls irfftn rather than irfft2
 # (which runs irfftn, so the bits are the same) because numpy's irfft2
 # drops its out argument: with a kept pad and sample array the inverse
-# writes into them and allocates only its intermediate.
+# writes into them and allocates only its intermediate.  The pad is filled
+# by two basic-slice copies, or products with a multiplier, so a block
+# Delta_q f is sampled without being formed.
 #
 # The forward is pruned the same way, in two 1-D passes: a last-axis
 # numpy.fft.rfft, then a numpy.fft.fft along axis -2 of only the N/2
 # columns ny = 0..N/2-1 that the cut keeps, written back into those columns
 # of the rfft's output (out=), so the pass allocates no spectrum of its
 # own.  The other M/2 + 1 - N/2 columns are never transformed along axis -2.
-# The kept rows are then cut into a fresh N-grid half spectrum.  Both
+# The kept rows are then cut into a fresh N-grid half spectrum.  A caller
+# that keeps the rfft's output passes it in (out=).  Both
 # directions use norm="forward" (1/M^2 on the forward side, 1/M per pass
 # here): for a power-of-two M this gives the same bits as one 2-D transform
 # that scales once.  The FFT functions are looked up on numpy.fft at call
 # time; the forward is its only 1-D use.
 
 
-def _irfft_padded(half, m, out=None):
+def _irfft_padded(half, m, out=None, mult=None):
     """Samples on the M x M grid of N-grid half spectra, zero-padded.
 
     half has shape (..., N, N/2 + 1); leading axes form one batched
@@ -256,17 +259,31 @@ def _irfft_padded(half, m, out=None):
     half spectrum onto points() first).
 
     Without out, each call pads into a fresh zero array.  out = (pad,
-    samples) gives kept arrays of shapes (..., M, N/2) complex and
+    samples) gives kept arrays of shapes (..., M, h) complex and
     (..., M, M) real: only the populated pad rows are written, so the
     other rows must be zero (as from np.zeros) and stay so, and the samples
     are written into samples, which is returned.  The bits are the same.
+    The pad's width h is the band: the pad takes the rows 0..h-1 and
+    N-h+1..N-1 of half at columns 0..h-1, all of them at h = N/2 and the
+    2h-grid half spectrum at h < N/2 (the rest of half is dropped).
+
+    mult, a real multiplier of half's layout, multiplies half on its way
+    into the pad: the bits of half * mult, without forming the product or
+    its cut.  Leading axes of mult broadcast against half's into a given
+    pad's.
     """
-    h = half.shape[-2] // 2
+    n = half.shape[-2]
     if out is None:
-        out = (np.zeros(half.shape[:-2] + (m, h), dtype=np.complex128), None)
+        out = (np.zeros(half.shape[:-2] + (m, n // 2), dtype=np.complex128),
+               None)
     pad, samples = out
-    pad[..., :h, :] = half[..., :h, :h]
-    pad[..., m - h + 1:, :] = half[..., h + 1:, :h]
+    h = pad.shape[-1]
+    for src, dst in ((np.s_[..., :h, :h], pad[..., :h, :]),
+                     (np.s_[..., n - h + 1:, :h], pad[..., m - h + 1:, :])):
+        if mult is None:
+            dst[...] = half[src]
+        else:
+            np.multiply(half[src], mult[src], out=dst)
     return np.fft.irfftn(pad, s=(m, m), axes=(-2, -1), norm="forward",
                          out=samples)
 
@@ -278,7 +295,7 @@ def _shared(*shapes, dtype=np.float64):
     return [buf[:math.prod(shape)].reshape(shape) for shape in shapes]
 
 
-def _rfft_truncated(values, n):
+def _rfft_truncated(values, n, spectrum=None):
     """N-grid half spectra of real M x M samples (any leading axes).
 
     Two 1-D passes: a last-axis rfft, then an axis -2 fft of the N/2
@@ -286,11 +303,13 @@ def _rfft_truncated(values, n):
     The N-grid Nyquist row and column are left at zero.  The ny = 0 column
     holds both n and -n, which the transform computes separately; each pair
     is averaged so that f_{-n} = conj(f_n) holds exactly there too.  The
-    result is a fresh array.
+    result is a fresh array.  spectrum, a kept complex (..., M, M/2 + 1)
+    array, receives the last-axis spectrum (a fresh one without); its
+    content on entry is never read.
     """
     m = values.shape[-1]
     h = n // 2
-    c = np.fft.rfft(values, axis=-1, norm="forward")
+    c = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
     np.fft.fft(c[..., :h], axis=-2, norm="forward", out=c[..., :h])
     out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
     out[..., :h, :h] = c[..., :h, :h]
@@ -501,16 +520,18 @@ def l2_norm(field):
                                               field.coeffs))
 
 
-def _lp_norms(samples, p):
+def _lp_norms(samples, p, out=None):
     """L^p norms over the last two axes of samples taken on a uniform grid of
     the box, leading axes kept: the max of |f| for p = inf, otherwise
-    equal-weight quadrature."""
-    values = np.abs(samples)
+    equal-weight quadrature.  |f|^p is formed in one array: out, of the
+    samples' shape (a fresh one without)."""
+    values = np.abs(samples, out=out)
     if p == np.inf or p == "inf":
         return np.max(values, axis=(-2, -1))
     if not p > 0:
         raise GridError(f"p must be positive or inf, got {p}")
-    return np.mean(values ** p, axis=(-2, -1)) ** (1.0 / p) * TWO_PI ** (2.0 / p)
+    values **= p
+    return np.mean(values, axis=(-2, -1)) ** (1.0 / p) * TWO_PI ** (2.0 / p)
 
 
 def lp_norm(field, p):

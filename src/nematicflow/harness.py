@@ -47,12 +47,24 @@ grid._lp_norms.  The samples are not phase-shifted to points(): on the even
 on the 2N grid.  The identity checks sample each (Delta_q, S_{q-1}) block
 pair on the band-sized grids of dyadic._block_pair_samples, into buffers
 that one partition per check keeps across its trials.
+
+Every check also keeps the arrays its transforms work in across its trials:
+the N-grid half spectra of a batch, the pads and samples of the padded
+inverses, the forwards' last-axis spectra and the L^p scratch.  Each set is
+made by the first trial, sized for the largest batch it serves, and dropped
+when the check returns, so a warm trial allocates no transform buffer and
+a check holds its arrays no longer than it runs.  The per-trial cores take
+only their fields (the tests swap them for plane-by-plane oracles), so the
+arrays reach them through the scope of the running check (_keeping).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +82,6 @@ from .grid import (
     hs_norm_fourier,
     jacobian,
     laplacian,
-    product,
 )
 
 UNIFORMITY_CAP = 10.0
@@ -127,16 +138,71 @@ class RatioReport:
     n_trials: int
 
 
+# The arrays that the running check keeps, per thread (see _keeping).
+_running = threading.local()
+
+
+@contextlib.contextmanager
+def _keeping():
+    """The scope of one check: within it, _planes makes each set of arrays
+    once and hands the same arrays to every later trial; on exit they are
+    dropped, so a check holds them no longer than it runs."""
+    outer = getattr(_running, "kept", None)
+    _running.kept = {}
+    try:
+        yield
+    finally:
+        _running.kept = outer
+
+
+class _Planes(NamedTuple):
+    """The arrays of a batch of planes: N-grid half spectra, the zero pad
+    and the samples of their padded inverse on the M grid, a forward's
+    last-axis spectrum and an L^p scratch."""
+
+    half: np.ndarray
+    pad: np.ndarray
+    samples: np.ndarray
+    spectrum: np.ndarray
+    scratch: np.ndarray
+
+
+def _planes(n, m, *leads):
+    """The _Planes of k planes for each lead k (None for one plane with no
+    leading axis), kept by the running check (made afresh outside one).
+    Each array is a view of one sized for the largest lead, so the leads
+    share memory and must not be in use at the same time; so do the
+    spectrum and the scratch, since a forward is done with its spectrum
+    when it returns."""
+    kept = getattr(_running, "kept", None)
+    if kept is not None and (n, m, leads) in kept:
+        return kept[n, m, leads]
+    top = max(k or 1 for k in leads)
+    spectrum = np.empty((top, m, m // 2 + 1), dtype=np.complex128)
+    full = (np.empty((top, n, n // 2 + 1), dtype=np.complex128),
+            np.zeros((top, m, n // 2), dtype=np.complex128),
+            np.empty((top, m, m)),
+            spectrum,
+            spectrum.reshape(-1).view(np.float64)[:top * m * m].reshape(
+                top, m, m))
+    planes = [_Planes(*(a[0] if k is None else a[:k] for a in full))
+              for k in leads]
+    if kept is not None:
+        kept[n, m, leads] = planes
+    return planes
+
+
 def _ratio_report(spec, check, trial_ratios):
     """The RatioReport of trial_ratios(grid, rng) -> {family: {param: ratio}}
     over the ensemble, one rng stream per trial and one row per (family,
-    param)."""
+    param).  The trials share the arrays they keep (_keeping)."""
     grid = spec.grid()
     data = {}
-    for trial in range(spec.n_trials):
-        for family, ratios in trial_ratios(grid, spec.rng(trial)).items():
-            if ratios:
-                data.setdefault(family, []).append(ratios)
+    with _keeping():
+        for trial in range(spec.n_trials):
+            for family, ratios in trial_ratios(grid, spec.rng(trial)).items():
+                if ratios:
+                    data.setdefault(family, []).append(ratios)
     rows = []
     worst = 0.0
     ok = True
@@ -184,16 +250,19 @@ def _bernstein_ratios(f):
     grid = f.grid
     q_max, mults, _ = _partition_tables(grid.n_modes)
     t = grid.tables()
+    ikx, iky = 1j * t["nx"], 1j * t["ny"]
+    [b] = _planes(grid.n_modes, grid.padded_size, 3)
     qs = range(-1, q_max + 1)
     q_arr = np.arange(-1, q_max + 1)
     # norms[p][q + 1]: the L^p norms of the three planes of block q
     norms = {p: np.empty((len(qs), 3)) for p in (1, 2, np.inf)}
     for j, mult in enumerate(mults):
-        b = f.coeffs * mult
-        v = _irfft_padded(np.stack([b, b * (1j * t["nx"]), b * (1j * t["ny"])]),
-                          grid.padded_size)
+        np.multiply(f.coeffs, mult, out=b.half[0])
+        np.multiply(b.half[0], ikx, out=b.half[1])
+        np.multiply(b.half[0], iky, out=b.half[2])
+        v = _irfft_padded(b.half, grid.padded_size, out=(b.pad, b.samples))
         for p, n in norms.items():
-            n[j] = _lp_norms(v, p)
+            n[j] = _lp_norms(v, p, out=b.scratch)
     out = {}
     for p, r in BERNSTEIN_PAIRS:
         den = 2.0 ** (q_arr * 2.0 * (1.0 / p - 1.0 / r)) * norms[p][:, 0]
@@ -214,10 +283,13 @@ def verify_bernstein(spec):
 
 def _sn_linf_ratios(f):
     """One trial of verify_sn_linf: one inverse of S_n f, n = 1..q_max."""
+    m = f.grid.padded_size
     q_max, _, lows = _partition_tables(f.grid.n_modes)
+    [b] = _planes(f.grid.n_modes, m, q_max)
     ns = range(1, q_max + 1)
-    sup = _lp_norms(_irfft_padded(f.coeffs * lows[1:q_max + 1],
-                                  f.grid.padded_size), np.inf)
+    sup = _lp_norms(_irfft_padded(f.coeffs, m, out=(b.pad, b.samples),
+                                  mult=lows[1:q_max + 1]),
+                    np.inf, out=b.scratch)
     h1 = hs_norm_fourier(f, 1.0)
     return {"low-pass sup": _ratios(ns, sup, [math.sqrt(n) * h1 for n in ns])}
 
@@ -233,9 +305,11 @@ SOBOLEV_PS = (4, 8, 16, 32, 64)  # each p > 2, so that s = 1 - 2/p > 0
 
 def _sobolev_sqrtp_ratios(f):
     """One trial of verify_sobolev_sqrtp: one sample of f serves every p."""
-    v = _irfft_padded(f.coeffs, f.grid.padded_size)
+    m = f.grid.padded_size
+    [b] = _planes(f.grid.n_modes, m, None)
+    v = _irfft_padded(f.coeffs, m, out=(b.pad, b.samples))
     return {"sqrt-p growth": _ratios(
-        SOBOLEV_PS, [_lp_norms(v, p) for p in SOBOLEV_PS],
+        SOBOLEV_PS, [_lp_norms(v, p, out=b.scratch) for p in SOBOLEV_PS],
         [math.sqrt(p) * hs_norm_fourier(f, 1.0 - 2.0 / p) for p in SOBOLEV_PS])}
 
 
@@ -249,7 +323,14 @@ PRODUCT_PAIRS = ((0.5, 0.0), (0.75, -0.25), (0.75, 0.75), (0.0, 0.5))
 
 
 def _product_rule_ratios(f, g):
-    fg = product(f, g)
+    """One trial of verify_product_rule: fg is grid.product(f, g), formed
+    in kept arrays."""
+    n, m = f.grid.n_modes, f.grid.padded_size
+    b, one = _planes(n, m, 2, None)
+    b.half[0], b.half[1] = f.coeffs, g.coeffs
+    vf, vg = _irfft_padded(b.half, m, out=(b.pad, b.samples))
+    fg = SpectralField(f.grid, _rfft_truncated(
+        np.multiply(vf, vg, out=vf), n, spectrum=one.spectrum))
     return {"sobolev product": _ratios(
         PRODUCT_PAIRS,
         [hs_norm_fourier(fg, s + t - 1.0) for s, t in PRODUCT_PAIRS],
@@ -269,28 +350,45 @@ def _commutator_ratios(f, g):
     """One trial of verify_commutator: one 4-plane inverse of
     (f, g, d_x f, d_y f), fg formed from those samples; then per family one
     inverse of the cut g's, one forward of the f cut(g)'s and one inverse of
-    the commutators cut(fg) - f cut(g)."""
+    the commutators cut(fg) - f cut(g).  The two families share one set of
+    kept arrays, and each family's cut g samples are overwritten by the
+    f cut(g)'s, then by the commutators."""
     grid = f.grid
     n, m = grid.n_modes, grid.padded_size
     q_max, mults, lows = _partition_tables(n)
     t = grid.tables()
-    vf, vg, fx, fy = _irfft_padded(np.stack([
-        f.coeffs, g.coeffs, f.coeffs * (1j * t["nx"]), f.coeffs * (1j * t["ny"])]),
-        m)
-    fg = _rfft_truncated(vf * vg, n)
-    grad_f = np.sqrt(fx * fx + fy * fy)
-    norms = {(p, h): _lp_norms(grad_f, p) * _lp_norms(vg, h)
-             for _, p, h in COMMUTATOR_TRIPLES}
+    [fields] = _planes(n, m, 4)
+    one, block, low = _planes(n, m, None, q_max + 1, q_max)
+    fields.half[0], fields.half[1] = f.coeffs, g.coeffs
+    np.multiply(f.coeffs, 1j * t["nx"], out=fields.half[2])
+    np.multiply(f.coeffs, 1j * t["ny"], out=fields.half[3])
+    vf, vg, fx, fy = _irfft_padded(fields.half, m,
+                                   out=(fields.pad, fields.samples))
+    fg = _rfft_truncated(np.multiply(vf, vg, out=one.samples), n,
+                         spectrum=one.spectrum)
+    grad_f = np.multiply(fx, fx, out=fx)  # |grad f|, formed in place
+    grad_f += np.multiply(fy, fy, out=fy)
+    np.sqrt(grad_f, out=grad_f)
+    # each distinct exponent of each column is normed once
+    rs, ps, hs = (set(column) for column in zip(*COMMUTATOR_TRIPLES))
+    grad_lp = {p: _lp_norms(grad_f, p, out=one.scratch) for p in ps}
+    g_lp = {h: _lp_norms(vg, h, out=one.scratch) for h in hs}
     out = {}
     # S_N stops at N = q_max: one step further it is the identity on the
     # resolved ball and the commutator vanishes identically.
-    for family, ks, cuts in (("block", range(0, q_max + 1), mults[1:]),
-                             ("low-pass", range(1, q_max + 1), lows[1:q_max + 1])):
-        f_cut_g = _rfft_truncated(vf * _irfft_padded(g.coeffs * cuts, m), n)
-        comm = _irfft_padded(fg * cuts - f_cut_g, m)
+    for family, ks, cuts, b in (
+            ("block", range(0, q_max + 1), mults[1:], block),
+            ("low-pass", range(1, q_max + 1), lows[1:q_max + 1], low)):
+        cut_g = _irfft_padded(g.coeffs, m, out=(b.pad, b.samples), mult=cuts)
+        f_cut_g = _rfft_truncated(np.multiply(vf, cut_g, out=cut_g), n,
+                                  spectrum=b.spectrum)
+        comm = np.multiply(fg, cuts, out=b.half)
+        comm -= f_cut_g
+        comm = _irfft_padded(comm, m, out=(b.pad, b.samples))
+        comm_lp = {r: _lp_norms(comm, r, out=b.scratch) for r in rs}
         for r, p, h in COMMUTATOR_TRIPLES:
             out[f"{family} r={r:g} p={p:g} h={h:g}"] = _ratios(
-                ks, _lp_norms(comm, r), [norms[p, h] * 2.0 ** (-k) for k in ks])
+                ks, comm_lp[r], [grad_lp[p] * g_lp[h] * 2.0 ** (-k) for k in ks])
     return out
 
 
@@ -311,14 +409,18 @@ def _tail_bounds_ratios(f):
     n = 1..q_max (one step further S_n is the identity on the resolved ball
     and the tail vanishes identically)."""
     grid = f.grid
+    m = grid.padded_size
     q_max, _, lows = _partition_tables(grid.n_modes)
+    [b] = _planes(grid.n_modes, m, q_max)
     ns = range(1, q_max + 1)
-    tails = f.coeffs - f.coeffs * lows[1:q_max + 1]
+    tails = np.multiply(f.coeffs, lows[1:q_max + 1], out=b.half)
+    np.subtract(f.coeffs, tails, out=tails)
     h1 = hs_norm_fourier(f, 1.0)
     h2 = hs_norm_fourier(f, 2.0)
     return {
         "sup tail": _ratios(
-            ns, _lp_norms(_irfft_padded(tails, grid.padded_size), np.inf),
+            ns, _lp_norms(_irfft_padded(tails, m, out=(b.pad, b.samples)),
+                          np.inf, out=b.scratch),
             [2.0 ** (-n / 2.0) * math.sqrt(h1 * h2) for n in ns]),
         "quarter-sobolev tail": _ratios(
             ns, [hs_norm(SpectralField(grid, c), 0.25, form="lp") for c in tails],

@@ -1,6 +1,7 @@
 """Statistical verifiers for the supporting functional inequalities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from nematicflow import (
 from nematicflow.harness import (
     COMMUTATOR_TRIPLES,
     _bernstein_ratios,
+    _cancellation_residual,
     _cancellation_sums,
     _commutator_ratios,
+    _product_rule_ratios,
     _skew_residual,
     _sn_linf_ratios,
     _sobolev_sqrtp_ratios,
@@ -271,9 +274,72 @@ class TestRatioOracle:
             assert (calls, fft_counts) == (want_calls, want_planes), core
 
 
+class TestKeptBuffers:
+    def test_a_warm_trial_allocates_no_transform_buffer(self, grid32,
+                                                         monkeypatch):
+        """Within one check, every pad and sample array a warm trial hands
+        to irfftn, and every spectrum it hands to rfft, was made by the
+        first trial and kept: tracemalloc, started after the first trial,
+        has no allocation traceback for any of them (a fresh array would
+        carry the one of its allocation).  This holds for each ratio core
+        and for both identity residuals."""
+        rng = np.random.default_rng(9)
+        f = focused_scalar(grid32, rng)
+        g = random_scalar(grid32, rng, zero_mean=False)
+        du, dd, d1 = _identity_draws(grid32, 9)
+        part = DyadicPartition(grid32)
+        trials = [(_bernstein_ratios, (f,)), (_sn_linf_ratios, (f,)),
+                  (_sobolev_sqrtp_ratios, (f,)),
+                  (_product_rule_ratios, (f, g)),
+                  (_commutator_ratios, (f, g)), (_tail_bounds_ratios, (f,)),
+                  (_cancellation_residual, (du, dd, d1, part)),
+                  (_skew_residual, (du, d1, part))]
+        seen = []
+        irfftn, rfft = np.fft.irfftn, np.fft.rfft
+
+        def spy(fn, *names):
+            def wrapper(a, *args, out=None, **kwargs):
+                arrays = (a, out)[-len(names):]
+                seen.append([(name, x, tracemalloc.get_object_traceback(x))
+                             for name, x in zip(names, arrays)])
+                return fn(a, *args, out=out, **kwargs)
+            return wrapper
+
+        for core, fields in trials:
+            with harness._keeping():
+                core(*fields)
+                seen.clear()
+                monkeypatch.setattr(np.fft, "irfftn", spy(irfftn, "pad", "out"))
+                monkeypatch.setattr(np.fft, "rfft", spy(rfft, "spectrum"))
+                traced = tracemalloc.is_tracing()
+                if not traced:
+                    tracemalloc.start()
+                try:
+                    core(*fields)
+                    fresh = np.zeros(3)
+                    assert tracemalloc.get_object_traceback(fresh) is not None
+                finally:
+                    if not traced:
+                        tracemalloc.stop()
+                    monkeypatch.undo()
+            assert seen, core
+            for name, x, trace in (item for call in seen for item in call):
+                assert x is not None and trace is None, (core, name)
+
+    def test_a_check_drops_its_kept_arrays(self, small_spec):
+        """The kept arrays live only while their check runs."""
+        verify_commutator(small_spec)
+        assert getattr(harness._running, "kept", None) is None
+        with harness._keeping():
+            _sobolev_sqrtp_ratios(focused_scalar(small_spec.grid(),
+                                                 np.random.default_rng(1)))
+            assert harness._running.kept
+        assert getattr(harness._running, "kept", None) is None
+
+
 def _counting(fn, calls, kind):
     """fn, counting its calls in calls[kind]."""
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[kind] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapper

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nematicflow import GridSpec, SpectralField, product, to_physical
+from nematicflow import (DyadicPartition, GridSpec, SpectralField, product,
+                         to_physical)
+from nematicflow.dyadic import _block_pair_samples, _block_subgrids
 from nematicflow.grid import _irfft_padded, _rfft_truncated
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -197,6 +199,53 @@ def test_kept_buffers_give_the_fresh_bits(n, m):
         assert np.shares_memory(got, samples)
         assert np.array_equal(got, _irfft_padded(half, m))
         assert not np.any(pad[:, h:m - h + 1])
+
+
+@pytest.mark.parametrize("m", [128, 96, 54, 108])
+def test_a_kept_spectrum_gives_the_fresh_bits(m):
+    """The forward at N = 64 (N = 54 on the 54 grid) with its last-axis
+    spectrum written into a kept array, at M = 2N, 3N/2 and the block-pair
+    grids 54 and 108, is bitwise the fresh forward, also when the array
+    holds stale data from an earlier call or NaNs."""
+    n = min(64, m)
+    rng = np.random.default_rng(m)
+    spectrum = np.full((5, m, m // 2 + 1), np.nan, dtype=np.complex128)
+    for lead in (5, 3, 5):
+        values = rng.standard_normal((lead, m, m))
+        got = _rfft_truncated(values, n, spectrum=spectrum[:lead])
+        assert np.array_equal(got, _rfft_truncated(values, n))
+        assert not np.shares_memory(got, spectrum)
+
+
+def _cut_then_sample(stack, mult, h, m):
+    """The sampler's former route: cut the 2h-grid half spectrum out of the
+    N-grid stack and its multiplier, multiply, then sample it."""
+    n = stack.shape[-2]
+    cut = np.ix_(np.r_[0:h + 1, n - h + 1:n], np.arange(h + 1))
+    return _irfft_padded(stack[(...,) + cut] * mult[cut], m)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("blocks, lows", [(8, 3), (3, 8)])
+def test_the_pad_row_sampler_is_bitwise_the_cut_route(n, blocks, lows):
+    """_block_pair_samples, which multiplies the N-grid stacks straight
+    into its kept pad rows, gives per q the bits of cutting the band out,
+    multiplying and sampling, on random 3- and 8-plane stacks, on a first
+    and on a warm call."""
+    rng = np.random.default_rng(n + blocks)
+    part = DyadicPartition(GridSpec(n))
+    for _ in range(2):
+        b = _random_halves(rng, (blocks,), n)
+        lo = _random_halves(rng, (lows,), n)
+        seen = 0
+        # one q's samples are overwritten by the next: compare as they come
+        for (q, h, block, low, m), (got_q, got_b, got_l) in zip(
+                _block_subgrids(n), _block_pair_samples(b, lo, part)):
+            assert got_q == q
+            assert np.array_equal(got_b, _cut_then_sample(b, block, h, m))
+            assert np.array_equal(got_l, _cut_then_sample(lo, low, h, m))
+            seen += 1
+        assert seen == len(_block_subgrids(n))
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
