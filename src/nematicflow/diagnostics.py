@@ -34,7 +34,8 @@ over the modes (dyadic.hs_norm).  Each block Delta_q delta A and its
 low-passes S_{q-1} d_1, S_{q-1}(d_1 x d_1) are sampled on a band-sized grid,
 the smallest on which the sampled integral of the squared integrands is
 exact, not on the 2N grid; dyadic._block_pair_samples does this here and
-for the harness identity checks, into pads and samples the partition keeps.
+for the harness identity checks, into pads and samples kept in a dict
+that the job owns: the twin driver makes one and hands it to every record.
 frakD's S_{q-1}(d_1 x d_1) needs the truncated d_1 x d_1 and F_hat the
 truncated d_2.A_2 d_2.  Every record forms its products with the engine's
 kernels on the engine's grids: the strains with dynamics._strain_half,
@@ -57,8 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import (DyadicPartition, _block_pair_samples, _lp_weight,
-                     hs_norm_vector)
+from .dyadic import _block_pair_samples, _lp_weight, hs_norm_vector
 from .dynamics import (
     LeslieCoefficients,
     _cubic_fields,
@@ -124,8 +124,6 @@ def _require_shared_grid(state1, state2):
 def phi(state1, state2, partition=None):
     """Phi = (||delta u||_{H^{-1/2},lp}^2 + ||delta d||_{H^{1/2},lp}^2) / 2."""
     _require_shared_grid(state1, state2)
-    if partition is None:
-        partition = DyadicPartition(state1.grid)
     du = state1.u - state2.u
     dd = state1.d - state2.d
     return 0.5 * (
@@ -170,8 +168,8 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     Returns (grad_du_sq, grad_dd_sq, lp_sum_vector, lp_sum_tensor) where the
     first two are the squared lp-form norms (no nu yet) and the sums carry no
     prefactor; frakD = nu*grad_du_sq + grad_dd_sq + 2*lp_vec + lp_tensor.
-    Each block pair is sampled by dyadic._block_pair_samples, into buffers
-    the partition keeps when one is given.
+    Each block pair is sampled by dyadic._block_pair_samples.  A given
+    partition only checks the grid.
     """
     _require_shared_grid(state1, state2)
     if partition is not None:
@@ -179,18 +177,19 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     d1 = _stacked(state1.d)
     da = _velocity_strain(_stacked(state1.u)) - _velocity_strain(_stacked(state2.u))
     return (_grad_sq(state1.u - state2.u, -0.5), _grad_sq(state1.d - state2.d, 0.5),
-            *_lp_sums(d1, da, _outer_half(d1), partition))
+            *_lp_sums(d1, da, _outer_half(d1)))
 
 
-def _lp_sums(d1, da, dd1, partition):
+def _lp_sums(d1, da, dd1, kept=None):
     """frakD's bare dyadic sums (lp_sum_vector, lp_sum_tensor), given the
     half spectra of the director d1 of the first state, of the difference
-    da of the two strains, and dd1 of the truncated d1 d1, d1 d2, d2 d2."""
+    da of the two strains, and dd1 of the truncated d1 d1, d1 d2, d2 d2;
+    the block-pair buffers are kept in kept (see _block_pair_samples)."""
     lp_vec = 0.0
     lp_ten = 0.0
     # S_{q-1} vanishes for q <= 0, so the sums start at q = 1
     for q, (b11, b12, b22), (s1, s2, t11, t12, t22) in _block_pair_samples(
-            da, np.concatenate([d1, dd1]), partition):
+            da, np.concatenate([d1, dd1]), kept):
         v1 = b11 * s1 + b12 * s2
         v2 = b12 * s1 + b22 * s2
         lp_vec += 2.0 ** (-q) * _sample_integral(v1 * v1 + v2 * v2)
@@ -290,16 +289,18 @@ def recover_pressure(state, coeffs=None):
 
 
 def uniqueness_record(state1, state2, coeffs=None, partition=None):
-    """Full twin-state snapshot at the states' common time."""
+    """Full twin-state snapshot at the states' common time.  A given
+    partition only checks the grid."""
     if coeffs is None:
         coeffs = LeslieCoefficients.ansatz()
-    if partition is None:
-        partition = DyadicPartition(state1.grid)
-    return _twin_record(state1, state2, coeffs, partition)
+    if partition is not None:
+        partition._check_grid(state1.u.x)
+    return _twin_record(state1, state2, coeffs)
 
 
-def _twin_record(state1, state2, coeffs, partition, products=None):
-    """uniqueness_record.  products is an entry of a lockstep march's
+def _twin_record(state1, state2, coeffs, kept=None, products=None):
+    """uniqueness_record, keeping its block-pair buffers in kept (see
+    dyadic._block_pair_samples).  products is an entry of a lockstep march's
     products list (dynamics._march): per state, the half spectra of its
     truncated d1 d1, d1 d2, d2 d2 and d.(A d), formed by the engine's
     evaluations at these states.  The record reads those of d x d of state1
@@ -313,11 +314,11 @@ def _twin_record(state1, state2, coeffs, partition, products=None):
                  else (_dad_half(a2, _stacked(state2.d)), _outer_half(d1)))
     du = state1.u - state2.u
     dd = state1.d - state2.d
-    du_norm = hs_norm_vector(du, -0.5, form="lp", partition=partition)
-    dd_norm = hs_norm_vector(dd, 0.5, form="lp", partition=partition)
+    du_norm = hs_norm_vector(du, -0.5, form="lp")
+    dd_norm = hs_norm_vector(dd, 0.5, form="lp")
     gdu_sq, gdd_sq = _grad_sq(du, -0.5), _grad_sq(dd, 0.5)
     lp_vec, lp_ten = _lp_sums(d1, _velocity_strain(_stacked(state1.u)) - a2,
-                              dd1, partition)
+                              dd1, kept)
     total = coeffs.nu * gdu_sq + gdd_sq + 2.0 * lp_vec + lp_ten
     return UniquenessRecord(
         t=state1.t,

@@ -19,17 +19,15 @@ chi(2^{-q}|n|).
 _block_pair_samples samples (Delta_q, S_{q-1}) block pairs on band-sized
 grids for frakD and the harness identity checks.  It multiplies the N-grid
 stacks by their multipliers straight into the band rows of its pads, and
-its padded inverses write into pads and samples that the DyadicPartition
-passed to it keeps, per thread and stack shapes, so they live as long as
-the partition: a twin run or a harness check holds one partition for all
-its records or trials.
+its padded inverses write into pads and samples kept in a dict its caller
+owns: a twin run or a harness check makes one dict and hands it to all its
+records or trials, so the buffers live as long as that job.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +42,6 @@ from .grid import (
     _weighted_power,
     hs_norm_fourier,
     inner,
-    l2_norm,
     product,
     require_same_grid,
 )
@@ -157,7 +154,7 @@ def _block_pair_buffers(n, *stacks):
     return list(zip(*per_stack))
 
 
-def _block_pair_samples(blocks, lows, partition=None):
+def _block_pair_samples(blocks, lows, kept=None):
     """(q, Delta_q blocks, S_{q-1} lows) for q = 1..q_max, each stack of N-grid
     half spectra sampled by one padded inverse on the M_q x M_q grid.
 
@@ -168,21 +165,17 @@ def _block_pair_samples(blocks, lows, partition=None):
 
     Each stack is multiplied by its q's multiplier straight into the band
     rows of a pad b + 1 columns wide, and the inverses write into pads and
-    samples of _block_pair_buffers.  Given a partition, it keeps them per
-    thread and stack shapes, so a warm call allocates neither.  The samples
-    of one q are overwritten by the next q (and by the next call).
+    samples of _block_pair_buffers, kept in the dict kept (None: a fresh
+    dict) by N and stack shapes, so a warm call allocates neither.  The
+    samples of one q are overwritten by the next q (and by the next call).
     """
     n = blocks.shape[-2]
-    stacks = (blocks.shape[:-2], lows.shape[:-2])
-    if partition is None:
-        buffers = _block_pair_buffers(n, *stacks)
-    else:
-        key = (threading.get_ident(), n, *stacks)
-        buffers = partition._kept.get(key)
-        if buffers is None:
-            buffers = partition._kept[key] = _block_pair_buffers(n, *stacks)
+    key = (n, blocks.shape[:-2], lows.shape[:-2])
+    kept = {} if kept is None else kept
+    if key not in kept:
+        kept[key] = _block_pair_buffers(*key)
     for (q, _, block, low, m), (out_b, out_l) in zip(_block_subgrids(n),
-                                                     buffers):
+                                                     kept[key]):
         out_b[0].fill(0.0)  # _irfft_padded writes only the band rows
         out_l[0].fill(0.0)
         yield (q, _irfft_padded(blocks, m, out=out_b, mult=block),
@@ -198,9 +191,6 @@ class DyadicPartition:
     """
 
     grid: "object"
-    # the pads and samples of _block_pair_samples, by thread and stack shapes
-    _kept: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     @property
     def q_max(self):
@@ -300,14 +290,13 @@ def hs_norm(field, s, form="fourier", partition=None):
     form="fourier": (2 pi) (sum_n (1+|n|)^{2s} |f_n|^2)^{1/2}.
     form="lp":      (sum_q 2^{2qs} ||Delta_q f||_{L2}^2)^{1/2}, evaluated as
                     (2 pi) (sum_n w_s(n) |f_n|^2)^{1/2}, w_s = sum_q 4^{qs} phi_q^2.
-    At s = 0 both forms return the true L2 norm (the block form is
-    special-cased; blocks overlap, so the raw block sum would undershoot).
+    The lp form is continuous in s and equals hs_inner(f, f, s)^{1/2}; at
+    s = 0 it is not the L2 norm, since sum_q phi_q^2 < 1 where blocks
+    overlap.
     """
     if form == "fourier":
         return hs_norm_fourier(field, s)
     if form == "lp":
-        if s == 0:
-            return l2_norm(field)
         if partition is not None:
             partition._check_grid(field)
         w = _lp_weight(field.grid.n_modes, s)

@@ -13,7 +13,7 @@ import os
 
 from . import fields, snapshots
 from .configio import ConfigError
-from .diagnostics import _twin_record, uniqueness_record
+from .diagnostics import _twin_record
 from .dyadic import DyadicPartition
 from .dynamics import State, _march, run
 from .grid import l2_norm
@@ -117,7 +117,7 @@ def twin_experiment(config, out_dir, seed_override=None, quiet=False):
     else:
         state2 = state1.copy()
     coeffs = config.coeffs
-    part = DyadicPartition(config.grid)
+    kept = {}  # the block-pair buffers of every record
     # One march steps both trajectories with one engine.  The step from each
     # sample hands out the products its first evaluations formed at the
     # sample's two states (dynamics._march); the sample's record, taken once
@@ -131,9 +131,9 @@ def twin_experiment(config, out_dir, seed_override=None, quiet=False):
     for _, states in _march((state1, state2), coeffs, config.solver,
                             products=products):
         if pending is not None:
-            records.append(_twin_record(*pending, coeffs, part, products.pop()))
+            records.append(_twin_record(*pending, coeffs, kept, products.pop()))
         pending = states
-    records.append(uniqueness_record(*pending, coeffs, part))
+    records.append(_twin_record(*pending, coeffs, kept))
     finals = pending
     nu = coeffs.nu
     rows = [

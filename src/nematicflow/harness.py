@@ -45,32 +45,28 @@ grid._lp_norms.  The samples are not phase-shifted to points(): on the even
 2N grid that is a whole-point shift, which no L^p norm sees.  The norms
 (L^1, L^{4/3}, L^inf among them) are not polynomial integrals, so they stay
 on the 2N grid.  The identity checks sample each (Delta_q, S_{q-1}) block
-pair on the band-sized grids of dyadic._block_pair_samples, into buffers
-that one partition per check keeps across its trials.
+pair on the band-sized grids of dyadic._block_pair_samples.
 
-Every check also keeps the arrays its transforms work in across its trials:
-the N-grid half spectra of a batch, the pads and samples of the padded
-inverses, the forwards' last-axis spectra and the L^p scratch.  Each set is
-made by the first trial, sized for the largest batch it serves, and dropped
-when the check returns, so a warm trial allocates no transform buffer and
-a check holds its arrays no longer than it runs.  The per-trial cores take
-only their fields (the tests swap them for plane-by-plane oracles), so the
-arrays reach them through the scope of the running check (_keeping).
+Every check keeps the arrays its transforms work in across its trials: the
+N-grid half spectra of a batch, the pads and samples of the padded
+inverses, the forwards' last-axis spectra and the L^p scratch.  The check
+makes one dict and hands it to every trial as the core's kept argument;
+the core hands it on to _planes or dyadic._block_pair_samples, which fill
+it on first use with arrays sized for the largest batch they serve.  So a
+warm trial allocates no transform buffer, and the arrays go when the check
+returns.  A core called without kept works in a fresh dict.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fields as field_gen
-from .dyadic import (DyadicPartition, _block_pair_samples, _partition_tables,
-                     hs_norm)
+from .dyadic import _block_pair_samples, _partition_tables, hs_norm
 from .dynamics import strain_and_vorticity
 from .grid import (
     GridSpec,
@@ -138,23 +134,6 @@ class RatioReport:
     n_trials: int
 
 
-# The arrays that the running check keeps, per thread (see _keeping).
-_running = threading.local()
-
-
-@contextlib.contextmanager
-def _keeping():
-    """The scope of one check: within it, _planes makes each set of arrays
-    once and hands the same arrays to every later trial; on exit they are
-    dropped, so a check holds them no longer than it runs."""
-    outer = getattr(_running, "kept", None)
-    _running.kept = {}
-    try:
-        yield
-    finally:
-        _running.kept = outer
-
-
 class _Planes(NamedTuple):
     """The arrays of a batch of planes: N-grid half spectra, the zero pad
     and the samples of their padded inverse on the M grid, a forward's
@@ -167,42 +146,43 @@ class _Planes(NamedTuple):
     scratch: np.ndarray
 
 
-def _planes(n, m, *leads):
+def _planes(kept, n, m, *leads, pad=None):
     """The _Planes of k planes for each lead k (None for one plane with no
-    leading axis), kept by the running check (made afresh outside one).
-    Each array is a view of one sized for the largest lead, so the leads
-    share memory and must not be in use at the same time; so do the
-    spectrum and the scratch, since a forward is done with its spectrum
-    when it returns."""
-    kept = getattr(_running, "kept", None)
-    if kept is not None and (n, m, leads) in kept:
+    leading axis), made on first use and kept in the dict kept (None: a
+    fresh dict).  Each array is a view of one sized for the largest lead,
+    so the leads share memory and must not be in use at the same time; so
+    do the spectrum and the scratch, since a forward is done with its
+    spectrum when it returns.  pad, another set's zero pad with at least
+    as many planes, is shared instead of making one; the two sets' inverses
+    must not overlap either."""
+    kept = {} if kept is None else kept
+    if (n, m, leads) in kept:
         return kept[n, m, leads]
     top = max(k or 1 for k in leads)
     spectrum = np.empty((top, m, m // 2 + 1), dtype=np.complex128)
     full = (np.empty((top, n, n // 2 + 1), dtype=np.complex128),
-            np.zeros((top, m, n // 2), dtype=np.complex128),
+            np.zeros((top, m, n // 2), dtype=np.complex128) if pad is None
+            else pad[:top],
             np.empty((top, m, m)),
             spectrum,
             spectrum.reshape(-1).view(np.float64)[:top * m * m].reshape(
                 top, m, m))
-    planes = [_Planes(*(a[0] if k is None else a[:k] for a in full))
-              for k in leads]
-    if kept is not None:
-        kept[n, m, leads] = planes
+    planes = kept[n, m, leads] = [
+        _Planes(*(a[0] if k is None else a[:k] for a in full)) for k in leads]
     return planes
 
 
 def _ratio_report(spec, check, trial_ratios):
-    """The RatioReport of trial_ratios(grid, rng) -> {family: {param: ratio}}
-    over the ensemble, one rng stream per trial and one row per (family,
-    param).  The trials share the arrays they keep (_keeping)."""
+    """The RatioReport of trial_ratios(grid, rng, kept) -> {family: {param:
+    ratio}} over the ensemble, one rng stream per trial and one row per
+    (family, param).  The trials share one dict of kept arrays."""
     grid = spec.grid()
+    kept = {}
     data = {}
-    with _keeping():
-        for trial in range(spec.n_trials):
-            for family, ratios in trial_ratios(grid, spec.rng(trial)).items():
-                if ratios:
-                    data.setdefault(family, []).append(ratios)
+    for trial in range(spec.n_trials):
+        for family, ratios in trial_ratios(grid, spec.rng(trial), kept).items():
+            if ratios:
+                data.setdefault(family, []).append(ratios)
     rows = []
     worst = 0.0
     ok = True
@@ -227,8 +207,9 @@ def _ratio_report(spec, check, trial_ratios):
 
 def _focused(ratios, decay=FIELD_DECAY, count=1):
     """trial_ratios for _ratio_report: ratios of count focused fields."""
-    return lambda grid, rng: ratios(*(
-        field_gen.focused_scalar(grid, rng, decay=decay) for _ in range(count)))
+    return lambda grid, rng, kept: ratios(*(
+        field_gen.focused_scalar(grid, rng, decay=decay) for _ in range(count)),
+        kept)
 
 
 def _ratios(params, nums, dens):
@@ -244,14 +225,14 @@ def _ratios(params, nums, dens):
 BERNSTEIN_PAIRS = ((2, 2), (2, np.inf), (1, 2))
 
 
-def _bernstein_ratios(f):
+def _bernstein_ratios(f, kept=None):
     """One trial of verify_bernstein: per q, one 3-plane inverse of
     (Delta_q f, d_x Delta_q f, d_y Delta_q f) serves every exponent."""
     grid = f.grid
     q_max, mults, _ = _partition_tables(grid.n_modes)
     t = grid.tables()
     ikx, iky = 1j * t["nx"], 1j * t["ny"]
-    [b] = _planes(grid.n_modes, grid.padded_size, 3)
+    [b] = _planes(kept, grid.n_modes, grid.padded_size, 3)
     qs = range(-1, q_max + 1)
     q_arr = np.arange(-1, q_max + 1)
     # norms[p][q + 1]: the L^p norms of the three planes of block q
@@ -281,11 +262,11 @@ def verify_bernstein(spec):
     return _ratio_report(spec, "bernstein", _focused(_bernstein_ratios))
 
 
-def _sn_linf_ratios(f):
+def _sn_linf_ratios(f, kept=None):
     """One trial of verify_sn_linf: one inverse of S_n f, n = 1..q_max."""
     m = f.grid.padded_size
     q_max, _, lows = _partition_tables(f.grid.n_modes)
-    [b] = _planes(f.grid.n_modes, m, q_max)
+    [b] = _planes(kept, f.grid.n_modes, m, q_max)
     ns = range(1, q_max + 1)
     sup = _lp_norms(_irfft_padded(f.coeffs, m, out=(b.pad, b.samples),
                                   mult=lows[1:q_max + 1]),
@@ -303,10 +284,10 @@ def verify_sn_linf(spec):
 SOBOLEV_PS = (4, 8, 16, 32, 64)  # each p > 2, so that s = 1 - 2/p > 0
 
 
-def _sobolev_sqrtp_ratios(f):
+def _sobolev_sqrtp_ratios(f, kept=None):
     """One trial of verify_sobolev_sqrtp: one sample of f serves every p."""
     m = f.grid.padded_size
-    [b] = _planes(f.grid.n_modes, m, None)
+    [b] = _planes(kept, f.grid.n_modes, m, None)
     v = _irfft_padded(f.coeffs, m, out=(b.pad, b.samples))
     return {"sqrt-p growth": _ratios(
         SOBOLEV_PS, [_lp_norms(v, p, out=b.scratch) for p in SOBOLEV_PS],
@@ -322,11 +303,11 @@ def verify_sobolev_sqrtp(spec):
 PRODUCT_PAIRS = ((0.5, 0.0), (0.75, -0.25), (0.75, 0.75), (0.0, 0.5))
 
 
-def _product_rule_ratios(f, g):
+def _product_rule_ratios(f, g, kept=None):
     """One trial of verify_product_rule: fg is grid.product(f, g), formed
     in kept arrays."""
     n, m = f.grid.n_modes, f.grid.padded_size
-    b, one = _planes(n, m, 2, None)
+    b, one = _planes(kept, n, m, 2, None)
     b.half[0], b.half[1] = f.coeffs, g.coeffs
     vf, vg = _irfft_padded(b.half, m, out=(b.pad, b.samples))
     fg = SpectralField(f.grid, _rfft_truncated(
@@ -346,19 +327,21 @@ def verify_product_rule(spec):
 COMMUTATOR_TRIPLES = ((2.0, 4.0, 4.0), (2.0, 2.0, np.inf), (4.0 / 3.0, 2.0, 4.0))
 
 
-def _commutator_ratios(f, g):
+def _commutator_ratios(f, g, kept=None):
     """One trial of verify_commutator: one 4-plane inverse of
     (f, g, d_x f, d_y f), fg formed from those samples; then per family one
     inverse of the cut g's, one forward of the f cut(g)'s and one inverse of
     the commutators cut(fg) - f cut(g).  The two families share one set of
     kept arrays, and each family's cut g samples are overwritten by the
-    f cut(g)'s, then by the commutators."""
+    f cut(g)'s, then by the commutators.  The 4-plane set shares the
+    families' pad (q_max + 1 >= 4 planes of the same width), which is free
+    until the first family inverse."""
     grid = f.grid
     n, m = grid.n_modes, grid.padded_size
     q_max, mults, lows = _partition_tables(n)
     t = grid.tables()
-    [fields] = _planes(n, m, 4)
-    one, block, low = _planes(n, m, None, q_max + 1, q_max)
+    one, block, low = _planes(kept, n, m, None, q_max + 1, q_max)
+    [fields] = _planes(kept, n, m, 4, pad=block.pad)
     fields.half[0], fields.half[1] = f.coeffs, g.coeffs
     np.multiply(f.coeffs, 1j * t["nx"], out=fields.half[2])
     np.multiply(f.coeffs, 1j * t["ny"], out=fields.half[3])
@@ -394,24 +377,24 @@ def _commutator_ratios(f, g):
 
 def verify_commutator(spec):
     """Commutator smoothing for [Delta_q, f]g and [S_N, f]g."""
-    def trial(grid, rng):
+    def trial(grid, rng, kept):
         # f coherent: the bound is driven by concentrated gradients of the
         # multiplier.  g independent-phase: feeds every block evenly, so the
         # swept ratios probe the constant rather than packet geometry.
         f = field_gen.focused_scalar(grid, rng, decay=FIELD_DECAY)
         g = field_gen.random_scalar(grid, rng, decay=FIELD_DECAY, zero_mean=False)
-        return _commutator_ratios(f, g)
+        return _commutator_ratios(f, g, kept)
     return _ratio_report(spec, "commutator", trial)
 
 
-def _tail_bounds_ratios(f):
+def _tail_bounds_ratios(f, kept=None):
     """One trial of verify_tail_bounds: one inverse of the tails f - S_n f,
     n = 1..q_max (one step further S_n is the identity on the resolved ball
     and the tail vanishes identically)."""
     grid = f.grid
     m = grid.padded_size
     q_max, _, lows = _partition_tables(grid.n_modes)
-    [b] = _planes(grid.n_modes, m, q_max)
+    [b] = _planes(kept, grid.n_modes, m, q_max)
     ns = range(1, q_max + 1)
     tails = np.multiply(f.coeffs, lows[1:q_max + 1], out=b.half)
     np.subtract(f.coeffs, tails, out=tails)
@@ -438,23 +421,23 @@ def verify_tail_bounds(spec):
 
 
 def _identity_report(spec, check, label, cap, residual, draws):
-    """Worst residual(*fields, partition) over the ensemble, each trial
-    drawing one random vector per (decay shift, divergence_free) in draws;
-    the one partition keeps the block-pair buffers across the trials."""
+    """Worst residual(*fields, kept) over the ensemble, each trial drawing
+    one random vector per (decay shift, divergence_free) in draws; the
+    trials share one dict of kept block-pair buffers."""
     grid = spec.grid()
-    part = DyadicPartition(grid)
+    kept = {}
     worst = 0.0
     for trial in range(spec.n_trials):
         rng = spec.rng(trial)
         fields = [field_gen.random_vector(grid, rng, decay=FIELD_DECAY + shift,
                                           divergence_free=div_free)
                   for shift, div_free in draws]
-        worst = max(worst, residual(*fields, part))
+        worst = max(worst, residual(*fields, kept))
     return RatioReport(check, ((label, worst, worst),), worst <= cap, cap,
                        1.0, worst, spec.n_trials)
 
 
-def _cancellation_sums(du, dd, d1, partition=None):
+def _cancellation_sums(du, dd, d1, kept=None):
     """(I3, J3) of verify_cancellation for one draw."""
     gdu = jacobian(du)
     blocks = np.stack([f.coeffs for f in (gdu.xx, gdu.xy, gdu.yx, gdu.yy,
@@ -463,7 +446,7 @@ def _cancellation_sums(du, dd, d1, partition=None):
     i3 = 0.0
     j3 = 0.0
     for q, (a11, a12, a21, a22, w1, w2), (s1, s2) in _block_pair_samples(
-            blocks, lows, partition):
+            blocks, lows, kept):
         i3 -= 2.0 ** (-q) * _sample_integral(
             (a11 * s1 + a12 * s2) * w1 + (a21 * s1 + a22 * s2) * w2
         )
@@ -474,8 +457,8 @@ def _cancellation_sums(du, dd, d1, partition=None):
     return i3, j3
 
 
-def _cancellation_residual(du, dd, d1, partition):
-    i3, j3 = _cancellation_sums(du, dd, d1, partition)
+def _cancellation_residual(du, dd, d1, kept=None):
+    i3, j3 = _cancellation_sums(du, dd, d1, kept)
     return abs(i3 + j3) / max(abs(i3), abs(j3), 1e-290)
 
 
@@ -497,7 +480,7 @@ def verify_cancellation(spec):
                             ((0.0, True), (1.0, False), (0.0, False)))
 
 
-def _skew_residual(du, d1, partition=None):
+def _skew_residual(du, d1, kept=None):
     """Worst int T : W_q / int |T| |W_q| over q for one draw.  Every tensor
     entry is sampled, the zero and repeated ones included: building W_q from
     its one free entry would make the check pass by construction."""
@@ -507,7 +490,7 @@ def _skew_residual(du, d1, partition=None):
     lows = np.stack([d1.x.coeffs, d1.y.coeffs])
     worst = 0.0
     for _, (a11, a12, a21, a22, w11, w12, w21, w22), (v1, v2) in (
-            _block_pair_samples(blocks, lows, partition)):
+            _block_pair_samples(blocks, lows, kept)):
         m1 = a11 * v1 + a12 * v2
         m2 = a21 * v1 + a22 * v2
         t11 = 2.0 * v1 * m1

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,33 @@ from nematicflow import GridSpec, SpectralField
 @pytest.fixture(scope="session")
 def grid16():
     return GridSpec(16)
+
+
+def _in_two_threads(work):
+    """[work(0), work(1)], run in two threads at once and interleaved
+    finely (a short switch interval, restored afterwards)."""
+    results = [None, None]
+
+    def target(i):
+        results[i] = work(i)
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+@pytest.fixture(scope="session")
+def in_two_threads():
+    return _in_two_threads
 
 
 @pytest.fixture(scope="session")

@@ -450,19 +450,20 @@ class TestFusedTwinRecord:
         coeffs = LeslieCoefficients.ansatz()
         states, products = self._fused_sample(grid16, coeffs)
         fft_counts[:] = [0, 0]
-        _twin_record(*states, coeffs, DyadicPartition(grid16), products)
+        _twin_record(*states, coeffs, {}, products)
         assert fft_counts == [24, 0]
 
     def test_a_warm_record_allocates_no_block_pair_buffers(self, grid32,
                                                            monkeypatch):
         """Every pad and sample array a warm fused record transforms was made
-        by the first record and kept by the partition: tracemalloc, started
+        by the first record and kept in the dict both records were handed
+        (as the twin driver hands it to each record): tracemalloc, started
         after the first record, has no allocation traceback for any of them
         (a fresh np.zeros pad would carry the one of its allocation)."""
         coeffs = LeslieCoefficients.ansatz()
         states, products = self._fused_sample(grid32, coeffs)
-        part = DyadicPartition(grid32)
-        _twin_record(*states, coeffs, part, products)
+        kept = {}
+        _twin_record(*states, coeffs, kept, products)
         seen = []
         irfftn = np.fft.irfftn
 
@@ -476,7 +477,7 @@ class TestFusedTwinRecord:
         if not traced:
             tracemalloc.start()
         try:
-            _twin_record(*states, coeffs, part, products)
+            _twin_record(*states, coeffs, kept, products)
             fresh = np.zeros(3)
             assert tracemalloc.get_object_traceback(fresh) is not None
         finally:
@@ -486,6 +487,19 @@ class TestFusedTwinRecord:
         for pad, out, pad_trace, out_trace in seen:
             assert out is not None
             assert pad_trace is None and out_trace is None
+
+    def test_records_in_two_threads_match_records_one_after_the_other(
+            self, grid32, in_two_threads):
+        """uniqueness_record calls that share one partition, eight in each
+        of two threads at once, give the records they give one after the
+        other: the partition holds no buffers."""
+        part = DyadicPartition(grid32)
+        pairs = [_twins(grid32, near) for near in (True, False)]
+        serial = [[uniqueness_record(*pair, partition=part)] * 8
+                  for pair in pairs]
+        assert in_two_threads(lambda i: [
+            uniqueness_record(*pairs[i], partition=part)
+            for _ in range(8)]) == serial
 
 
 class TestPressureRecovery:

@@ -261,6 +261,20 @@ class TestBesovAndSobolev:
             hs_norm(f, s, form="lp", partition=part) ** 2, rel=1e-12
         )
 
+    def test_lp_form_is_continuous_at_zero(self, grid16, rng):
+        """The lp-form norm at s = 0 is the limit from both sides and the
+        block pairing's square root, not the plain L2 norm (the blocks
+        overlap, so sum_q phi_q^2 < 1 between shells)."""
+        part = DyadicPartition(grid16)
+        f = _rand(grid16, rng)
+        at_zero = hs_norm(f, 0.0, form="lp", partition=part)
+        for s in (-1e-9, 1e-9):
+            assert hs_norm(f, s, form="lp", partition=part) == pytest.approx(
+                at_zero, rel=1e-8)
+        assert hs_inner(f, f, 0.0, part) == pytest.approx(at_zero ** 2,
+                                                          rel=1e-12)
+        assert at_zero < 0.99 * l2_norm(f)
+
     def test_hs_zero_matches_l2_weighting(self, grid32, real_mode):
         """H^0 in weight form is the plain L2 norm; a non-finite s raises in
         both forms and in the block pairing."""

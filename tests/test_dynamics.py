@@ -1,8 +1,6 @@
 """Coupled velocity/director dynamics: coefficients, operators, stepping."""
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -412,28 +410,14 @@ class TestStepping:
                 assert np.array_equal(x.x.coeffs, y.x.coeffs)
                 assert np.array_equal(x.y.coeffs, y.y.coeffs)
 
-    def test_runs_in_two_threads_match_runs_one_after_the_other(self, grid32):
+    def test_runs_in_two_threads_match_runs_one_after_the_other(
+            self, grid32, in_two_threads):
         """Each thread steps with its own workspace: two runs at the same N
         in two threads at once give the bits of two sequential runs."""
         cfg = SolverConfig(dt=1e-3, t_end=0.01, scheme="imex2")
         states = [_random_state(grid32, seed) for seed in (13, 14)]
         serial = [run(s, GENERAL_COEFFS, cfg) for s in states]
-        threaded = [None, None]
-
-        def work(i):
-            threaded[i] = run(states[i], GENERAL_COEFFS, cfg)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the two runs finely
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        threaded = in_two_threads(lambda i: run(states[i], GENERAL_COEFFS, cfg))
         for (got, got_records), (want, want_records) in zip(threaded, serial):
             assert got_records == want_records
             for x, y in ((got.u, want.u), (got.d, want.d)):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nematicflow import (
     HarnessError,
     RatioReport,
     derivative,
+    dyadic,
     focused_scalar,
     harness,
     jacobian,
@@ -239,7 +241,7 @@ class TestRatioOracle:
         plane-by-plane oracle gives the same rows to 1e-12 relative."""
         spec = EnsembleSpec(grid_n=n, n_trials=30, seed=11)
         got = verifier(spec)
-        monkeypatch.setattr(harness, core, oracle)
+        monkeypatch.setattr(harness, core, _ignoring_kept(oracle))
         want = verifier(spec)
         assert [row[0] for row in got.rows] == [row[0] for row in want.rows]
         for g, w in zip(got.rows, want.rows):
@@ -287,13 +289,12 @@ class TestKeptBuffers:
         f = focused_scalar(grid32, rng)
         g = random_scalar(grid32, rng, zero_mean=False)
         du, dd, d1 = _identity_draws(grid32, 9)
-        part = DyadicPartition(grid32)
         trials = [(_bernstein_ratios, (f,)), (_sn_linf_ratios, (f,)),
                   (_sobolev_sqrtp_ratios, (f,)),
                   (_product_rule_ratios, (f, g)),
                   (_commutator_ratios, (f, g)), (_tail_bounds_ratios, (f,)),
-                  (_cancellation_residual, (du, dd, d1, part)),
-                  (_skew_residual, (du, d1, part))]
+                  (_cancellation_residual, (du, dd, d1)),
+                  (_skew_residual, (du, d1))]
         seen = []
         irfftn, rfft = np.fft.irfftn, np.fft.rfft
 
@@ -306,35 +307,67 @@ class TestKeptBuffers:
             return wrapper
 
         for core, fields in trials:
-            with harness._keeping():
-                core(*fields)
-                seen.clear()
-                monkeypatch.setattr(np.fft, "irfftn", spy(irfftn, "pad", "out"))
-                monkeypatch.setattr(np.fft, "rfft", spy(rfft, "spectrum"))
-                traced = tracemalloc.is_tracing()
+            kept = {}  # as one check hands it to each of its trials
+            core(*fields, kept)
+            seen.clear()
+            monkeypatch.setattr(np.fft, "irfftn", spy(irfftn, "pad", "out"))
+            monkeypatch.setattr(np.fft, "rfft", spy(rfft, "spectrum"))
+            traced = tracemalloc.is_tracing()
+            if not traced:
+                tracemalloc.start()
+            try:
+                core(*fields, kept)
+                fresh = np.zeros(3)
+                assert tracemalloc.get_object_traceback(fresh) is not None
+            finally:
                 if not traced:
-                    tracemalloc.start()
-                try:
-                    core(*fields)
-                    fresh = np.zeros(3)
-                    assert tracemalloc.get_object_traceback(fresh) is not None
-                finally:
-                    if not traced:
-                        tracemalloc.stop()
-                    monkeypatch.undo()
+                    tracemalloc.stop()
+                monkeypatch.undo()
             assert seen, core
             for name, x, trace in (item for call in seen for item in call):
                 assert x is not None and trace is None, (core, name)
 
-    def test_a_check_drops_its_kept_arrays(self, small_spec):
-        """The kept arrays live only while their check runs."""
-        verify_commutator(small_spec)
-        assert getattr(harness._running, "kept", None) is None
-        with harness._keeping():
-            _sobolev_sqrtp_ratios(focused_scalar(small_spec.grid(),
-                                                 np.random.default_rng(1)))
-            assert harness._running.kept
-        assert getattr(harness._running, "kept", None) is None
+    def test_a_check_drops_its_kept_arrays(self, small_spec, monkeypatch):
+        """The kept arrays live only while their check runs: weak
+        references to every pad a ratio check and an identity check
+        transformed from are dead once the check returns."""
+        for module, check in ((harness, verify_commutator),
+                              (dyadic, verify_skew_symmetry)):
+            pads = []
+            irfft_padded = module._irfft_padded
+
+            def spy(half, m, out=None, mult=None):
+                if out is not None:
+                    pad = out[0]
+                    pads.append(weakref.ref(pad if pad.base is None
+                                            else pad.base))
+                return irfft_padded(half, m, out=out, mult=mult)
+
+            monkeypatch.setattr(module, "_irfft_padded", spy)
+            check(small_spec)
+            monkeypatch.undo()
+            assert pads, check
+            assert all(ref() is None for ref in pads), check
+
+
+class TestThreads:
+    def test_checks_in_two_threads_match_checks_one_after_the_other(
+            self, in_two_threads):
+        """Each check keeps its own arrays: two threads that each run a
+        ratio check and an identity check on their own ensemble, at once,
+        give the reports of running them one after the other."""
+        specs = [EnsembleSpec(grid_n=32, n_trials=30, seed=seed)
+                 for seed in (21, 22)]
+        checks = (verify_cancellation, verify_commutator)
+        serial = [[check(spec) for check in checks] for spec in specs]
+        assert in_two_threads(
+            lambda i: [check(specs[i]) for check in checks]) == serial
+
+
+def _ignoring_kept(oracle):
+    """oracle in the place of a ratio core: the trailing kept argument that
+    the check hands the core is dropped."""
+    return lambda *fields_and_kept: oracle(*fields_and_kept[:-1])
 
 
 def _counting(fn, calls, kind):

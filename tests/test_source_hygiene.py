@@ -13,12 +13,15 @@ Only the transform layer of grid reads numpy.fft.
 """
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from nematicflow import DyadicPartition
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nematicflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -88,6 +91,22 @@ def test_every_private_definition_is_read(path):
     unread = {name: line for name, line in _private_definitions(tree).items()
               if name not in read}
     assert not unread, f"{path.name}: defined but never read: {unread}"
+
+
+def test_no_module_keeps_buffers_per_thread():
+    """Kept buffers are owned by a job (an engine, the twin driver, one
+    check) and handed down as arguments: no package module imports
+    threading or contextlib, and a DyadicPartition is a plain value that
+    holds its grid and nothing else."""
+    for path in SRC.glob("*.py"):
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module.split(".")[0])
+        assert not {"threading", "contextlib"} & modules, path.name
+    assert [f.name for f in dataclasses.fields(DyadicPartition)] == ["grid"]
 
 
 # The one transform layer: numpy.fft is read only by these definitions.

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nematicflow import (DyadicPartition, GridSpec, SpectralField, product,
-                         to_physical)
+from nematicflow import GridSpec, SpectralField, product, to_physical
 from nematicflow.dyadic import _block_pair_samples, _block_subgrids
 from nematicflow.grid import _irfft_padded, _rfft_truncated
 
@@ -233,14 +232,14 @@ def test_the_pad_row_sampler_is_bitwise_the_cut_route(n, blocks, lows):
     multiplying and sampling, on random 3- and 8-plane stacks, on a first
     and on a warm call."""
     rng = np.random.default_rng(n + blocks)
-    part = DyadicPartition(GridSpec(n))
+    kept = {}
     for _ in range(2):
         b = _random_halves(rng, (blocks,), n)
         lo = _random_halves(rng, (lows,), n)
         seen = 0
         # one q's samples are overwritten by the next: compare as they come
         for (q, h, block, low, m), (got_q, got_b, got_l) in zip(
-                _block_subgrids(n), _block_pair_samples(b, lo, part)):
+                _block_subgrids(n), _block_pair_samples(b, lo, kept)):
             assert got_q == q
             assert np.array_equal(got_b, _cut_then_sample(b, block, h, m))
             assert np.array_equal(got_l, _cut_then_sample(lo, low, h, m))
