@@ -26,6 +26,11 @@ rule on the panels [0, 1], [1, 2], [2, 4], ... up to ln(1/eps): on each
 panel the integrand varies on the scale of the panel itself, so 24 nodes
 per panel reach double precision, and a 16-node rule on the same panels
 gives the error estimate.
+
+The comparison equation y' = C F(t) mu(y) separates: I(y(t)) = I(y0) -
+C int_0^t F, I(y) = int_y^1 dr/mu.  comparison_ode solves it per step in
+L = ln(1/y) by Newton's method on the same integrand and panels (mirrored
+to -1, -2, -4, ... for y > 1), summing the piecewise-linear F exactly.
 """
 
 from __future__ import annotations
@@ -71,18 +76,14 @@ def mu_control(r):
 
 
 def _substituted_integrand(modulus):
-    """dL-integrand of int dr/modulus(r) under r = e^{-L}, on arrays;
-    only the two built-in moduli mu and mu_control have one."""
-    if modulus is mu:
-        def g(big_l):
-            a = big_l + np.log1p(np.exp(-big_l))
-            return 1.0 / ((1.0 + a) * (1.0 + np.log1p(a)))
-    elif modulus is mu_control:
-        def g(big_l):
-            a = big_l + np.log1p(np.exp(-big_l))
-            return 1.0 / (1.0 + a) ** 2
-    else:
-        raise OsgoodError("the Osgood integral supports only mu and mu_control")
+    """dL-integrand e^{-L} / modulus(e^{-L}) of int dr/modulus(r) under
+    r = e^{-L}, on arrays; closed forms for mu and mu_control."""
+    if modulus not in (mu, mu_control):
+        return lambda big_l: np.exp(-big_l) / modulus(np.exp(-big_l))
+
+    def g(big_l):  # A = ln(1 + e^L), formed without overflow at L < 0 too
+        a = np.maximum(big_l, 0.0) + np.log1p(np.exp(-np.abs(big_l)))
+        return 1.0 / ((1.0 + a) * (1.0 + (np.log1p(a) if modulus is mu else a)))
     return g
 
 
@@ -102,19 +103,25 @@ def _panel_sums(g, lo, hi, order):
     return (g(half[:, None] * x + mid[:, None]) * w).sum(axis=1) * half
 
 
+_CUTS = np.r_[-np.exp2(np.arange(10, -1, -1)), 0.0, np.exp2(np.arange(11))]
+
+
+def _panels(a, b):
+    """Panels (lo, hi) from a to b, cut at the _CUTS 0, +-1, +-2, +-4, ...
+    +-1024 strictly between them; one panel when a >= b."""
+    edges = np.r_[a, _CUTS[(_CUTS > a) & (_CUTS < b)], b]
+    return edges[:-1], edges[1:]
+
+
 def osgood_integral(eps, modulus=mu):
     """I(eps) = int_eps^1 dr / modulus(r), by substituted composite
     Gauss-Legendre quadrature (see the module docstring)."""
     if not 0.0 < eps < 1.0:
         raise OsgoodError(f"eps must lie in (0, 1), got {eps}")
+    if modulus not in (mu, mu_control):
+        raise OsgoodError("the Osgood integral supports only mu and mu_control")
     g = _substituted_integrand(modulus)
-    upper = -math.log(eps)
-    edges = [0.0, 1.0]
-    while edges[-1] < upper:
-        edges.append(2.0 * edges[-1])
-    edges = np.array(edges)
-    edges[-1] = upper  # the first edge at or beyond ln(1/eps) moves onto it
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = _panels(0.0, -math.log(eps))
     fine = _panel_sums(g, lo, hi, 24)
     value = float(fine.sum())
     err = float(np.abs(fine - _panel_sums(g, lo, hi, 16)).sum())
@@ -153,14 +160,19 @@ def osgood_divergence_certificate(eps_list, modulus=mu):
 def comparison_ode(times, f_values, y0, c_fit=1.0, modulus=mu):
     """Solve y' = c_fit * F(t) * modulus(y), y(times[0]) = y0, at the samples.
 
-    F is the piecewise-linear interpolant of (times, f_values).  y0 = 0 is the
-    exact fixed point (modulus(0) = 0) and returns zeros without integration.
-    Blow-up beyond the double range raises OsgoodError.
+    F is the piecewise-linear interpolant of (times, f_values).  The solution
+    is in closed form (see the module docstring).  y0 = 0 is the exact fixed
+    point (modulus(0) = 0) and returns zeros.  Blow-up beyond the double
+    range raises OsgoodError.
     """
     t = np.asarray(times, dtype=np.float64)
     f = np.asarray(f_values, dtype=np.float64)
     if t.ndim != 1 or t.shape != f.shape:
         raise OsgoodError("times and f_values must be 1d arrays of equal length")
+    if not (np.isfinite(t).all() and np.isfinite(f).all() and math.isfinite(y0)):
+        raise OsgoodError("times, f_values and y0 must be finite")
+    if not 0.0 <= c_fit < math.inf:
+        raise OsgoodError("c_fit must be finite and nonnegative")
     if np.any(np.diff(t) <= 0):
         raise OsgoodError("times must be strictly increasing")
     if np.any(f < 0):
@@ -169,25 +181,21 @@ def comparison_ode(times, f_values, y0, c_fit=1.0, modulus=mu):
         raise OsgoodError("y0 must be nonnegative")
     if y0 == 0.0:
         return np.zeros_like(t)
-    from scipy.integrate import solve_ivp  # loaded here, not on import
-
-    def rhs(s, y):
-        yy = max(float(y[0]), 0.0)
-        return (c_fit * np.interp(s, t, f) * float(modulus(yy)),)
-
-    sol = solve_ivp(
-        rhs,
-        (t[0], t[-1]),
-        (float(y0),),
-        t_eval=t,
-        method="DOP853",
-        rtol=1e-11,
-        atol=max(y0 * 1e-13, 1e-300),
-        max_step=(t[-1] - t[0]) / 8.0,
-    )
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise OsgoodError(f"comparison integration failed: {sol.message}")
-    return sol.y[0]
+    g = _substituted_integrand(modulus)
+    big_l = np.full_like(t, -math.log(y0))
+    for k, target in enumerate(0.5 * c_fit * np.diff(t) * (f[:-1] + f[1:]), 1):
+        prev = lk = big_l[k - 1]
+        for _ in range(50):  # Newton's method for int_lk^prev g = target
+            step = (_panel_sums(g, *_panels(lk, prev), 24).sum() - target) / g(lk)
+            lk += step
+            if abs(step) <= 1e-15 * max(1.0, abs(lk)):
+                break
+        else:
+            raise OsgoodError(f"Newton's method did not converge at t = {t[k]}")
+        if not lk >= -math.log(np.finfo(np.float64).max):
+            raise OsgoodError(f"y leaves the double range by t = {t[k]}")
+        big_l[k] = lk
+    return np.where(big_l == big_l[0], y0, np.exp(-big_l))
 
 
 @dataclass
@@ -205,10 +213,14 @@ class OsgoodTrace:
         f = np.asarray(self.f, dtype=np.float64)
         if not (t.ndim == 1 and t.shape == p.shape == f.shape):
             raise OsgoodError("trace arrays must be 1d and of equal length")
+        if not np.all(np.isfinite(np.concatenate((t, p, f)))):
+            raise OsgoodError("trace samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise OsgoodError("trace times must be strictly increasing")
         if np.any(p < 0):
             raise OsgoodError("Phi samples must be nonnegative")
+        if np.any(f < 0):
+            raise OsgoodError("F samples must be nonnegative")
         if not 0.0 < self.gamma < 1.0:
             raise OsgoodError("gamma must lie in (0, 1)")
         self.times = t
@@ -229,6 +241,10 @@ def check_master_inequality(trace, frakd, tol=None):
     (c_fit <= _C_MAX), the largest violation at _C_MAX, and the first
     violating sample index (None when the inequality holds).  The twin
     command's osgood.csv has the report's keys, in order, as its columns.
+
+    c_fit = 1 is the clamp floor, not a fit: when Phi is largest at t = 0,
+    as in both committed twin goldens (c_required = 1, max Phi = Phi(0)),
+    the default tol covers every sample and C int F mu(Phi) is never used.
     """
     t = trace.times
     p = trace.phi
@@ -236,6 +252,8 @@ def check_master_inequality(trace, frakd, tol=None):
     d = np.asarray(frakd, dtype=np.float64)
     if d.shape != t.shape:
         raise OsgoodError("frakD series must align with the trace samples")
+    if not np.all(np.isfinite(d)):
+        raise OsgoodError("frakD samples must be finite")
     if np.any(d < 0):
         raise OsgoodError("frakD samples must be nonnegative")
     if tol is None:

@@ -7,8 +7,9 @@ reads the snapshot that a `run` of its config leaves).  Its outputs are
 held to two levels:
 
 - digest: the sha256 of every output file equals the one in
-  golden/manifest.json.  It applies only when numpy and scipy are the
-  versions the manifest names, since other FFT builds may round otherwise.
+  golden/manifest.json.  It applies only when numpy is the version the
+  manifest names, since other FFT builds may round otherwise; the package
+  loads no scipy.
 - numbers: applied always.  Every number of a CSV or text output is within
   1e-12 relative of the golden's, except the values that are roundoff by
   construction, which must stay below 1e-12: `div_residual` and the ratios
@@ -32,7 +33,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy
 
 from nematicflow import cli
 from nematicflow.snapshots import read_snapshot
@@ -185,7 +185,7 @@ def test_outputs_match_the_golden_numbers(name, outputs, states):
 
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_the_golden_digests(name, outputs, manifest):
-    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    versions = {"numpy": np.__version__}
     if versions != manifest["versions"]:
         pytest.skip(f"goldens made with {manifest['versions']}, here {versions}")
     got = {f: _digest(outputs / name / f) for f in CASES[name][2]}
@@ -205,7 +205,7 @@ def _write_goldens():
             if path.name not in files or path.suffix == ".lcsf":
                 path.unlink()
     np.savez_compressed(GOLDEN / "snapshots.npz", **halves)
-    manifest = {"versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+    manifest = {"versions": {"numpy": np.__version__},
                 "digests": digests}
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 

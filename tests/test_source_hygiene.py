@@ -148,7 +148,7 @@ def test_only_the_transform_layer_calls_numpy_fft():
 
 
 # Runs in a fresh interpreter: the package, then every command at N = 16,
-# then the comparison ODE, which alone loads scipy.
+# then the comparison ODE; none of them may load any scipy module.
 _COMMANDS_ON_NUMPY_ALONE = """
 import pathlib, sys
 import numpy as np
@@ -171,14 +171,13 @@ for words in (["run"], ["twin"],
     assert not scipy_modules(), (words, scipy_modules())
 t = np.linspace(0.0, 1.0, 5)
 assert np.all(np.isfinite(comparison_ode(t, np.ones_like(t), 1e-3)))
-assert "scipy.integrate" in sys.modules
+assert not scipy_modules(), ("comparison_ode", scipy_modules())
 """
 
 
 def test_the_package_and_its_commands_import_no_scipy(tmp_path):
-    """import nematicflow and the commands run, twin, decompose and verify
-    leave no scipy module loaded; comparison_ode loads scipy.integrate
-    when called and works."""
+    """import nematicflow, the commands run, twin, decompose and verify,
+    and a comparison_ode call leave no scipy module loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _COMMANDS_ON_NUMPY_ALONE,
