@@ -34,7 +34,7 @@ over the modes (dyadic.hs_norm).  Each block Delta_q delta A and its
 low-passes S_{q-1} d_1, S_{q-1}(d_1 x d_1) are sampled on a band-sized grid,
 the smallest on which the sampled integral of the squared integrands is
 exact, not on the 2N grid; dyadic._block_pair_samples does this here and
-for the harness identity checks, into pads and samples kept in a dict
+for the harness identity checks, into spectra and samples kept in a dict
 that the job owns: the twin driver makes one and hands it to every record.
 frakD's S_{q-1}(d_1 x d_1) needs the truncated d_1 x d_1 and F_hat the
 truncated d_2.A_2 d_2.  Every record forms its products with the engine's

@@ -18,10 +18,10 @@ chi(2^{-q}|n|).
 
 _block_pair_samples samples (Delta_q, S_{q-1}) block pairs on band-sized
 grids for frakD and the harness identity checks.  It multiplies the N-grid
-stacks by their multipliers straight into the band rows of its pads, and
-its padded inverses write into pads and samples kept in a dict its caller
-owns: a twin run or a harness check makes one dict and hands it to all its
-records or trials, so the buffers live as long as that job.
+stacks by their multipliers straight into the band of its inverses'
+spectra, and the inverses write into spectra and samples kept in a dict
+its caller owns: a twin run or a harness check makes one dict and hands it
+to all its records or trials, so the buffers live as long as that job.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _fast_even_size(k):
 @lru_cache(maxsize=32)
 def _block_subgrids(n_modes):
     """(q, b + 1, block, low, M_q), q = 1..q_max, for _block_pair_samples:
-    the band width b + 1 of the pads, the N-grid multipliers of Delta_q and
+    the band b + 1 of the inverses, the N-grid multipliers of Delta_q and
     S_{q-1}, and the sample grid size."""
     q_max, mults, lows = _partition_tables(n_modes)
     top = n_modes // 2 - 1
@@ -142,16 +142,15 @@ def _block_subgrids(n_modes):
 
 
 def _block_pair_buffers(n, *stacks):
-    """Per q of _block_subgrids(n), a (pad, samples) pair for each stack
-    shape.  Per stack, the pads of every q share one buffer and the samples
-    another: one q's arrays are done with before the next q's are written.
-    """
-    subgrids = _block_subgrids(n)
-    per_stack = [zip(_shared(*(lead + (m, h) for _, h, _, _, m in subgrids),
-                             dtype=np.complex128),
-                     _shared(*(lead + (m, m) for *_, m in subgrids)))
-                 for lead in stacks]
-    return list(zip(*per_stack))
+    """Per q of _block_subgrids(n), a (spectrum, samples) pair per stack
+    shape.  All spectra share one buffer: each is done with when its inverse
+    returns; per stack, the samples of every q share another: one q's are
+    done with before the next q's are written."""
+    ms = [m for *_, m in _block_subgrids(n)]
+    spectra = iter(_shared(*(lead + (m, m // 2 + 1) for m in ms
+                             for lead in stacks), dtype=np.complex128))
+    samples = zip(*(_shared(*(lead + (m, m) for m in ms)) for lead in stacks))
+    return [[(next(spectra), s) for s in per_q] for per_q in samples]
 
 
 def _block_pair_samples(blocks, lows, kept=None):
@@ -164,7 +163,7 @@ def _block_pair_samples(blocks, lows, kept=None):
     exact integral.  M_q is even: the unphased samples sit on points().
 
     Each stack is multiplied by its q's multiplier straight into the band
-    rows of a pad b + 1 columns wide, and the inverses write into pads and
+    of an M_q-grid spectrum, and the inverses write into spectra and
     samples of _block_pair_buffers, kept in the dict kept (None: a fresh
     dict) by N and stack shapes, so a warm call allocates neither.  The
     samples of one q are overwritten by the next q (and by the next call).
@@ -174,12 +173,10 @@ def _block_pair_samples(blocks, lows, kept=None):
     kept = {} if kept is None else kept
     if key not in kept:
         kept[key] = _block_pair_buffers(*key)
-    for (q, _, block, low, m), (out_b, out_l) in zip(_block_subgrids(n),
+    for (q, h, block, low, m), (out_b, out_l) in zip(_block_subgrids(n),
                                                      kept[key]):
-        out_b[0].fill(0.0)  # _irfft_padded writes only the band rows
-        out_l[0].fill(0.0)
-        yield (q, _irfft_padded(blocks, m, out=out_b, mult=block),
-               _irfft_padded(lows, m, out=out_l, mult=low))
+        yield (q, _irfft_padded(blocks, m, out=out_b, mult=block, band=h),
+               _irfft_padded(lows, m, out=out_l, mult=low, band=h))
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,11 @@ _strain_half, and the twin records form d.Ad with _cubic_fields and d x d
 on the 3N/2 grid, as the engine does.
 
 Each engine keeps its transform batches in a workspace of its own: the
-padded inverses write into kept pads and sample arrays instead of fresh
-ones, so a warm step allocates only the transforms' intermediates, the
-forward spectra and its N-grid results.  Right sides and stepped states are
-always fresh arrays, never views of the workspace, and the engine holds no
-state of any trajectory.
+padded inverses write into kept full-width spectra and sample arrays, and
+each forward writes its spectrum into the inverse's, so a warm step's
+transforms allocate only their N-grid results.  Right sides and stepped
+states are always fresh arrays, never views of the workspace, and the
+engine holds no state of any trajectory.
 
 One loop, _march, drives the engine.  It marches a tuple of states in
 lockstep with one engine, stepping them in turn: run, iterate and step
@@ -485,7 +485,7 @@ def _state_record(state, coeffs, ws=None):
         pc = _irfft_padded(planes, m)
         oc = _cubic_fields(pc, np.empty_like(pc))
     else:
-        pc = _irfft_padded(planes, m, out=(ws.pad_cubic, ws.samples_cubic))
+        pc = _irfft_padded(planes, m, out=(ws.wide_cubic, ws.samples_cubic))
         oc = _cubic_fields(pc, ws.cubic)
     return _energy_record(state.t, *_energy_terms(coeffs, uh, dh, pc, oc))
 
@@ -498,8 +498,9 @@ class _Workspace:
 
     Every nonlinear() call rewrites what it reads here before reading it,
     and nothing it returns is a view of these arrays, so one engine steps
-    any number of trajectories in turn with one workspace.  The pads keep
-    the zero rows that _irfft_padded does not write.
+    any number of trajectories in turn with one workspace.  Each stage's
+    full-width inverse spectra (see grid._irfft_padded) also take the
+    spectra of the forward that ends the stage.
     """
 
     def __init__(self, n, mc, mp):
@@ -507,13 +508,14 @@ class _Workspace:
         self.in_cubic = np.empty((7, n, h + 1), dtype=np.complex128)
         self.in1 = np.empty((12, n, h + 1), dtype=np.complex128)
         self.in2 = np.empty((8, n, h + 1), dtype=np.complex128)
-        self.pad_cubic = np.zeros((7, mc, h), dtype=np.complex128)
-        self.pad_pair = np.zeros((12, mp, h), dtype=np.complex128)
+        self.wide_pair = np.empty((12, mp, mp // 2 + 1), dtype=np.complex128)
         # samples: 2N ones die before stage 2 starts, and the cubic products
         # are transformed before stage 1 is sampled
         self.samples_cubic, self.samples2 = _shared((7, mc, mc), (8, mp, mp))
         self.cubic, self.samples1 = _shared((7, mc, mc), (12, mp, mp))
-        self.pairs = np.empty((13, mp, mp))
+        # pairs are dead from an evaluation's last forward to stage 1's products
+        self.wide_cubic, self.pairs = _shared(
+            ((7, mc, mc // 2 + 1), np.complex128), (13, mp, mp))
 
 
 class _Engine:
@@ -596,14 +598,14 @@ class _Engine:
         if want_diag:
             np.multiply(-t["n2"], dh, out=bc[5:7])
         k = 7 if want_diag else 5
-        pc = _irfft_padded(bc[:k], mc, out=(ws.pad_cubic[:k], ws.samples_cubic[:k]))
+        pc = _irfft_padded(bc[:k], mc, out=(ws.wide_cubic[:k], ws.samples_cubic[:k]))
         # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad
         oc = _cubic_fields(pc, ws.cubic)
         terms = _energy_terms(co, uh, dh, pc, oc) if want_diag else None
-        sc = _rfft_truncated(oc[0:3], n)
+        sc = _rfft_truncated(oc[0:3], n, spectrum=ws.wide_cubic[:3])
         gw_h = sc[0:2]
 
-        p = _irfft_padded(b1, mp, out=(ws.pad_pair, ws.samples1))
+        p = _irfft_padded(b1, mp, out=(ws.wide_pair, ws.samples1))
         u1, u2, d1, d2 = p[0:4]
         grad = p[4:12].reshape(4, 2, mp, mp)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
         (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
@@ -643,7 +645,7 @@ class _Engine:
         e12 += np.multiply(gd2, gd3, out=t1)
         np.multiply(gd1, gd1, out=e22)
         e22 += np.multiply(gd3, gd3, out=t1)
-        s1 = _rfft_truncated(o[0:9], n)
+        s1 = _rfft_truncated(o[0:9], n, spectrum=ws.wide_pair[:9])
         advu_h = s1[0:2]
 
         b2 = ws.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
@@ -652,7 +654,7 @@ class _Engine:
         b2[3:6] = s1[6:9]
         np.multiply(-t["n2"], dh, out=b2[6:8])
         b2[6:8] -= gw_h  # resolved lap d - grad W
-        p2 = _irfft_padded(b2, mp, out=(ws.pad_pair[:8], ws.samples2))
+        p2 = _irfft_padded(b2, mp, out=(ws.wide_pair[:8], ws.samples2))
         adn, dad_n, ddt, nv = p2[0:2], p2[2], p2[3:6], p2[6:8]
         l1, l2 = co.lambda1, co.lambda2
         nv *= -1.0 / l1
@@ -669,7 +671,7 @@ class _Engine:
         outer = o[4:8].reshape(2, 2, mp, mp)
         s += np.multiply(lf[:, None], p[None, 2:4], out=outer).reshape(4, mp, mp)
         s += np.multiply(p[2:4, None], rt[None], out=outer).reshape(4, mp, mp)
-        sh = _rfft_truncated(s, n)
+        sh = _rfft_truncated(s, n, spectrum=ws.wide_pair[:4])
 
         mom = np.empty_like(uh)
         mom[0] = -advu_h[0] + ikx * sh[0] + iky * sh[1]

@@ -227,15 +227,15 @@ def require_same_grid(*fields):
 # Every transform runs on half spectra.
 #
 # The padded inverse is pruned.  Of the M x M half spectrum only the columns
-# ny = 0..N/2-1 can be nonzero, so the pad holds just those N/2 columns.
-# numpy.fft.irfftn runs its axis -2 pass on the columns it is given and
-# zero-extends them to M/2 + 1 inside the last-axis irfft, so the empty
-# columns are never transformed.  It calls irfftn rather than irfft2
-# (which runs irfftn, so the bits are the same) because numpy's irfft2
-# drops its out argument: with a kept pad and sample array the inverse
-# writes into them and allocates only its intermediate.  The pad is filled
-# by two basic-slice copies, or products with a multiplier, so a block
-# Delta_q f is sampled without being formed.
+# ny = 0..h-1 (h = N/2, or a block's band) can be nonzero, and only they get
+# the axis -2 numpy.fft.ifft, run in place (out=) on a column view of a
+# full-width (..., M, M/2 + 1) spectrum whose other columns are zeroed.  The
+# last-axis numpy.fft.irfft then runs on the full width: given narrow rows,
+# numpy would zero-extend each of them in a fresh intermediate, on a slower
+# path, for the same bits.  The columns are filled by two basic-slice
+# copies, or products with a multiplier, so a block Delta_q f is sampled
+# without being formed.  Neither direction reads the spectrum it is handed
+# before writing it, so a kept one serves an inverse and the forward after.
 #
 # The forward is pruned the same way, in two 1-D passes: a last-axis
 # numpy.fft.rfft, then a numpy.fft.fft along axis -2 of only the N/2
@@ -247,10 +247,10 @@ def require_same_grid(*fields):
 # directions use norm="forward" (1/M^2 on the forward side, 1/M per pass
 # here): for a power-of-two M this gives the same bits as one 2-D transform
 # that scales once.  The FFT functions are looked up on numpy.fft at call
-# time; the forward is its only 1-D use.
+# time.
 
 
-def _irfft_padded(half, m, out=None, mult=None):
+def _irfft_padded(half, m, out=None, mult=None, band=None):
     """Samples on the M x M grid of N-grid half spectra, zero-padded.
 
     half has shape (..., N, N/2 + 1); leading axes form one batched
@@ -258,41 +258,46 @@ def _irfft_padded(half, m, out=None, mult=None):
     (pi, pi), which pointwise products do not see (to_physical phases the
     half spectrum onto points() first).
 
-    Without out, each call pads into a fresh zero array.  out = (pad,
-    samples) gives kept arrays of shapes (..., M, h) complex and
-    (..., M, M) real: only the populated pad rows are written, so the
-    other rows must be zero (as from np.zeros) and stay so, and the samples
-    are written into samples, which is returned.  The bits are the same.
-    The pad's width h is the band: the pad takes the rows 0..h-1 and
-    N-h+1..N-1 of half at columns 0..h-1, all of them at h = N/2 and the
-    2h-grid half spectrum at h < N/2 (the rest of half is dropped).
+    Without out, each call pads into a fresh buffer.  out = (wide,
+    samples) gives kept arrays of shapes (..., M, M/2 + 1) complex and
+    (..., M, M) real: the padded spectrum is written into wide, whose
+    content on entry is never read, and the samples into samples, which is
+    returned.  The bits are the same.  band, h = N/2 unless the block
+    sampler passes its own, takes the rows 0..h-1 and N-h+1..N-1 of half
+    at columns 0..h-1: at h < N/2, the 2h-grid half spectrum (the rest of
+    half is dropped).
 
     mult, a real multiplier of half's layout, multiplies half on its way
-    into the pad: the bits of half * mult, without forming the product or
-    its cut.  Leading axes of mult broadcast against half's into a given
-    pad's.
+    into the buffer: the bits of half * mult, without forming the product
+    or its cut.  Leading axes of mult broadcast against half's into a given
+    buffer's.
     """
     n = half.shape[-2]
+    h = n // 2 if band is None else band
     if out is None:
-        out = (np.zeros(half.shape[:-2] + (m, n // 2), dtype=np.complex128),
+        out = (np.empty(half.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128),
                None)
-    pad, samples = out
-    h = pad.shape[-1]
-    for src, dst in ((np.s_[..., :h, :h], pad[..., :h, :]),
-                     (np.s_[..., n - h + 1:, :h], pad[..., m - h + 1:, :])):
+    wide, samples = out
+    cols = wide[..., :h]
+    for src, dst in ((np.s_[..., :h, :h], cols[..., :h, :]),
+                     (np.s_[..., n - h + 1:, :h], cols[..., m - h + 1:, :])):
         if mult is None:
             dst[...] = half[src]
         else:
             np.multiply(half[src], mult[src], out=dst)
-    return np.fft.irfftn(pad, s=(m, m), axes=(-2, -1), norm="forward",
-                         out=samples)
+    cols[..., h:m - h + 1, :] = 0.0
+    wide[..., h:] = 0.0
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(wide, n=m, axis=-1, norm="forward", out=samples)
 
 
 def _shared(*shapes, dtype=np.float64):
     """Arrays of the given shapes over one buffer, for arrays that never
-    live at the same time."""
-    buf = np.empty(max(math.prod(shape) for shape in shapes), dtype=dtype)
-    return [buf[:math.prod(shape)].reshape(shape) for shape in shapes]
+    live at the same time: of dtype, or of d for a shape given as (shape, d)."""
+    specs = [s if isinstance(s[0], tuple) else (s, dtype) for s in shapes]
+    sizes = [math.prod(s) * np.dtype(d).itemsize for s, d in specs]
+    buf = np.empty(max(sizes), dtype=np.uint8)
+    return [buf[:k].view(d).reshape(s) for (s, d), k in zip(specs, sizes)]
 
 
 def _rfft_truncated(values, n, spectrum=None):

@@ -48,13 +48,13 @@ on the 2N grid.  The identity checks sample each (Delta_q, S_{q-1}) block
 pair on the band-sized grids of dyadic._block_pair_samples.
 
 Every check keeps the arrays its transforms work in across its trials: the
-N-grid half spectra of a batch, the pads and samples of the padded
-inverses, the forwards' last-axis spectra and the L^p scratch.  The check
-makes one dict and hands it to every trial as the core's kept argument;
-the core hands it on to _planes or dyadic._block_pair_samples, which fill
-it on first use with arrays sized for the largest batch they serve.  So a
-warm trial allocates no transform buffer, and the arrays go when the check
-returns.  A core called without kept works in a fresh dict.
+N-grid half spectra of a batch, the samples of the padded inverses, the
+M-grid half spectra that the inverses and forwards run in and the L^p
+scratch.  The check makes one dict and hands it to every trial as the
+core's kept argument; the core hands it on to _planes or
+dyadic._block_pair_samples, which fill it on first use with arrays sized
+for the largest batch they serve.  So a warm trial allocates no transform
+buffer, and the arrays go when the check returns.  A core called without kept works in a fresh dict.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .grid import (
     _lp_norms,
     _rfft_truncated,
     _sample_integral,
+    _shared,
     hs_norm_fourier,
     jacobian,
     laplacian,
@@ -135,38 +136,30 @@ class RatioReport:
 
 
 class _Planes(NamedTuple):
-    """The arrays of a batch of planes: N-grid half spectra, the zero pad
-    and the samples of their padded inverse on the M grid, a forward's
-    last-axis spectrum and an L^p scratch."""
+    """The arrays of a batch of planes: N-grid half spectra, the samples of
+    their padded inverse on the M grid, the M-grid half spectrum that an
+    inverse or a forward runs in, and an L^p scratch."""
 
     half: np.ndarray
-    pad: np.ndarray
     samples: np.ndarray
     spectrum: np.ndarray
     scratch: np.ndarray
 
 
-def _planes(kept, n, m, *leads, pad=None):
+def _planes(kept, n, m, *leads):
     """The _Planes of k planes for each lead k (None for one plane with no
     leading axis), made on first use and kept in the dict kept (None: a
     fresh dict).  Each array is a view of one sized for the largest lead,
     so the leads share memory and must not be in use at the same time; so
-    do the spectrum and the scratch, since a forward is done with its
-    spectrum when it returns.  pad, another set's zero pad with at least
-    as many planes, is shared instead of making one; the two sets' inverses
-    must not overlap either."""
+    do the spectrum and the scratch, since a transform is done with its
+    spectrum when it returns."""
     kept = {} if kept is None else kept
     if (n, m, leads) in kept:
         return kept[n, m, leads]
     top = max(k or 1 for k in leads)
-    spectrum = np.empty((top, m, m // 2 + 1), dtype=np.complex128)
     full = (np.empty((top, n, n // 2 + 1), dtype=np.complex128),
-            np.zeros((top, m, n // 2), dtype=np.complex128) if pad is None
-            else pad[:top],
             np.empty((top, m, m)),
-            spectrum,
-            spectrum.reshape(-1).view(np.float64)[:top * m * m].reshape(
-                top, m, m))
+            *_shared(((top, m, m // 2 + 1), np.complex128), (top, m, m)))
     planes = kept[n, m, leads] = [
         _Planes(*(a[0] if k is None else a[:k] for a in full)) for k in leads]
     return planes
@@ -241,7 +234,8 @@ def _bernstein_ratios(f, kept=None):
         np.multiply(f.coeffs, mult, out=b.half[0])
         np.multiply(b.half[0], ikx, out=b.half[1])
         np.multiply(b.half[0], iky, out=b.half[2])
-        v = _irfft_padded(b.half, grid.padded_size, out=(b.pad, b.samples))
+        v = _irfft_padded(b.half, grid.padded_size,
+                          out=(b.spectrum, b.samples))
         for p, n in norms.items():
             n[j] = _lp_norms(v, p, out=b.scratch)
     out = {}
@@ -268,7 +262,7 @@ def _sn_linf_ratios(f, kept=None):
     q_max, _, lows = _partition_tables(f.grid.n_modes)
     [b] = _planes(kept, f.grid.n_modes, m, q_max)
     ns = range(1, q_max + 1)
-    sup = _lp_norms(_irfft_padded(f.coeffs, m, out=(b.pad, b.samples),
+    sup = _lp_norms(_irfft_padded(f.coeffs, m, out=(b.spectrum, b.samples),
                                   mult=lows[1:q_max + 1]),
                     np.inf, out=b.scratch)
     h1 = hs_norm_fourier(f, 1.0)
@@ -288,7 +282,7 @@ def _sobolev_sqrtp_ratios(f, kept=None):
     """One trial of verify_sobolev_sqrtp: one sample of f serves every p."""
     m = f.grid.padded_size
     [b] = _planes(kept, f.grid.n_modes, m, None)
-    v = _irfft_padded(f.coeffs, m, out=(b.pad, b.samples))
+    v = _irfft_padded(f.coeffs, m, out=(b.spectrum, b.samples))
     return {"sqrt-p growth": _ratios(
         SOBOLEV_PS, [_lp_norms(v, p, out=b.scratch) for p in SOBOLEV_PS],
         [math.sqrt(p) * hs_norm_fourier(f, 1.0 - 2.0 / p) for p in SOBOLEV_PS])}
@@ -309,7 +303,7 @@ def _product_rule_ratios(f, g, kept=None):
     n, m = f.grid.n_modes, f.grid.padded_size
     b, one = _planes(kept, n, m, 2, None)
     b.half[0], b.half[1] = f.coeffs, g.coeffs
-    vf, vg = _irfft_padded(b.half, m, out=(b.pad, b.samples))
+    vf, vg = _irfft_padded(b.half, m, out=(b.spectrum, b.samples))
     fg = SpectralField(f.grid, _rfft_truncated(
         np.multiply(vf, vg, out=vf), n, spectrum=one.spectrum))
     return {"sobolev product": _ratios(
@@ -333,20 +327,18 @@ def _commutator_ratios(f, g, kept=None):
     inverse of the cut g's, one forward of the f cut(g)'s and one inverse of
     the commutators cut(fg) - f cut(g).  The two families share one set of
     kept arrays, and each family's cut g samples are overwritten by the
-    f cut(g)'s, then by the commutators.  The 4-plane set shares the
-    families' pad (q_max + 1 >= 4 planes of the same width), which is free
-    until the first family inverse."""
+    f cut(g)'s, then by the commutators."""
     grid = f.grid
     n, m = grid.n_modes, grid.padded_size
     q_max, mults, lows = _partition_tables(n)
     t = grid.tables()
     one, block, low = _planes(kept, n, m, None, q_max + 1, q_max)
-    [fields] = _planes(kept, n, m, 4, pad=block.pad)
+    [fields] = _planes(kept, n, m, 4)
     fields.half[0], fields.half[1] = f.coeffs, g.coeffs
     np.multiply(f.coeffs, 1j * t["nx"], out=fields.half[2])
     np.multiply(f.coeffs, 1j * t["ny"], out=fields.half[3])
     vf, vg, fx, fy = _irfft_padded(fields.half, m,
-                                   out=(fields.pad, fields.samples))
+                                   out=(fields.spectrum, fields.samples))
     fg = _rfft_truncated(np.multiply(vf, vg, out=one.samples), n,
                          spectrum=one.spectrum)
     grad_f = np.multiply(fx, fx, out=fx)  # |grad f|, formed in place
@@ -362,12 +354,13 @@ def _commutator_ratios(f, g, kept=None):
     for family, ks, cuts, b in (
             ("block", range(0, q_max + 1), mults[1:], block),
             ("low-pass", range(1, q_max + 1), lows[1:q_max + 1], low)):
-        cut_g = _irfft_padded(g.coeffs, m, out=(b.pad, b.samples), mult=cuts)
+        cut_g = _irfft_padded(g.coeffs, m, out=(b.spectrum, b.samples),
+                              mult=cuts)
         f_cut_g = _rfft_truncated(np.multiply(vf, cut_g, out=cut_g), n,
                                   spectrum=b.spectrum)
         comm = np.multiply(fg, cuts, out=b.half)
         comm -= f_cut_g
-        comm = _irfft_padded(comm, m, out=(b.pad, b.samples))
+        comm = _irfft_padded(comm, m, out=(b.spectrum, b.samples))
         comm_lp = {r: _lp_norms(comm, r, out=b.scratch) for r in rs}
         for r, p, h in COMMUTATOR_TRIPLES:
             out[f"{family} r={r:g} p={p:g} h={h:g}"] = _ratios(
@@ -402,7 +395,7 @@ def _tail_bounds_ratios(f, kept=None):
     h2 = hs_norm_fourier(f, 2.0)
     return {
         "sup tail": _ratios(
-            ns, _lp_norms(_irfft_padded(tails, m, out=(b.pad, b.samples)),
+            ns, _lp_norms(_irfft_padded(tails, m, out=(b.spectrum, b.samples)),
                           np.inf, out=b.scratch),
             [2.0 ** (-n / 2.0) * math.sqrt(h1 * h2) for n in ns]),
         "quarter-sobolev tail": _ratios(

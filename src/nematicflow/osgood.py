@@ -236,9 +236,9 @@ def check_master_inequality(trace, frakd, tol=None):
 
     Integrals are left-rectangle sums over the trace's time samples.  The
     default tol is Phi(0) (plus a tiny floor), which makes the m = 0 sample
-    self-consistent when the two trajectories start apart.  Returns a report
-    with the smallest sufficient constant c_fit (clamped below by 1), holds
-    (c_fit <= _C_MAX), the largest violation at _C_MAX, and the first
+    self-consistent when the two trajectories start apart; a given tol
+    must be finite and nonnegative.  Returns a report with the smallest
+    sufficient constant c_fit (clamped below by 1), holds (c_fit <= _C_MAX), the largest violation at _C_MAX, and the first
     violating sample index (None when the inequality holds).  The twin
     command's osgood.csv has the report's keys, in order, as its columns.
 
@@ -258,6 +258,8 @@ def check_master_inequality(trace, frakd, tol=None):
         raise OsgoodError("frakD samples must be nonnegative")
     if tol is None:
         tol = float(p[0]) * (1.0 + 1e-9) + 1e-300
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise OsgoodError(f"tol must be finite and nonnegative, got {tol}")
     dt = np.diff(t)
     # left-rectangle cumulative integrals, aligned so entry m covers [t_0, t_m]
     int_d = np.concatenate(([0.0], np.cumsum(dt * d[:-1])))

@@ -96,11 +96,13 @@ def fft_counts(monkeypatch):
     """[inverse, forward] counts of 2-D transforms, one per batch element,
     with the same counts per sample grid size M in fft_counts.per_size.
 
-    Wraps the 2-D/n-D entry points of numpy.fft, and its rfft: a last-axis
-    rfft of real (..., M, M) planes is the first pass of a truncated forward
-    and counts one forward per plane at size M (the axis -2 fft that
-    completes it is not counted again).  Reset the list in place between
-    measurements.
+    Wraps the 2-D/n-D entry points of numpy.fft, and its rfft and irfft: a
+    last-axis rfft of real (..., M, M) planes is the first pass of a
+    truncated forward and counts one forward per plane at size M (the axis
+    -2 fft that completes it is not counted again); a last-axis irfft to
+    real (..., M, M) planes is the last pass of a padded inverse and counts
+    one inverse per plane at size M (the axis -2 ifft before it is not
+    counted).  Reset the list in place between measurements.
     """
     counts = _FFTCounts()
 
@@ -118,14 +120,14 @@ def fft_counts(monkeypatch):
             return out
         return wrapper
 
-    def counted_rfft(fn):
+    def counted_last_axis(fn, kind):
         @functools.wraps(fn)
         def wrapper(a, n=None, axis=-1, *args, **kwargs):
             out = fn(a, n, axis, *args, **kwargs)
-            shape = np.shape(a)
+            shape = np.shape(out if kind == 0 else a)
             if (len(shape) >= 2 and axis in (-1, len(shape) - 1)
                     and shape[-2] == shape[-1]):
-                counts.add(1, shape[-1], math.prod(shape[:-2]))
+                counts.add(kind, shape[-1], math.prod(shape[:-2]))
             return out
         return wrapper
 
@@ -135,5 +137,7 @@ def fft_counts(monkeypatch):
             axes = (-2, -1) if name.endswith("2") else None
             monkeypatch.setattr(np.fft, name,
                                 counted(getattr(np.fft, name), kind, axes))
-    monkeypatch.setattr(np.fft, "rfft", counted_rfft(np.fft.rfft))
+    for kind, name in ((0, "irfft"), (1, "rfft")):
+        monkeypatch.setattr(np.fft, name,
+                            counted_last_axis(getattr(np.fft, name), kind))
     return counts

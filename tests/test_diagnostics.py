@@ -455,24 +455,32 @@ class TestFusedTwinRecord:
 
     def test_a_warm_record_allocates_no_block_pair_buffers(self, grid32,
                                                            monkeypatch):
-        """Every pad and sample array a warm fused record transforms was made
-        by the first record and kept in the dict both records were handed
-        (as the twin driver hands it to each record): tracemalloc, started
-        after the first record, has no allocation traceback for any of them
-        (a fresh np.zeros pad would carry the one of its allocation)."""
+        """Every spectrum and sample array a warm fused record transforms
+        was made by the first record and kept in the dict both records were
+        handed (as the twin driver hands it to each record): tracemalloc,
+        started after the first record, has no allocation traceback for the
+        array that owns the memory of any array the inverses' ifft and
+        irfft read or write (a fresh array would carry the one of its
+        allocation)."""
         coeffs = LeslieCoefficients.ansatz()
         states, products = self._fused_sample(grid32, coeffs)
         kept = {}
         _twin_record(*states, coeffs, kept, products)
-        seen = []
-        irfftn = np.fft.irfftn
+        seen = {"ifft": [], "irfft": []}
 
-        def spy(pad, *args, out=None, **kwargs):
-            seen.append((pad, out, tracemalloc.get_object_traceback(pad),
-                         tracemalloc.get_object_traceback(out)))
-            return irfftn(pad, *args, out=out, **kwargs)
+        def owner_trace(x):
+            return tracemalloc.get_object_traceback(
+                x if x.base is None else x.base)
 
-        monkeypatch.setattr(np.fft, "irfftn", spy)
+        def spy(name, fn):
+            def wrapper(a, *args, out=None, **kwargs):
+                seen[name].append((out, owner_trace(a),
+                                   out is not None and owner_trace(out)))
+                return fn(a, *args, out=out, **kwargs)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
         traced = tracemalloc.is_tracing()
         if not traced:
             tracemalloc.start()
@@ -483,10 +491,11 @@ class TestFusedTwinRecord:
         finally:
             if not traced:
                 tracemalloc.stop()
-        assert len(seen) == 2 * 4  # blocks and lows at q = 1..4
-        for pad, out, pad_trace, out_trace in seen:
+        # blocks and lows at q = 1..4
+        assert len(seen["ifft"]) == len(seen["irfft"]) == 2 * 4
+        for out, in_trace, out_trace in seen["ifft"] + seen["irfft"]:
             assert out is not None
-            assert pad_trace is None and out_trace is None
+            assert in_trace is None and out_trace is None
 
     def test_records_in_two_threads_match_records_one_after_the_other(
             self, grid32, in_two_threads):

@@ -430,9 +430,10 @@ class TestStepping:
         """The tracemalloc peak of one warm step at N = 32 stays below two
         12-plane batches of 3N/2 samples, 2 * 12 * 48^2 * 8 B = 432 KiB.
 
-        With the padded inverses written into the kept workspace a step
-        allocates the transforms' intermediates, the forward spectra and the
-        N-grid results: 296 KiB (imex1) and 366 KiB (imex2) measured.  Any
+        With every transform written into the kept workspace a step
+        allocates its pointwise temporaries and N-grid results: 264 KiB
+        (imex1) and 333 KiB (imex2) measured, 296 and 366 KiB while the
+        inverses' intermediates and the forward spectra were fresh.  Any
         one inverse made fresh again adds its sample batch (216 KiB for
         stage 1, 144 KiB for stage 2, 160 KiB for the 5 cubic planes at 2N)
         and crosses the bound; with every inverse fresh the peak was 821 and
@@ -453,6 +454,46 @@ class TestStepping:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 2 * 12 * 48 ** 2 * 8
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_a_warm_step_hands_every_transform_a_kept_out(self, grid32,
+                                                          scheme, monkeypatch):
+        """Every numpy.fft call of a warm step writes into an array of the
+        workspace: each gets an out whose memory is owned by an array that
+        tracemalloc, started after the first step, has no allocation
+        traceback for.  So the step's transforms allocate nothing but their
+        N-grid results."""
+        engine = _Engine(grid32, GENERAL_COEFFS,
+                         SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
+        uh, dh, _ = engine.step(*engine.start(_random_state(grid32, 15)))
+        seen = []
+
+        def spy(name, fn):
+            def wrapper(*args, out=None, **kwargs):
+                owner = None if out is None else (
+                    out if out.base is None else out.base)
+                seen.append((name, owner is not None and
+                             tracemalloc.get_object_traceback(owner) is None))
+                return fn(*args, out=out, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            engine.step(uh, dh)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            monkeypatch.undo()
+        assert all(kept for _, kept in seen), seen
+        evals = 1 if scheme == "imex1" else 2
+        assert sorted({name for name, _ in seen}) == [
+            "fft", "ifft", "irfft", "rfft"]
+        assert len(seen) == 12 * evals  # 3 inverses and 3 forwards of 2 calls
 
     def test_two_stage_scheme_matches_its_reference(self, grid32):
         """The Heun-type variant equals its two-evaluation reference, for the

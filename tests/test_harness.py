@@ -279,10 +279,11 @@ class TestRatioOracle:
 class TestKeptBuffers:
     def test_a_warm_trial_allocates_no_transform_buffer(self, grid32,
                                                          monkeypatch):
-        """Within one check, every pad and sample array a warm trial hands
-        to irfftn, and every spectrum it hands to rfft, was made by the
-        first trial and kept: tracemalloc, started after the first trial,
-        has no allocation traceback for any of them (a fresh array would
+        """Within one check, every array a warm trial hands to numpy.fft
+        (the spectrum ifft runs in and that irfft reads, the samples irfft
+        writes, the spectrum rfft writes) was made by the first trial and
+        kept: tracemalloc, started after the first trial, has no allocation
+        traceback for the array that owns its memory (a fresh array would
         carry the one of its allocation).  This holds for each ratio core
         and for both identity residuals."""
         rng = np.random.default_rng(9)
@@ -296,12 +297,14 @@ class TestKeptBuffers:
                   (_cancellation_residual, (du, dd, d1)),
                   (_skew_residual, (du, d1))]
         seen = []
-        irfftn, rfft = np.fft.irfftn, np.fft.rfft
+        ifft, irfft, rfft = np.fft.ifft, np.fft.irfft, np.fft.rfft
 
         def spy(fn, *names):
             def wrapper(a, *args, out=None, **kwargs):
                 arrays = (a, out)[-len(names):]
-                seen.append([(name, x, tracemalloc.get_object_traceback(x))
+                seen.append([(name, x, None if x is None else
+                              tracemalloc.get_object_traceback(
+                                  x if x.base is None else x.base))
                              for name, x in zip(names, arrays)])
                 return fn(a, *args, out=out, **kwargs)
             return wrapper
@@ -310,7 +313,9 @@ class TestKeptBuffers:
             kept = {}  # as one check hands it to each of its trials
             core(*fields, kept)
             seen.clear()
-            monkeypatch.setattr(np.fft, "irfftn", spy(irfftn, "pad", "out"))
+            monkeypatch.setattr(np.fft, "ifft", spy(ifft, "columns"))
+            monkeypatch.setattr(np.fft, "irfft",
+                                spy(irfft, "spectrum", "samples"))
             monkeypatch.setattr(np.fft, "rfft", spy(rfft, "spectrum"))
             traced = tracemalloc.is_tracing()
             if not traced:
@@ -329,25 +334,25 @@ class TestKeptBuffers:
 
     def test_a_check_drops_its_kept_arrays(self, small_spec, monkeypatch):
         """The kept arrays live only while their check runs: weak
-        references to every pad a ratio check and an identity check
+        references to every spectrum a ratio check and an identity check
         transformed from are dead once the check returns."""
         for module, check in ((harness, verify_commutator),
                               (dyadic, verify_skew_symmetry)):
-            pads = []
+            spectra = []
             irfft_padded = module._irfft_padded
 
-            def spy(half, m, out=None, mult=None):
+            def spy(half, m, out=None, mult=None, band=None):
                 if out is not None:
-                    pad = out[0]
-                    pads.append(weakref.ref(pad if pad.base is None
-                                            else pad.base))
-                return irfft_padded(half, m, out=out, mult=mult)
+                    wide = out[0]
+                    spectra.append(weakref.ref(wide if wide.base is None
+                                               else wide.base))
+                return irfft_padded(half, m, out=out, mult=mult, band=band)
 
             monkeypatch.setattr(module, "_irfft_padded", spy)
             check(small_spec)
             monkeypatch.undo()
-            assert pads, check
-            assert all(ref() is None for ref in pads), check
+            assert spectra, check
+            assert all(ref() is None for ref in spectra), check
 
 
 class TestThreads:

@@ -276,6 +276,22 @@ class TestMasterInequality:
         assert report["first_violation_index"] == 2
         assert report["max_violation"] > 0.0
 
+    def test_rejects_a_tolerance_that_is_not_finite_and_nonnegative(self):
+        """A NaN or infinite tol would cover every sample (a NaN makes every
+        needed constant NaN, and max(1, nan) is 1), so the jump that fails
+        at the default tol would read as holding; such a tol, and a
+        negative one, is refused.  A finite tol >= 0 is still taken."""
+        t = np.array([0.0, 0.5, 1.0])
+        trace = OsgoodTrace(times=t, phi=np.array([1e-8, 1e-8, 1.0]),
+                            f=np.zeros_like(t))
+        frakd = np.zeros_like(t)
+        assert not check_master_inequality(trace, frakd)["holds"]
+        for bad in (math.nan, math.inf, -math.inf, -1e-12):
+            with pytest.raises(OsgoodError, match="tol"):
+                check_master_inequality(trace, frakd, tol=bad)
+        assert check_master_inequality(trace, frakd, tol=0.0)["tol"] == 0.0
+        assert check_master_inequality(trace, frakd, tol=2.0)["holds"]
+
     def test_dissipation_term_raises_the_left_side(self):
         """Positive frakD with gamma weighting needs a larger constant."""
         t, p = self._exact_trace(c=1.5)

@@ -10,6 +10,8 @@ transform pair itself is checked against its earlier formulation: a full
 (M, M/2 + 1) pad, numpy.fft only, scaling after the transform.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,22 +184,69 @@ def test_transform_pair_results_ignore_earlier_calls(n, m):
     assert np.array_equal(spectra, kept)
 
 
-@pytest.mark.parametrize("n, m", [(16, 32), (16, 24), (64, 128), (64, 96)])
+KEPT_GRIDS = [(16, 32), (16, 24), (64, 128), (64, 96), (128, 256),
+              (128, 192), (10, 20), (10, 15)]
+
+
+@pytest.mark.parametrize("n, m", KEPT_GRIDS)
 def test_kept_buffers_give_the_fresh_bits(n, m):
-    """The inverse written into a kept (pad, samples) pair, as the stepping
-    engine calls it (leading-axis slices of one pair, repeated calls with
-    new inputs), is bitwise the fresh path's; the pad rows it does not
-    write stay zero."""
+    """The inverse written into a kept (spectrum, samples) pair, as the
+    stepping engine calls it (leading-axis slices of one pair, repeated
+    calls with new inputs, the spectrum also taken by forwards in between),
+    is bitwise the fresh path's, whether the spectrum holds NaNs or stale
+    data on entry; N = 10 samples the odd 3N/2 = 15 grid."""
     rng = np.random.default_rng(n + m)
-    h = n // 2
-    pad = np.zeros((12, m, h), dtype=np.complex128)
+    wide = np.full((12, m, m // 2 + 1), np.nan, dtype=np.complex128)
     samples = np.empty((12, m, m))
-    for lead in (12, 5, 8, 12, 8, 5):
+    for lead in (12, 5, 8, 12, 8, 5, 7):
         half = _random_halves(rng, (lead,), n)
-        got = _irfft_padded(half, m, out=(pad[:lead], samples[:lead]))
+        got = _irfft_padded(half, m, out=(wide[:lead], samples[:lead]))
         assert np.shares_memory(got, samples)
         assert np.array_equal(got, _irfft_padded(half, m))
-        assert not np.any(pad[:, h:m - h + 1])
+        _rfft_truncated(rng.standard_normal((lead - 1, m, m)), n,
+                        spectrum=wide[:lead - 1])
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_a_kept_band_inverse_gives_the_fresh_bits(n):
+    """The block sampler's band inverse (its band h, a multiplier with
+    leading axes) into a NaN-filled kept spectrum gives, on every block
+    subgrid, the bits of cutting the band out, multiplying and sampling."""
+    rng = np.random.default_rng(n)
+    half = _random_halves(rng, (), n)
+    for _, h, block, low, m in _block_subgrids(n):
+        mult = np.stack([block, low])
+        wide = np.full((2, m, m // 2 + 1), np.nan, dtype=np.complex128)
+        got = _irfft_padded(half, m, out=(wide, np.empty((2, m, m))),
+                            mult=mult, band=h)
+        for plane, one in zip(got, mult):
+            assert np.array_equal(plane, _cut_then_sample(half, one, h, m))
+
+
+@pytest.mark.parametrize("n, m, lead", [(64, 128, 7), (64, 96, 12),
+                                        (128, 256, 7), (128, 192, 12)])
+def test_a_warm_kept_inverse_allocates_nothing(n, m, lead):
+    """A warm inverse into kept arrays, at the engine's batch shapes at
+    N = 64 and 128, allocates no array: the tracemalloc peak rises by less
+    than 8 KiB, the few view objects of the call (an (..., M, N/2)
+    intermediate of the batch would take at least 448 KiB here)."""
+    rng = np.random.default_rng(n + lead)
+    half = _random_halves(rng, (lead,), n)
+    out = (np.empty((lead, m, m // 2 + 1), dtype=np.complex128),
+           np.empty((lead, m, m)))
+    _irfft_padded(half, m, out=out)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _irfft_padded(half, m, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8 * 1024
 
 
 @pytest.mark.parametrize("m", [128, 96, 54, 108])
