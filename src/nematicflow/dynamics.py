@@ -52,10 +52,11 @@ on the 3N/2 grid, as the engine does.
 
 Each engine keeps its transform batches in a workspace of its own: the
 padded inverses write into kept full-width spectra and sample arrays, and
-each forward writes its spectrum into the inverse's, so a warm step's
-transforms allocate only their N-grid results.  Right sides and stepped
-states are always fresh arrays, never views of the workspace, and the
-engine holds no state of any trajectory.
+each forward writes its spectrum into the inverse's and its N-grid result
+into the input batch that the inverse has spent, so a warm step's
+transforms allocate nothing.  Right sides and stepped states are always
+fresh arrays, never views of the workspace, and the engine holds no state
+of any trajectory.
 
 One loop, _march, drives the engine.  It marches a tuple of states in
 lockstep with one engine, stepping them in turn: run, iterate and step
@@ -494,13 +495,26 @@ def _state_record(state, coeffs, ws=None):
 
 
 class _Workspace:
-    """The transform batches of one engine.
+    """The transform batches of one engine: the N-grid input batches of its
+    three stages and three sample-sized buffers.
 
     Every nonlinear() call rewrites what it reads here before reading it,
     and nothing it returns is a view of these arrays, so one engine steps
     any number of trajectories in turn with one workspace.  Each stage's
     full-width inverse spectra (see grid._irfft_padded) also take the
-    spectra of the forward that ends the stage.
+    spectra of the forward that ends the stage, and that forward cuts its
+    N-grid result into the stage's input batch, spent by its inverse.
+    Stage 2 samples into samples1[4:12], stage 1's derivative planes, which
+    are spent once the stage-1 products and the Ericksen planes are formed;
+    samples1[2:4], the d samples, stay for the stress.  Two arrays share a
+    buffer only where their lives, within an evaluation, do not overlap:
+
+    - samples_cubic, read until the cubic products and energy terms are
+      formed, and wide_pair, written from stage 1's inverse on;
+    - cubic, read until the cubic forward, and samples1, written from
+      stage 1's inverse on;
+    - wide_cubic, read until the cubic forward, and pairs, written from
+      stage 1's products on and read until stage 2's forward.
     """
 
     def __init__(self, n, mc, mp):
@@ -508,12 +522,9 @@ class _Workspace:
         self.in_cubic = np.empty((7, n, h + 1), dtype=np.complex128)
         self.in1 = np.empty((12, n, h + 1), dtype=np.complex128)
         self.in2 = np.empty((8, n, h + 1), dtype=np.complex128)
-        self.wide_pair = np.empty((12, mp, mp // 2 + 1), dtype=np.complex128)
-        # samples: 2N ones die before stage 2 starts, and the cubic products
-        # are transformed before stage 1 is sampled
-        self.samples_cubic, self.samples2 = _shared((7, mc, mc), (8, mp, mp))
+        self.samples_cubic, self.wide_pair = _shared(
+            (7, mc, mc), ((12, mp, mp // 2 + 1), np.complex128))
         self.cubic, self.samples1 = _shared((7, mc, mc), (12, mp, mp))
-        # pairs are dead from an evaluation's last forward to stage 1's products
         self.wide_cubic, self.pairs = _shared(
             ((7, mc, mc // 2 + 1), np.complex128), (13, mp, mp))
 
@@ -602,7 +613,8 @@ class _Engine:
         # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad
         oc = _cubic_fields(pc, ws.cubic)
         terms = _energy_terms(co, uh, dh, pc, oc) if want_diag else None
-        sc = _rfft_truncated(oc[0:3], n, spectrum=ws.wide_cubic[:3])
+        sc = _rfft_truncated(oc[0:3], n, spectrum=ws.wide_cubic[:3],
+                             out=bc[:3])
         gw_h = sc[0:2]
 
         p = _irfft_padded(b1, mp, out=(ws.wide_pair, ws.samples1))
@@ -645,7 +657,7 @@ class _Engine:
         e12 += np.multiply(gd2, gd3, out=t1)
         np.multiply(gd1, gd1, out=e22)
         e22 += np.multiply(gd3, gd3, out=t1)
-        s1 = _rfft_truncated(o[0:9], n, spectrum=ws.wide_pair[:9])
+        s1 = _rfft_truncated(o[0:9], n, spectrum=ws.wide_pair[:9], out=b1[:9])
         advu_h = s1[0:2]
 
         b2 = ws.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
@@ -654,7 +666,8 @@ class _Engine:
         b2[3:6] = s1[6:9]
         np.multiply(-t["n2"], dh, out=b2[6:8])
         b2[6:8] -= gw_h  # resolved lap d - grad W
-        p2 = _irfft_padded(b2, mp, out=(ws.wide_pair[:8], ws.samples2))
+        # stage 1's derivative samples are spent; its d samples stay
+        p2 = _irfft_padded(b2, mp, out=(ws.wide_pair[:8], p[4:12]))
         adn, dad_n, ddt, nv = p2[0:2], p2[2], p2[3:6], p2[6:8]
         l1, l2 = co.lambda1, co.lambda2
         nv *= -1.0 / l1
@@ -671,7 +684,7 @@ class _Engine:
         outer = o[4:8].reshape(2, 2, mp, mp)
         s += np.multiply(lf[:, None], p[None, 2:4], out=outer).reshape(4, mp, mp)
         s += np.multiply(p[2:4, None], rt[None], out=outer).reshape(4, mp, mp)
-        sh = _rfft_truncated(s, n, spectrum=ws.wide_pair[:4])
+        sh = _rfft_truncated(s, n, spectrum=ws.wide_pair[:4], out=b2[:4])
 
         mom = np.empty_like(uh)
         mom[0] = -advu_h[0] + ikx * sh[0] + iky * sh[1]
@@ -681,7 +694,7 @@ class _Engine:
         # the lap d part of G duplicates the integrating factor's diffusion,
         # so the explicit side carries only the potential force -kappa grad W
         direc = s1[2:4] - co.kappa * gw_h
-        if products is not None:  # copies: the rest of s1 and sc is freed
+        if products is not None:  # copies: s1 and sc are workspace views
             products.append((s1[6:9].copy(), sc[2].copy()))
         return mom, direc, terms
 

@@ -86,7 +86,7 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
     # The noise is indexed by mode; its even and odd parts at the stored
     # modes make the ny = 0 column exactly Hermitian.
-    neg = -np.arange(n) % n
+    neg = t["mirror"]
     mirror = np.ix_(neg, neg[: n // 2 + 1])
     amp_jitter = 0.5 * (amp_noise[:, : n // 2 + 1] + amp_noise[mirror])
     phase_jitter = 0.5 * (phase_noise[:, : n // 2 + 1] - phase_noise[mirror])

@@ -65,6 +65,8 @@ def _tables(n_modes):
         "n2_safe": n2_safe,
         "radius": np.sqrt(n2),
         "nyquist": (np.abs(nx) == n // 2) | (ny == n // 2),
+        # FFT-order index of -k for k = 0..N-1, along either axis.
+        "mirror": -np.arange(n) % n,
         # Phase relating samples on [-pi, pi)^2 to numpy's [0, 2pi)^2 convention.
         "phase": np.where((nx + ny) % 2 == 0, 1.0, -1.0),
         # Parseval multiplicity: a column ny > 0 also stands for its mirror -n.
@@ -164,9 +166,9 @@ class SpectralField:
     def from_coeffs(cls, grid, coeffs):
         """Build a field from a full N x N array of FFT-ordered coefficients.
 
-        Nyquist modes are zeroed.  The coefficients must be Hermitian
-        (f_{-n} = conj(f_n)) to within roundoff; the field keeps their
-        ny >= 0 half.
+        Nyquist modes are zeroed.  The other coefficients must be finite
+        and Hermitian (f_{-n} = conj(f_n)) to within roundoff, or GridError
+        names which of the two fails; the field keeps their ny >= 0 half.
         """
         n = grid.n_modes
         c = np.array(coeffs, dtype=np.complex128)
@@ -176,7 +178,9 @@ class SpectralField:
             )
         c[n // 2, :] = 0.0
         c[:, n // 2] = 0.0
-        neg = -np.arange(n) % n
+        if not np.all(np.isfinite(c)):
+            raise GridError("coefficients are non-finite (NaN or infinite)")
+        neg = _tables(n)["mirror"]
         scale = np.max(np.abs(c)) or 1.0
         if not np.max(np.abs(c - np.conj(c[np.ix_(neg, neg)]))) <= 1e-12 * scale:
             raise GridError("coefficients are not Hermitian (not a real field)")
@@ -242,8 +246,9 @@ def require_same_grid(*fields):
 # columns ny = 0..N/2-1 that the cut keeps, written back into those columns
 # of the rfft's output (out=), so the pass allocates no spectrum of its
 # own.  The other M/2 + 1 - N/2 columns are never transformed along axis -2.
-# The kept rows are then cut into a fresh N-grid half spectrum.  A caller
-# that keeps the rfft's output passes it in (out=).  Both
+# The kept rows are then cut into an N-grid half spectrum.  A caller that
+# keeps the rfft's output, or the cut's, passes it in; neither is read
+# before it is written, so the cut may go into a spent input batch.  Both
 # directions use norm="forward" (1/M^2 on the forward side, 1/M per pass
 # here): for a power-of-two M this gives the same bits as one 2-D transform
 # that scales once.  The FFT functions are looked up on numpy.fft at call
@@ -300,27 +305,31 @@ def _shared(*shapes, dtype=np.float64):
     return [buf[:k].view(d).reshape(s) for (s, d), k in zip(specs, sizes)]
 
 
-def _rfft_truncated(values, n, spectrum=None):
+def _rfft_truncated(values, n, spectrum=None, out=None):
     """N-grid half spectra of real M x M samples (any leading axes).
 
     Two 1-D passes: a last-axis rfft, then an axis -2 fft of the N/2
     columns that are kept, written back into them (see the comment above).
-    The N-grid Nyquist row and column are left at zero.  The ny = 0 column
+    The N-grid Nyquist row and column are set to zero.  The ny = 0 column
     holds both n and -n, which the transform computes separately; each pair
-    is averaged so that f_{-n} = conj(f_n) holds exactly there too.  The
-    result is a fresh array.  spectrum, a kept complex (..., M, M/2 + 1)
-    array, receives the last-axis spectrum (a fresh one without); its
-    content on entry is never read.
+    is averaged so that f_{-n} = conj(f_n) holds exactly there too.
+    spectrum, a kept complex (..., M, M/2 + 1) array, receives the
+    last-axis spectrum, and out, a kept complex (..., N, N/2 + 1) array,
+    the result, which is returned (fresh arrays without).  The content of
+    neither is read on entry, and the bits are the same.
     """
     m = values.shape[-1]
     h = n // 2
     c = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
     np.fft.fft(c[..., :h], axis=-2, norm="forward", out=c[..., :h])
-    out = np.zeros(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
+    if out is None:
+        out = np.empty(values.shape[:-2] + (n, h + 1), dtype=np.complex128)
     out[..., :h, :h] = c[..., :h, :h]
     out[..., h + 1:, :h] = c[..., m - h + 1:, :h]
+    out[..., h, :] = 0.0
+    out[..., h] = 0.0
     col = out[..., 0]
-    out[..., 0] = 0.5 * (col + np.conj(col[..., -np.arange(n) % n]))
+    out[..., 0] = 0.5 * (col + np.conj(col[..., _tables(n)["mirror"]]))
     return out
 
 

@@ -9,10 +9,12 @@ zero).
 
 Fields are held as half spectra (see grid).  persist expands each one by
 f_{-n} = conj(f_n); load requires each field component to have zero Nyquist
-lines and to be Hermitian within the tolerance of SpectralField.from_coeffs,
-raising SnapshotFormatError naming the component otherwise, and keeps its
-ny >= 0 half as stored.  So load(persist(s)) == s down to the last bit, and
-a loaded file persists back to the same bytes.
+lines and to be finite and Hermitian within the tolerance of
+SpectralField.from_coeffs, and the metadata component to hold a finite real
+time and zeros elsewhere, raising SnapshotFormatError naming the component
+otherwise.  It keeps each field's ny >= 0 half as stored.  So
+load(persist(s)) == s down to the last bit, and a loaded file persists back
+to the same bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import struct
 import numpy as np
 
 from .dynamics import State
-from .grid import GridError, GridSpec, SpectralField, VectorField2
+from .grid import GridError, GridSpec, SpectralField, VectorField2, _tables
 
 MAGIC = b"LCSF"
 VERSION = 1
@@ -111,7 +113,7 @@ def _full(half):
     full = np.zeros((n, n), dtype=np.complex128)
     full[:, : n // 2 + 1] = half
     # columns N/2 + 1 .. N - 1 hold ny = -(N/2 - 1) .. -1
-    full[:, n // 2 + 1:] = np.conj(half[-np.arange(n) % n, n // 2 - 1:0:-1])
+    full[:, n // 2 + 1:] = np.conj(half[_tables(n)["mirror"], n // 2 - 1:0:-1])
     return full
 
 
@@ -140,8 +142,20 @@ def load(path, grid=None):
         )
     ux, uy, dx, dy = (_field(grid, a, name)
                       for a, name in zip(arrays, ("u_x", "u_y", "d_x", "d_y")))
-    t = float(arrays[4][0, 0].real)
-    return State(grid, VectorField2(ux, uy), VectorField2(dx, dy), t)
+    return State(grid, VectorField2(ux, uy), VectorField2(dx, dy),
+                 _time(arrays[4]))
+
+
+def _time(meta):
+    """The time t that the metadata component holds, checked."""
+    if np.any(meta.ravel()[1:]):
+        raise SnapshotFormatError(
+            "component metadata has nonzero entries other than (0, 0)")
+    t = meta[0, 0]
+    if t.imag != 0.0 or not np.isfinite(t.real):
+        raise SnapshotFormatError(
+            f"component metadata: time {t} is not a finite real number")
+    return float(t.real)
 
 
 def _field(grid, coeffs, name):

@@ -38,6 +38,7 @@ from nematicflow import (
     twin_experiment,
     vector_l2_norm,
 )
+from nematicflow import dynamics
 from nematicflow.dynamics import _Engine, _march
 
 from _frozen import GL_FORCE_AT_2, ODE_Y0
@@ -431,13 +432,13 @@ class TestStepping:
         12-plane batches of 3N/2 samples, 2 * 12 * 48^2 * 8 B = 432 KiB.
 
         With every transform written into the kept workspace a step
-        allocates its pointwise temporaries and N-grid results: 264 KiB
-        (imex1) and 333 KiB (imex2) measured, 296 and 366 KiB while the
+        allocates its pointwise temporaries and N-grid results: 150 KiB
+        (imex1) and 219 KiB (imex2) measured, 296 and 366 KiB while the
         inverses' intermediates and the forward spectra were fresh.  Any
         one inverse made fresh again adds its sample batch (216 KiB for
         stage 1, 144 KiB for stage 2, 160 KiB for the 5 cubic planes at 2N)
-        and crosses the bound; with every inverse fresh the peak was 821 and
-        890 KiB.
+        and crosses the per-scheme bound of the next test; with every
+        inverse fresh the peak was 821 and 890 KiB.
         """
         engine = _Engine(grid32, GENERAL_COEFFS,
                          SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
@@ -455,18 +456,70 @@ class TestStepping:
                 tracemalloc.stop()
         assert peak < 2 * 12 * 48 ** 2 * 8
 
+    @pytest.mark.parametrize("scheme, bound_kib", [("imex1", 200),
+                                                   ("imex2", 270)])
+    def test_a_warm_step_allocates_no_transform_batch(self, grid32, scheme,
+                                                      bound_kib):
+        """The tracemalloc peak of one warm step at N = 32, per scheme.
+
+        Its pointwise temporaries, right sides and stepped states peak at
+        150 KiB (imex1) and 219 KiB (imex2).  With one inverse made fresh
+        again the peak was 299-444 KiB (imex1) and 368-512 KiB (imex2), and
+        with the forwards' N-grid results fresh and stage 2 sampled into a
+        buffer of its own, 264 and 333 KiB.
+        """
+        engine = _Engine(grid32, GENERAL_COEFFS,
+                         SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
+        uh, dh, _ = engine.step(*engine.start(_random_state(grid32, 15)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            engine.step(uh, dh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < bound_kib * 1024
+
+    @pytest.mark.parametrize("n", [10, 16, 32, 64])
+    def test_the_workspace_holds_three_sample_sized_buffers(self, n):
+        """The distinct buffers under a workspace's arrays take no more than
+        three of its largest plus the N-grid input batches (7 + 12 + 8
+        planes): arrays whose lives never overlap share a buffer."""
+        ws = _Engine(GridSpec(n), GENERAL_COEFFS,
+                     SolverConfig(dt=1e-3, t_end=1e-3)).ws
+        owners = {}
+        for array in vars(ws).values():
+            while array.base is not None:
+                array = array.base
+            owners[id(array)] = array.nbytes
+        batches = 27 * n * (n // 2 + 1) * 16
+        assert len(owners) == 6
+        assert sum(owners.values()) <= 3 * max(owners.values()) + batches
+
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     def test_a_warm_step_hands_every_transform_a_kept_out(self, grid32,
                                                           scheme, monkeypatch):
         """Every numpy.fft call of a warm step writes into an array of the
         workspace: each gets an out whose memory is owned by an array that
         tracemalloc, started after the first step, has no allocation
-        traceback for.  So the step's transforms allocate nothing but their
-        N-grid results."""
+        traceback for, and every truncated forward returns a view of the
+        workspace.  So the step's transforms allocate nothing."""
         engine = _Engine(grid32, GENERAL_COEFFS,
                          SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme))
         uh, dh, _ = engine.step(*engine.start(_random_state(grid32, 15)))
         seen = []
+        cuts = []
+        forward = dynamics._rfft_truncated
+
+        def cut(*args, **kwargs):
+            cuts.append(forward(*args, **kwargs))
+            return cuts[-1]
+
+        monkeypatch.setattr(dynamics, "_rfft_truncated", cut)
 
         def spy(name, fn):
             def wrapper(*args, out=None, **kwargs):
@@ -494,6 +547,9 @@ class TestStepping:
         assert sorted({name for name, _ in seen}) == [
             "fft", "ifft", "irfft", "rfft"]
         assert len(seen) == 12 * evals  # 3 inverses and 3 forwards of 2 calls
+        buffers = list(vars(engine.ws).values())
+        assert len(cuts) == 3 * evals
+        assert all(any(np.shares_memory(c, b) for b in buffers) for c in cuts)
 
     def test_two_stage_scheme_matches_its_reference(self, grid32):
         """The Heun-type variant equals its two-evaluation reference, for the

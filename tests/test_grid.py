@@ -125,6 +125,24 @@ class TestTransforms:
         with pytest.raises(GridError):
             SpectralField.from_coeffs(grid16, coeffs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficients_are_named_as_such(self, grid16, bad):
+        """A NaN or infinite coefficient, even on a Hermitian pair, is
+        refused as non-finite, not as non-Hermitian."""
+        coeffs = np.zeros((16, 16), dtype=np.complex128)
+        coeffs[2, 3] = coeffs[-2, -3] = bad
+        with pytest.raises(GridError, match="non-finite"):
+            SpectralField.from_coeffs(grid16, coeffs)
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 64])
+    def test_the_mirror_table_indexes_minus_k(self, n):
+        """The one mirror index: row -k of k = 0..N-1 in FFT order,
+        read-only, and one array per N."""
+        mirror = GridSpec(n).tables()["mirror"]
+        assert np.array_equal(mirror, [(-k) % n for k in range(n)])
+        assert not mirror.flags.writeable
+        assert GridSpec(n).tables()["mirror"] is mirror
+
     def test_nyquist_lines_are_dropped(self, grid16):
         """Samples containing Nyquist content are projected off that line."""
         x, _ = grid16.points()

@@ -181,6 +181,43 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotFormatError, match="component u_y.*not Hermitian"):
             load(path)
 
+    def test_non_finite_component_is_a_format_error(self, grid16, tmp_path):
+        """A NaN coefficient is refused as non-finite, naming the component."""
+        arrays = self._state_components(grid16, tmp_path)
+        arrays[3][1, 2] = np.nan
+        path = tmp_path / "nan.lcsf"
+        write_snapshot(path, arrays, 16)
+        with pytest.raises(SnapshotFormatError,
+                           match="component d_y: coefficients are non-finite"):
+            load(path)
+
+    @pytest.mark.parametrize("entry, value, cause", [
+        ((0, 0), np.nan, "not a finite real"),
+        ((0, 0), np.inf, "not a finite real"),
+        ((0, 0), -np.inf, "not a finite real"),
+        ((0, 0), 0.5 + 1e-3j, "not a finite real"),
+        ((0, 1), 1e-300, "nonzero entries other than"),
+        ((15, 15), np.nan, "nonzero entries other than"),
+    ])
+    def test_bad_time_component_is_a_format_error(self, grid16, tmp_path,
+                                                  capsys, entry, value, cause):
+        """The metadata component holds one finite real time at (0, 0) and
+        zeros elsewhere; anything else is refused, naming that component,
+        and decompose --snapshot exits 2."""
+        arrays = self._state_components(grid16, tmp_path)
+        arrays[4][entry] = value
+        path = tmp_path / "time.lcsf"
+        write_snapshot(path, arrays, 16)
+        with pytest.raises(SnapshotFormatError,
+                           match=f"component metadata.*{cause}"):
+            load(path)
+        cfg = tmp_path / "d.ini"
+        _write_run_config(cfg)
+        rc = cli.main(["decompose", "--config", str(cfg), "--out",
+                       str(tmp_path / "out"), "--snapshot", str(path), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("snapshot error: component metadata")
+
     def test_populated_nyquist_line_is_a_format_error(self, grid16, tmp_path,
                                                       capsys):
         """Nyquist modes hold no field content; a file with them exits 2."""

@@ -265,6 +265,28 @@ def test_a_kept_spectrum_gives_the_fresh_bits(m):
         assert not np.shares_memory(got, spectrum)
 
 
+@pytest.mark.parametrize("n", [10, 16, 64, 128])
+def test_a_kept_cut_gives_the_fresh_bits(n):
+    """The forward cut into a kept N-grid array, as the engine cuts into
+    its spent input batches (leading-axis slices of one array, at M = 3N/2
+    and 2N), is bitwise the fresh forward when the array holds NaNs on
+    entry, and its Nyquist row and column are zero."""
+    h = n // 2
+    rng = np.random.default_rng(n)
+    for m in (3 * n // 2, 2 * n):
+        out = np.full((9, n, h + 1), np.nan, dtype=np.complex128)
+        for lead in (9, 4, 3):
+            values = rng.standard_normal((lead, m, m))
+            got = _rfft_truncated(values, n, out=out[:lead])
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, _rfft_truncated(values, n))
+            assert not np.any(got[:, h]) and not np.any(got[..., h])
+        values = rng.standard_normal((2, 3, m, m))
+        got = _rfft_truncated(values, n, out=np.full((2, 3, n, h + 1), np.nan,
+                                                     dtype=np.complex128))
+        assert np.array_equal(got, _rfft_truncated(values, n))
+
+
 def _cut_then_sample(stack, mult, h, m):
     """The sampler's former route: cut the 2h-grid half spectrum out of the
     N-grid stack and its multiplier, multiply, then sample it."""
