@@ -16,7 +16,10 @@ and for general coefficients it is the quadratic form
               - lambda_1 |N|^2 - (lambda_2 - mu_2 - mu_3) N.(Ad) ),
 
 with N = -(lambda_2/lambda_1) Ad - (1/lambda_1) G; the two agree at the
-default set.
+default set.  energy_record samples one state into fresh arrays and runs
+the kernels (dynamics._cubic_fields, dynamics._energy_terms) that a run's
+records run in the engine's cubic stage (dynamics._Engine.cubic), so it
+equals a run's record of the same state bit for bit.
 
 Twin-state side: given two states on one grid, with differences
 delta u, delta d, delta A (strain difference), the distance functional
@@ -62,9 +65,10 @@ from .dyadic import _block_pair_samples, _lp_weight, hs_norm_vector
 from .dynamics import (
     LeslieCoefficients,
     _cubic_fields,
+    _energy_record,
+    _energy_terms,
     _stacked,
-    _state_record,
-    _velocity_strain,
+    _strain_half,
     rhs,
 )
 from .grid import (
@@ -73,6 +77,7 @@ from .grid import (
     _irfft_padded,
     _rfft_truncated,
     _sample_integral,
+    _tables,
     _weighted_power,
     divergence,
     invert_laplacian,
@@ -106,12 +111,25 @@ class UniquenessRecord(NamedTuple):
 # -- single-state functionals ----------------------------------------------------
 
 
+def _velocity_strain(uh):
+    """dynamics._strain_half of the velocity with stacked half spectra uh."""
+    t = _tables(uh.shape[-2])
+    ik = 1j * t["nx"], 1j * t["ny"]
+    return _strain_half([k * u for u in uh for k in ik],
+                        np.empty((3,) + uh.shape[1:], dtype=np.complex128))
+
+
 def energy_record(state, coeffs=None):
-    """Full energy/dissipation snapshot of one state, from one 7-plane sample
-    (dynamics._state_record, which shares the engine's recorded-step kernel)."""
+    """Full energy/dissipation snapshot of one state, from one 7-plane inverse
+    into fresh arrays (d, A, lap d) and the kernels of the engine's recorded
+    evaluations (dynamics._Engine.cubic): _cubic_fields and _energy_terms."""
     if coeffs is None:
         coeffs = LeslieCoefficients.ansatz()
-    return _state_record(state, coeffs)
+    uh, dh = _stacked(state.u), _stacked(state.d)
+    planes = [dh, _velocity_strain(uh), -state.grid.tables()["n2"] * dh]
+    pc = _irfft_padded(np.concatenate(planes), state.grid.padded_size)
+    oc = _cubic_fields(pc, np.empty_like(pc))
+    return _energy_record(state.t, *_energy_terms(coeffs, uh, dh, pc, oc))
 
 
 # -- twin-state functionals --------------------------------------------------------
@@ -168,8 +186,9 @@ def frak_d_components(state1, state2, coeffs=None, partition=None):
     Returns (grad_du_sq, grad_dd_sq, lp_sum_vector, lp_sum_tensor) where the
     first two are the squared lp-form norms (no nu yet) and the sums carry no
     prefactor; frakD = nu*grad_du_sq + grad_dd_sq + 2*lp_vec + lp_tensor.
-    Each block pair is sampled by dyadic._block_pair_samples.  A given
-    partition only checks the grid.
+    Each block pair is sampled by dyadic._block_pair_samples.  coeffs is
+    not read (no addend here carries a coefficient); a given partition only
+    checks the grid.
     """
     _require_shared_grid(state1, state2)
     if partition is not None:

@@ -43,10 +43,10 @@ products on the 3N/2 grid.  One engine evaluation runs 25 padded inverse
 and 16 forward transforms (5 + 3 at 2N, 20 + 13 at 3N/2; 27 inverse when it
 also records energies, whose quadratures stay on the 2N grid), so an imex1
 step costs 25 + 16 and an imex2 step 50 + 32.  The energy balance is
-written once: the recorded step and _state_record (diagnostics.energy_record
-and the last record of a run, which takes no step) both form their 2N cubic
-samples with _cubic_fields and the energies and dissipation terms with
-_energy_terms.  Every record forms the strain with the engine's
+written once: every record of a run, the last one included, comes from
+_Engine.cubic, and it and diagnostics.energy_record both form their 2N
+samples' products with _cubic_fields and the energies and dissipation terms
+with _energy_terms.  Every record forms the strain with the engine's
 _strain_half, and the twin records form d.Ad with _cubic_fields and d x d
 on the 3N/2 grid, as the engine does.
 
@@ -82,6 +82,7 @@ from .grid import (
     SpectralField,
     TensorField22,
     VectorField2,
+    _integer,
     _irfft_padded,
     _rfft_truncated,
     _sample_integral,
@@ -199,6 +200,8 @@ class State:
         self.u = u
         self.d = d
         self.t = float(t)
+        if not math.isfinite(self.t):
+            raise ValueError(f"state time must be finite, got {t}")
 
     def copy(self):
         return State(self.grid, self.u.copy(), self.d.copy(), self.t)
@@ -218,7 +221,7 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive and finite")
         if self.scheme not in ("imex1", "imex2"):
             raise ValueError(f"scheme must be 'imex1' or 'imex2', got {self.scheme!r}")
-        if self.record_cadence < 1:
+        if _integer(self.record_cadence, "record_cadence", ValueError) < 1:
             raise ValueError("record_cadence must be >= 1")
         steps = self.t_end / self.dt
         if steps == math.inf or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
@@ -457,38 +460,12 @@ def _stacked(vec):
 def _strain_half(grad, out):
     """Half spectra of the strain (A11, A12, A22) into out, from those of
     the velocity gradient planes grad = (d_x u1, d_y u1, d_x u2, d_y u2):
-    the one strain kernel, for the engine's planes and _velocity_strain's."""
+    the one strain kernel, for the engine's planes and the records'."""
     out[0] = grad[0]
     np.add(grad[1], grad[2], out=out[1])
     out[1] *= 0.5
     out[2] = grad[3]
     return out
-
-
-def _velocity_strain(uh):
-    """_strain_half of the velocity whose stacked half spectra are uh."""
-    t = _tables(uh.shape[-2])
-    ik = 1j * t["nx"], 1j * t["ny"]
-    return _strain_half([k * u for u in uh for k in ik],
-                        np.empty((3,) + uh.shape[1:], dtype=np.complex128))
-
-
-def _state_record(state, coeffs, ws=None):
-    """The EnergyRecord of one state from one 7-plane inverse: the 2N
-    samples of d, A and lap d go through _cubic_fields and _energy_terms,
-    as in the engine's recorded step.  Given an engine's _Workspace, the
-    samples go into its cubic-stage arrays instead of fresh ones."""
-    uh, dh = _stacked(state.u), _stacked(state.d)
-    planes = np.concatenate([dh, _velocity_strain(uh),
-                             -state.grid.tables()["n2"] * dh])
-    m = state.grid.padded_size
-    if ws is None:
-        pc = _irfft_padded(planes, m)
-        oc = _cubic_fields(pc, np.empty_like(pc))
-    else:
-        pc = _irfft_padded(planes, m, out=(ws.wide_cubic, ws.samples_cubic))
-        oc = _cubic_fields(pc, ws.cubic)
-    return _energy_record(state.t, *_energy_terms(coeffs, uh, dh, pc, oc))
 
 
 # -- half-spectrum stepping engine ------------------------------------------------
@@ -498,12 +475,13 @@ class _Workspace:
     """The transform batches of one engine: the N-grid input batches of its
     three stages and three sample-sized buffers.
 
-    Every nonlinear() call rewrites what it reads here before reading it,
-    and nothing it returns is a view of these arrays, so one engine steps
-    any number of trajectories in turn with one workspace.  Each stage's
-    full-width inverse spectra (see grid._irfft_padded) also take the
-    spectra of the forward that ends the stage, and that forward cuts its
-    N-grid result into the stage's input batch, spent by its inverse.
+    Only the engine reads it.  Each cubic() or nonlinear() call rewrites
+    what it reads here first, and nothing nonlinear() returns is a view of
+    these arrays, so one engine steps any number of trajectories in turn.
+    Each stage's full-width inverse spectra (see grid._irfft_padded) also
+    take the spectra of the forward that ends the stage, and that forward
+    cuts its N-grid result into the stage's input batch, spent by its
+    inverse.
     Stage 2 samples into samples1[4:12], stage 1's derivative planes, which
     are spent once the stage-1 products and the Ericksen planes are formed;
     samples1[2:4], the d samples, stay for the stress.  Two arrays share a
@@ -570,6 +548,27 @@ class _Engine:
 
     # -- nonlinear assembly --------------------------------------------------------
 
+    def cubic(self, uh, dh, want_diag=False):
+        """The cubic stage: 5 inverses to 2N (d, A11, A12, A22), 2 more (lap d)
+        with want_diag, after filling stage 1's batch in1, whose derivative
+        planes give A.  Returns (oc, terms): the samples' _cubic_fields, a
+        workspace view, and with want_diag their _energy_terms (else None)."""
+        ws, n, mc = self.ws, self.n, self.m_cubic
+        b1 = ws.in1  # u, d and their first derivatives (d_k f at 4 + 2f + k)
+        b1[0:2] = uh
+        b1[2:4] = dh
+        np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, n, -1))
+        bc = ws.in_cubic  # d1, d2, A11, A12, A22 (, lap d1, lap d2)
+        bc[0:2] = dh
+        _strain_half(b1[4:8], out=bc[2:5])
+        if want_diag:
+            np.multiply(-self.t["n2"], dh, out=bc[5:7])
+        k = 7 if want_diag else 5
+        pc = _irfft_padded(bc[:k], mc, out=(ws.wide_cubic[:k], ws.samples_cubic[:k]))
+        # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad
+        oc = _cubic_fields(pc, ws.cubic)
+        return oc, _energy_terms(self.coeffs, uh, dh, pc, oc) if want_diag else None
+
     def nonlinear(self, uh, dh, want_diag=False, products=None):
         """Explicit right sides (momentum projected) and, with want_diag, the
         state's _energy_terms (else None).  Given a list as products, appends
@@ -583,9 +582,7 @@ class _Engine:
         where its truncation is exact (see the grid module): M = 2N for the
         cubic terms, M = 3N/2 for the pairwise ones.
 
-        - Cubic part, 2N: 5 inverses (d, A11, A12, A22) and 3 forwards
-          (grad W, d.Ad); 2 more inverses (lap d) only when diagnostics are
-          wanted, whose energy terms are read from these samples.
+        - Cubic part, 2N: the cubic stage, then 3 forwards (grad W, d.Ad).
         - Pairwise stage 1, 3N/2: 12 inverses (u, d, their first
           derivatives) and 9 forwards (u.grad u, the director side, Ad,
           d x d); the Ericksen planes are kept for stage 2.
@@ -596,23 +593,11 @@ class _Engine:
         co = self.coeffs
         t = self.t
         ws = self.ws
-        n, mc, mp = self.n, self.m_cubic, self.m_pair
+        n, mp = self.n, self.m_pair
         ikx, iky = self.ik
 
-        b1 = ws.in1  # u, d and their first derivatives (d_k f at 4 + 2f + k)
-        b1[0:2] = uh
-        b1[2:4] = dh
-        np.multiply(self.ik, b1[0:4, None], out=b1[4:12].reshape(4, 2, n, -1))
-        bc = ws.in_cubic  # d1, d2, A11, A12, A22 (, lap d1, lap d2)
-        bc[0:2] = dh
-        _strain_half(b1[4:8], out=bc[2:5])
-        if want_diag:
-            np.multiply(-t["n2"], dh, out=bc[5:7])
-        k = 7 if want_diag else 5
-        pc = _irfft_padded(bc[:k], mc, out=(ws.wide_cubic[:k], ws.samples_cubic[:k]))
-        # 0-1 grad W, 2 d.Ad, the cubic forward batch; 3 |d|^2 - 1, 4-5 Ad
-        oc = _cubic_fields(pc, ws.cubic)
-        terms = _energy_terms(co, uh, dh, pc, oc) if want_diag else None
+        oc, terms = self.cubic(uh, dh, want_diag)
+        b1, bc = ws.in1, ws.in_cubic
         sc = _rfft_truncated(oc[0:3], n, spectrum=ws.wide_cubic[:3],
                              out=bc[:3])
         gw_h = sc[0:2]
@@ -706,13 +691,11 @@ class _Engine:
         eu, ed = self.exp_u, self.exp_d
         # the first evaluation is at the step's own state (uh, dh)
         fu, fd, terms = self.nonlinear(uh, dh, want_diag, products)
-        if cfg.scheme == "imex1":
-            un = eu * (uh + dt * fu)
-            dn = ed * (dh + dt * fd)
-        else:
-            us = eu * (uh + dt * fu)
-            ds = ed * (dh + dt * fd)
-            fu2, fd2, _ = self.nonlinear(us, ds)
+        # the imex1 update, which is also imex2's predictor
+        un = eu * (uh + dt * fu)
+        dn = ed * (dh + dt * fd)
+        if cfg.scheme == "imex2":
+            fu2, fd2, _ = self.nonlinear(un, dn)
             un = eu * uh + 0.5 * dt * (eu * fu + fu2)
             dn = ed * dh + 0.5 * dt * (ed * fd + fd2)
         self.project(un)
@@ -729,8 +712,8 @@ def _march(states, coeffs, config, records=None, products=None):
     lockstep with one engine, stepping them in turn.  Yields (m, states at
     m) at m = 0, every multiple of record_cadence and the last step, each
     before stepping from m.  Given a list as records, a march of one state
-    appends each sample's EnergyRecord from the diagnostics of the step
-    from m (at the last sample, which takes no step, from _state_record).
+    appends each sample's EnergyRecord from _Engine.cubic: run by the step
+    from m, or alone at the last sample, which takes no step.
     Given a list as products, the step from each sample but the last
     appends one entry: per trajectory, the (d x d, d.Ad) half spectra its
     first evaluation formed at the sample's state (see _Engine.nonlinear).
@@ -760,8 +743,7 @@ def _march(states, coeffs, config, records=None, products=None):
             if want:
                 records.append(_energy_record(t, *terms))
         elif want:
-            records.append(_state_record(engine.state(*halves[0], t), coeffs,
-                                         engine.ws))
+            records.append(_energy_record(t, *engine.cubic(*halves[0], True)[1]))
 
 
 def step(state, coeffs, config):

@@ -36,6 +36,7 @@ them pairwise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,15 @@ TWO_PI = 2.0 * math.pi
 
 class GridError(ValueError):
     """Raised for invalid grid parameters or mismatched-grid operands."""
+
+
+def _integer(value, name, error=GridError):
+    """value as an int through operator.index, which takes np.int64 and
+    refuses 16.0; an error naming name where it refuses."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 @lru_cache(maxsize=32)
@@ -105,7 +115,7 @@ class GridSpec:
     n_modes: int
 
     def __post_init__(self):
-        if self.n_modes < 8 or self.n_modes % 2 != 0:
+        if _integer(self.n_modes, "n_modes") < 8 or self.n_modes % 2 != 0:
             raise GridError(f"n_modes must be even and >= 8, got {self.n_modes}")
 
     @property
@@ -124,7 +134,7 @@ class GridSpec:
 
     def points(self, oversample=1):
         """Physical sample points x_j = -pi + 2 pi j / M, M = oversample * N."""
-        m = self.n_modes * oversample
+        m = _oversampled(self.n_modes, oversample)
         x = -math.pi + TWO_PI * np.arange(m) / m
         return np.meshgrid(x, x, indexing="ij")
 
@@ -336,7 +346,15 @@ def _rfft_truncated(values, n, spectrum=None, out=None):
 def to_physical(field, oversample=1):
     """Real samples of a field on the (oversample * N)^2 grid of points()."""
     n = field.grid.n_modes
-    return _irfft_padded(field.coeffs * _tables(n)["phase"], n * oversample)
+    return _irfft_padded(field.coeffs * _tables(n)["phase"],
+                         _oversampled(n, oversample))
+
+
+def _oversampled(n, oversample):
+    """M = oversample * N, for an integer oversample >= 1."""
+    if _integer(oversample, "oversample") < 1:
+        raise GridError(f"oversample must be >= 1, got {oversample}")
+    return n * oversample
 
 
 # -- calculus -----------------------------------------------------------------

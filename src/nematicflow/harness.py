@@ -71,6 +71,7 @@ from .dynamics import strain_and_vorticity
 from .grid import (
     GridSpec,
     SpectralField,
+    _integer,
     _irfft_padded,
     _lp_norms,
     _rfft_truncated,
@@ -101,6 +102,8 @@ class EnsembleSpec:
     seed: int = 7000
 
     def __post_init__(self):
+        for name in ("grid_n", "n_trials", "seed"):
+            _integer(getattr(self, name), name, HarnessError)
         if self.n_trials < 30:
             raise HarnessError(
                 f"ensembles need at least 30 trials, got {self.n_trials}")

@@ -39,8 +39,8 @@ from nematicflow import (
 from nematicflow import diagnostics
 from nematicflow.configio import ExperimentConfig, TwinSpec
 from nematicflow.diagnostics import (UniquenessRecord, _dad_half, _outer_half,
-                                     _twin_record)
-from nematicflow.dynamics import _Engine, _energy_record, _velocity_strain
+                                     _twin_record, _velocity_strain)
+from nematicflow.dynamics import _Engine, _energy_record
 from nematicflow.experiments import make_initial_state, twin_experiment
 
 from _frozen import TORUS_AREA, W_AT_2

@@ -366,6 +366,31 @@ class TestStepping:
             assert fft_counts == counts, scheme
             assert records[-1] == energy_record(final, coeffs), scheme
 
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_every_record_of_a_run_comes_from_the_cubic_stage(
+            self, grid16, scheme, monkeypatch):
+        """Each record of run, the last sample's included, is the
+        EnergyRecord of the terms of one _Engine.cubic call with want_diag,
+        in order: one such call per record and no other."""
+        terms = []
+        cubic = _Engine.cubic
+
+        def spy(self, uh, dh, want_diag=False):
+            oc, diag = cubic(self, uh, dh, want_diag)
+            if want_diag:
+                terms.append(diag)
+            return oc, diag
+
+        monkeypatch.setattr(_Engine, "cubic", spy)
+        _, records = run(_random_state(grid16, seed=8),
+                         LeslieCoefficients.ansatz(),
+                         SolverConfig(dt=1e-3, t_end=5e-3, scheme=scheme,
+                                      record_cadence=2))
+        assert [r.t for r in records] == pytest.approx([0.0, 2e-3, 4e-3, 5e-3])
+        assert len(terms) == len(records)
+        assert records == [dynamics._energy_record(r.t, *x)
+                           for r, x in zip(records, terms)]
+
     def test_diagnostics_do_not_change_the_right_sides(self, grid32):
         """Asking for diagnostics leaves mom and direc bitwise unchanged."""
         state = _random_state(grid32, seed=10)
@@ -731,6 +756,22 @@ class TestStepping:
             with pytest.raises(ValueError):
                 SolverConfig(dt=dt, t_end=t_end)
         assert SolverConfig(dt=1e-3, t_end=1.0).n_steps == 1000
+
+    def test_solver_config_rejects_a_cadence_that_is_not_an_integer(self):
+        """record_cadence goes through operator.index: 1.5 made a run record
+        at t = 0, 0.003 and 0.004 without a word; np.int64 still works."""
+        for bad in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="record_cadence"):
+                SolverConfig(1e-3, 4e-3, "imex1", bad)
+        assert SolverConfig(1e-3, 4e-3, "imex1", np.int64(2)).record_cadence == 2
+
+    def test_state_rejects_a_time_that_is_not_finite(self, grid16):
+        """A State's time must be finite, as snapshots.load already asks."""
+        u, d = generate_initial(grid16, profile="random", seed=1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                State(grid16, u, d, bad)
+        assert State(grid16, u, d, np.float64(0.5)).t == 0.5
 
 
 class TestSchemeAccuracy:

@@ -57,6 +57,26 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(33)
 
+    def test_rejects_a_mode_count_that_is_not_an_integer(self):
+        """n_modes goes through operator.index: 16.0 and "16" are refused
+        with GridError, np.int64(16) is a grid."""
+        for bad in (16.0, "16", None):
+            with pytest.raises(GridError, match="n_modes must be an integer"):
+                GridSpec(bad)
+        assert GridSpec(np.int64(16)).padded_size == 32
+
+    @pytest.mark.parametrize("oversample", [0, -1, 1.5, 2.0])
+    def test_points_and_to_physical_reject_a_bad_oversample(self, oversample):
+        """points() and to_physical take only an integer oversample >= 1,
+        np.int64 included: at 0 and -1 points() gave empty grids, at 1.5 a
+        24 x 24 one, and to_physical raised numpy's untyped errors."""
+        g = GridSpec(16)
+        with pytest.raises(GridError, match="oversample"):
+            g.points(oversample)
+        with pytest.raises(GridError, match="oversample"):
+            to_physical(SpectralField.zero(g), oversample)
+        assert to_physical(SpectralField.zero(g), np.int64(2)).shape == (32, 32)
+
     def test_padded_size_and_max_radius(self):
         """Products are sampled on the 2N grid; Nyquist lines stay empty."""
         g = GridSpec(32)

@@ -63,6 +63,22 @@ class TestEnsembleSpec:
         with pytest.raises(HarnessError):
             EnsembleSpec(grid_n=32, n_trials=30, seed=-1)
 
+    @pytest.mark.parametrize("field, bad", [("grid_n", 16.0),
+                                            ("n_trials", 30.5),
+                                            ("n_trials", 30.0),
+                                            ("seed", 7.0)])
+    def test_validation_rejects_a_count_that_is_not_an_integer(self, field,
+                                                               bad):
+        """grid_n, n_trials and seed go through operator.index: a float is a
+        HarnessError at construction, not a failure inside its check, and
+        np.int64 still passes."""
+        kwargs = dict(grid_n=16, n_trials=30, seed=7)
+        kwargs[field] = bad
+        with pytest.raises(HarnessError, match=f"{field} must be an integer"):
+            EnsembleSpec(**kwargs)
+        kwargs[field] = np.int64(round(bad))  # numpy integers stay valid
+        assert EnsembleSpec(**kwargs).grid().n_modes == 16
+
     def test_rng_streams_are_per_trial(self):
         """Different trials draw independent, reproducible streams."""
         spec = EnsembleSpec(grid_n=32, n_trials=30, seed=7)

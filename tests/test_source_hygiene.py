@@ -109,6 +109,32 @@ def test_no_module_keeps_buffers_per_thread():
     assert [f.name for f in dataclasses.fields(DyadicPartition)] == ["grid"]
 
 
+def _ws_readers(path):
+    """The qualified name of every definition in a package module, outside
+    the class _Engine, that reads an attribute named ws."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "ws"
+                and isinstance(node.ctx, ast.Load) and scope[:1] != ("_Engine",)):
+            readers.add(".".join((path.stem,) + (scope or ("<module>",))))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return readers
+
+
+def test_only_the_engine_reads_its_workspace():
+    """The engine's workspace is read by dynamics._Engine alone, so every
+    record of a march, the last one included, comes from the engine's own
+    code (_Engine.cubic) and not from a side path that borrows its arrays."""
+    assert set().union(*(_ws_readers(p) for p in SRC.glob("*.py"))) == set()
+
+
 # The one transform layer: numpy.fft is read only by these definitions.
 _FFT_OWNERS = {"grid._irfft_padded", "grid._rfft_truncated", "grid._tables"}
 
