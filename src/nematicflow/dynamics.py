@@ -42,7 +42,10 @@ exact: the cubic terms grad W and d.Ad on the 2N grid, the pairwise
 products on the 3N/2 grid.  One engine evaluation runs 25 padded inverse
 and 16 forward transforms (5 + 3 at 2N, 20 + 13 at 3N/2; 27 inverse when it
 also records energies, whose quadratures stay on the 2N grid), so an imex1
-step costs 25 + 16 and an imex2 step 50 + 32.  The energy balance is
+step costs 25 + 16 and an imex2 step 50 + 32.  _Engine.nonlinear reads as
+its stages, each a method that runs one transform batch each way with its
+pointwise work: cubic (2N), stage1 and stage2 (3N/2), and assemble, the
+projected momentum and director sides.  The energy balance is
 written once: every record of a run, the last one included, comes from
 _Engine.cubic, and it and diagnostics.energy_record both form their 2N
 samples' products with _cubic_fields and the energies and dissipation terms
@@ -71,6 +74,7 @@ record.  Nothing else asks for them, and the engine does not store them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -136,8 +140,8 @@ class LeslieCoefficients:
 
     def __post_init__(self):
         mus = (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5, self.mu6)
-        if not all(math.isfinite(m) for m in mus):
-            raise CoefficientError(f"mu1..mu6 must be finite, got {mus}")
+        if not all(isinstance(m, numbers.Real) and math.isfinite(m) for m in mus):
+            raise CoefficientError(f"mu1..mu6 must be finite reals, got {mus}")
         if self.mu4 <= 0:
             raise CoefficientError(f"mu4 must be positive, got {self.mu4}")
         if self.mu1 < 0:
@@ -217,8 +221,9 @@ class SolverConfig:
     record_cadence: int = 1
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
-            raise ValueError("dt and t_end must be positive and finite")
+        if not all(isinstance(x, numbers.Real) and 0 < x < math.inf
+                   for x in (self.dt, self.t_end)):
+            raise ValueError("dt and t_end must be positive and finite reals")
         if self.scheme not in ("imex1", "imex2"):
             raise ValueError(f"scheme must be 'imex1' or 'imex2', got {self.scheme!r}")
         if _integer(self.record_cadence, "record_cadence", ValueError) < 1:
@@ -475,17 +480,26 @@ class _Workspace:
     """The transform batches of one engine: the N-grid input batches of its
     three stages and three sample-sized buffers.
 
-    Only the engine reads it.  Each cubic() or nonlinear() call rewrites
-    what it reads here first, and nothing nonlinear() returns is a view of
-    these arrays, so one engine steps any number of trajectories in turn.
+    Only the engine reads it.  Each of its stage methods writes what it
+    reads here before reading it, and nothing nonlinear() returns is a view
+    of these arrays, so one engine steps any number of trajectories in turn.
     Each stage's full-width inverse spectra (see grid._irfft_padded) also
-    take the spectra of the forward that ends the stage, and that forward
-    cuts its N-grid result into the stage's input batch, spent by its
-    inverse.
-    Stage 2 samples into samples1[4:12], stage 1's derivative planes, which
-    are spent once the stage-1 products and the Ericksen planes are formed;
-    samples1[2:4], the d samples, stay for the stress.  Two arrays share a
-    buffer only where their lives, within an evaluation, do not overlap:
+    take the spectra of the forward that ends it, whose N-grid result is
+    cut into the stage's input batch, spent by its inverse:
+
+    - cubic fills in1 and in_cubic, samples in_cubic through wide_cubic
+      into samples_cubic and forms cubic; nonlinear's cubic forward cuts
+      cubic[0:3] through wide_cubic[:3] into in_cubic[:3];
+    - stage1 samples in1 through wide_pair into samples1, forms pairs and
+      cuts pairs[0:9] into in1[:9], keeping the Ericksen planes pairs[9:12];
+    - stage2 fills in2 from in1[:9] and in_cubic[:3] and samples it through
+      wide_pair[:8] into samples1[4:12], stage 1's spent derivative planes;
+      it forms the stress in pairs[0:4] with the d samples samples1[2:4]
+      and the Ericksen planes, and cuts it into in2[:4];
+    - assemble reads in1[0:4], in_cubic[0:2] and in2[:4] into fresh arrays.
+
+    Two arrays share a buffer only where their lives, within an evaluation,
+    do not overlap:
 
     - samples_cubic, read until the cubic products and energy terms are
       formed, and wide_pair, written from stage 1's inverse on;
@@ -552,7 +566,9 @@ class _Engine:
         """The cubic stage: 5 inverses to 2N (d, A11, A12, A22), 2 more (lap d)
         with want_diag, after filling stage 1's batch in1, whose derivative
         planes give A.  Returns (oc, terms): the samples' _cubic_fields, a
-        workspace view, and with want_diag their _energy_terms (else None)."""
+        workspace view, and with want_diag their _energy_terms (else None).
+        max ||d| - 1| is |q| / (sqrt(q + 1) + 1) on these samples, with
+        q = |d|^2 - 1 = oc[3], at no extra transform."""
         ws, n, mc = self.ws, self.n, self.m_cubic
         b1 = ws.in1  # u, d and their first derivatives (d_k f at 4 + 2f + k)
         b1[0:2] = uh
@@ -580,29 +596,29 @@ class _Engine:
         are summed on one sample grid before one forward transform
         (truncation is linear).  Each product is sampled on the smallest grid
         where its truncation is exact (see the grid module): M = 2N for the
-        cubic terms, M = 3N/2 for the pairwise ones.
-
-        - Cubic part, 2N: the cubic stage, then 3 forwards (grad W, d.Ad).
-        - Pairwise stage 1, 3N/2: 12 inverses (u, d, their first
-          derivatives) and 9 forwards (u.grad u, the director side, Ad,
-          d x d); the Ericksen planes are kept for stage 2.
-        - Pairwise stage 2, 3N/2: 8 inverses (Ad, d.Ad, d x d,
-          lap d - grad W) and 4 forwards (the stress), with stage 1's
-          samples of d.
+        cubic terms, M = 3N/2 for the pairwise ones.  Each stage method runs
+        one transform batch each way with its pointwise work: cubic (5 or 7
+        inverses at 2N; its 3 forwards, grad W and d.Ad, run here), stage1
+        (12 + 9 at 3N/2), stage2 (8 + 4 at 3N/2) and assemble (none).
         """
-        co = self.coeffs
-        t = self.t
-        ws = self.ws
-        n, mp = self.n, self.m_pair
-        ikx, iky = self.ik
-
         oc, terms = self.cubic(uh, dh, want_diag)
-        b1, bc = ws.in1, ws.in_cubic
-        sc = _rfft_truncated(oc[0:3], n, spectrum=ws.wide_cubic[:3],
-                             out=bc[:3])
-        gw_h = sc[0:2]
+        sc = _rfft_truncated(oc[0:3], self.n, spectrum=self.ws.wide_cubic[:3],
+                             out=self.ws.in_cubic[:3])
+        s1 = self.stage1()
+        sh = self.stage2(dh, s1, sc)
+        mom, direc = self.assemble(s1, sc, sh)
+        if products is not None:  # copies: s1 and sc are workspace views
+            products.append((s1[6:9].copy(), sc[2].copy()))
+        return mom, direc, terms
 
-        p = _irfft_padded(b1, mp, out=(ws.wide_pair, ws.samples1))
+    def stage1(self):
+        """Pairwise stage 1, 3N/2: 12 inverses of in1 (u, d, their first
+        derivatives) into samples1, the products, and 9 forwards (u.grad u,
+        the director side, Ad, d x d) into in1[:9], returned; the Ericksen
+        planes stay in pairs[9:12].  max |u| reads samples1[0:2], the u
+        samples, so the CFL number dt max|u| N/2 costs no extra transform."""
+        co, ws, n, mp = self.coeffs, self.ws, self.n, self.m_pair
+        p = _irfft_padded(ws.in1, mp, out=(ws.wide_pair, ws.samples1))
         u1, u2, d1, d2 = p[0:4]
         grad = p[4:12].reshape(4, 2, mp, mp)  # grad[f, k] = d_k f, f = u1, u2, d1, d2
         (gu0, gu1), (gu2, gu3), (gd0, gd1), (gd2, gd3) = grad
@@ -642,15 +658,20 @@ class _Engine:
         e12 += np.multiply(gd2, gd3, out=t1)
         np.multiply(gd1, gd1, out=e22)
         e22 += np.multiply(gd3, gd3, out=t1)
-        s1 = _rfft_truncated(o[0:9], n, spectrum=ws.wide_pair[:9], out=b1[:9])
-        advu_h = s1[0:2]
+        return _rfft_truncated(o[0:9], n, spectrum=ws.wide_pair[:9], out=ws.in1[:9])
 
+    def stage2(self, dh, s1, sc):
+        """Pairwise stage 2, 3N/2: 8 inverses of in2, filled from s1 and sc,
+        into stage 1's spent derivative samples, the stress with stage 1's d
+        samples and Ericksen planes, and 4 forwards into in2[:4], returned."""
+        co, ws, n, mp = self.coeffs, self.ws, self.n, self.m_pair
+        p, o = ws.samples1, ws.pairs
         b2 = ws.in2  # Ad, d.Ad, d x d, lap d - grad W: 2+1+3+2 = 8
         b2[0:2] = s1[4:6]
         b2[2] = sc[2]
         b2[3:6] = s1[6:9]
-        np.multiply(-t["n2"], dh, out=b2[6:8])
-        b2[6:8] -= gw_h  # resolved lap d - grad W
+        np.multiply(-self.t["n2"], dh, out=b2[6:8])
+        b2[6:8] -= sc[0:2]  # resolved lap d - grad W
         # stage 1's derivative samples are spent; its d samples stay
         p2 = _irfft_padded(b2, mp, out=(ws.wide_pair[:8], p[4:12]))
         adn, dad_n, ddt, nv = p2[0:2], p2[2], p2[3:6], p2[6:8]
@@ -661,6 +682,7 @@ class _Engine:
         rt = co.mu3 * nv + co.mu6 * adn
         # S = mu1 (d.Ad) d x d + (mu2 N + mu5 Ad) x d + d x (mu3 N + mu6 Ad) - E
         ddt *= co.mu1 * dad_n
+        e11, e12, e22 = o[9], o[10], o[11]  # grad d o. grad d, from stage 1
         s = o[0:4]  # S11, S12, S21, S22; stage-1 planes 0-8 are spent
         np.subtract(ddt[0], e11, out=s[0])
         np.subtract(ddt[1], e12, out=s[1])
@@ -669,19 +691,21 @@ class _Engine:
         outer = o[4:8].reshape(2, 2, mp, mp)
         s += np.multiply(lf[:, None], p[None, 2:4], out=outer).reshape(4, mp, mp)
         s += np.multiply(p[2:4, None], rt[None], out=outer).reshape(4, mp, mp)
-        sh = _rfft_truncated(s, n, spectrum=ws.wide_pair[:4], out=b2[:4])
+        return _rfft_truncated(s, n, spectrum=ws.wide_pair[:4], out=b2[:4])
 
-        mom = np.empty_like(uh)
+    def assemble(self, s1, sc, sh):
+        """The fresh right sides (mom projected, direc) from stage spectra."""
+        ikx, iky = self.ik
+        advu_h = s1[0:2]
+        mom = np.empty_like(advu_h)
         mom[0] = -advu_h[0] + ikx * sh[0] + iky * sh[1]
         mom[1] = -advu_h[1] + ikx * sh[2] + iky * sh[3]
         self.project(mom)
 
         # the lap d part of G duplicates the integrating factor's diffusion,
         # so the explicit side carries only the potential force -kappa grad W
-        direc = s1[2:4] - co.kappa * gw_h
-        if products is not None:  # copies: s1 and sc are workspace views
-            products.append((s1[6:9].copy(), sc[2].copy()))
-        return mom, direc, terms
+        direc = s1[2:4] - self.coeffs.kappa * sc[0:2]
+        return mom, direc
 
     # -- steps ----------------------------------------------------------------------
 

@@ -142,6 +142,42 @@ def _reference_imex2(state, coeffs, dt):
     return State(grid, u_new, d_new, state.t + dt)
 
 
+def _stage_counts(engine, counts, halves, want_diag):
+    """Per-size transform counts of each _Engine stage method in one
+    nonlinear() call, and of the cubic forward, which runs between cubic
+    and stage1, from snapshots of counts.per_size at each method's entry
+    and exit."""
+    marks = {}
+
+    def snapshot():
+        return {m: list(c) for m, c in counts.per_size.items()}
+
+    def spied(name, method):
+        def call(*args, **kwargs):
+            before = snapshot()
+            out = method(*args, **kwargs)
+            marks[name] = (before, snapshot())
+            return out
+        return call
+
+    names = ("cubic", "stage1", "stage2", "assemble")
+    for name in names:  # instance attributes shadow the methods
+        setattr(engine, name, spied(name, getattr(engine, name)))
+    try:
+        engine.nonlinear(*halves, want_diag)
+    finally:
+        for name in names:
+            delattr(engine, name)
+
+    def spent(before, after):
+        return {m: [a - b for a, b in zip(c, before.get(m, [0, 0]))]
+                for m, c in after.items() if c != before.get(m, [0, 0])}
+
+    spans = {name: spent(*marks[name]) for name in names}
+    spans["cubic forward"] = spent(marks["cubic"][1], marks["stage1"][0])
+    return spans
+
+
 class TestCoefficients:
     def test_default_set_and_derived_quantities(self):
         """The default set gives lambda1 = -1, lambda2 = 2, kappa = 1."""
@@ -169,13 +205,18 @@ class TestCoefficients:
             LeslieCoefficients(-0.5, -1.0, 0.0, 2.0, 3.0, 1.0)
 
     @pytest.mark.parametrize("mu", [(float("nan"), -1.0, 0.0, 2.0, 3.0, 1.0),
-                                    (1.0, -1.0, 0.0, float("inf"), 3.0, 1.0)],
-                             ids=["nan_mu1", "inf_mu4"])
+                                    (1.0, -1.0, 0.0, float("inf"), 3.0, 1.0),
+                                    ("1", -1, 0, 2, 3, 1),
+                                    (None, -1, 0, 2, 3, 1)],
+                             ids=["nan_mu1", "inf_mu4", "str_mu1", "none_mu1"])
     def test_rejects_non_finite_coefficients(self, mu):
         """NaN compares false and an infinite mu4 is positive, so only the
-        finiteness check catches these sets."""
+        finiteness check catches these sets; a string or None is no real
+        number and fails it as a CoefficientError, not math.isfinite's
+        TypeError.  np.float64 coefficients still pass."""
         with pytest.raises(CoefficientError):
             LeslieCoefficients(*mu)
+        assert LeslieCoefficients(*map(np.float64, (1, -1, 0, 2, 3, 1))).is_ansatz
 
     def test_rejects_dissipativity_violation(self):
         """Large |lambda2| with small mu5 + mu6 fails both admissible branches."""
@@ -332,7 +373,8 @@ class TestStepping:
         16, as tests/conftest.py::fft_counts counts them (one forward per
         M x M plane of a truncated forward).  Per evaluation, the cubic terms
         take 5 + 3 of them (7 + 3 with diagnostics) on the 2N grid and the
-        pairwise products 20 + 13 on the 3N/2 grid."""
+        pairwise products 20 + 13 on the 3N/2 grid: 12 + 9 in stage1 and
+        8 + 4 in stage2."""
         counts = fft_counts
         state = _random_state(grid16, seed=3)
         for scheme, evals in (("imex1", 1), ("imex2", 2)):
@@ -349,6 +391,17 @@ class TestStepping:
         engine.nonlinear(*halves, want_diag=True)
         assert counts == [27, 16]
         assert counts.per_size == {32: [7, 3], 24: [20, 13]}
+        # per stage: each method runs its own batches, the cubic forward
+        # runs in nonlinear between cubic and stage1, and assemble runs none
+        for want_diag, total, cubic in ((False, [25, 16], 5),
+                                        (True, [27, 16], 7)):
+            counts[:] = [0, 0]
+            spans = _stage_counts(engine, counts, halves, want_diag)
+            assert counts == total, want_diag
+            assert spans == {"cubic": {32: [cubic, 0]},
+                             "cubic forward": {32: [0, 3]},
+                             "stage1": {24: [12, 9]}, "stage2": {24: [8, 4]},
+                             "assemble": {}}, want_diag
 
     def test_a_recorded_run_takes_its_last_record_from_one_sample(
             self, grid16, fft_counts):
@@ -740,7 +793,9 @@ class TestStepping:
     def test_solver_config_validation(self):
         """Bad dt, t_end, scheme, cadence, or incompatible t_end/dt raise.
 
-        Non-finite times and a step count that overflows are bad too.
+        Non-finite times and a step count that overflows are bad too, and
+        so are times that are no real numbers (a ValueError, not the
+        comparison's TypeError); np.float64 times still work.
         """
         with pytest.raises(ValueError):
             SolverConfig(dt=0.0, t_end=1.0)
@@ -752,10 +807,12 @@ class TestStepping:
             SolverConfig(dt=1e-3, t_end=1.0, record_cadence=0)
         with pytest.raises(ValueError):
             SolverConfig(dt=3e-3, t_end=1.0)
-        for dt, t_end in ((1e-3, math.inf), (math.nan, 1.0), (1e-308, 1e308)):
+        for dt, t_end in ((1e-3, math.inf), (math.nan, 1.0), (1e-308, 1e308),
+                          ("1e-3", 1.0), (1e-3, None)):
             with pytest.raises(ValueError):
                 SolverConfig(dt=dt, t_end=t_end)
         assert SolverConfig(dt=1e-3, t_end=1.0).n_steps == 1000
+        assert SolverConfig(np.float64(1e-3), np.float64(1.0)).n_steps == 1000
 
     def test_solver_config_rejects_a_cadence_that_is_not_an_integer(self):
         """record_cadence goes through operator.index: 1.5 made a run record

@@ -135,6 +135,34 @@ def test_only_the_engine_reads_its_workspace():
     assert set().union(*(_ws_readers(p) for p in SRC.glob("*.py"))) == set()
 
 
+def _engine_transform_calls():
+    """For each method of dynamics._Engine, the number of calls it makes
+    to _irfft_padded and to _rfft_truncated."""
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    engine, = (node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Engine")
+    calls = {}
+    for method in engine.body:
+        if isinstance(method, ast.FunctionDef):
+            names = [node.func.id for node in ast.walk(method)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)]
+            calls[method.name] = (names.count("_irfft_padded"),
+                                  names.count("_rfft_truncated"))
+    return calls
+
+
+def test_each_engine_method_runs_one_transform_batch_each_way():
+    """Each _Engine method calls _irfft_padded at most once and
+    _rfft_truncated at most once, so every transform batch sits in one
+    method with its pointwise work (cubic, stage1, stage2; the cubic
+    forward in nonlinear), where a per-stage timer can wrap it."""
+    calls = _engine_transform_calls()
+    over = {name: c for name, c in calls.items() if max(c) > 1}
+    assert not over, f"_Engine methods with more than one batch: {over}"
+    assert {"cubic", "stage1", "stage2", "nonlinear"} <= set(calls)
+
+
 # The one transform layer: numpy.fft is read only by these definitions.
 _FFT_OWNERS = {"grid._irfft_padded", "grid._rfft_truncated", "grid._tables"}
 
