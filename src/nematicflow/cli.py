@@ -51,9 +51,8 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="run verification ensembles")
     add_common(p_verify, seed=False)
     p_verify.add_argument("--checks", default="all",
-                          help="comma-separated subset: bernstein, sn_linf, "
-                               "sobolev, product, commutator, tails, cancel, "
-                               "skew, osgood, all")
+                          help="comma-separated subset: "
+                               + ", ".join(experiments.VERIFY_ALIASES))
     p_decompose = sub.add_parser("decompose", help="dyadic block spectrum")
     add_common(p_decompose)
     p_decompose.add_argument("--snapshot", default=None,

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .dynamics import LeslieCoefficients, SolverConfig
-from .grid import GridSpec
+from .grid import GridSpec, _integer
 from .harness import EnsembleSpec
 
 
@@ -69,10 +70,21 @@ def _require(ok, section, message):
         raise ConfigError(f"[{section}] {message}")
 
 
-def _check_seed_and_band(section, seed, band):
+def _finite(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _check_numbers(section, spec, *reals):
+    """spec.seed an integer >= 0, each field in reals a finite real, and
+    spec.band None or a positive finite real."""
+    seed = _integer(spec.seed, f"[{section}] seed", ConfigError)
     _require(seed >= 0, section, f"seed must be nonnegative, got {seed}")
-    _require(band is None or band > 0, section,
-             f"band must be positive, got {band}")
+    for name in reals + (() if spec.band is None else ("band",)):
+        value = getattr(spec, name)
+        _require(_finite(value), section,
+                 f"{name} must be a finite real, got {value!r}")
+    _require(spec.band is None or spec.band > 0, section,
+             f"band must be positive, got {spec.band}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,10 @@ class InitialSpec:
     def __post_init__(self):
         _require(self.profile in ("random", "rest-unit", "rest-uniform"),
                  "initial", f"unknown profile {self.profile!r}")
-        _check_seed_and_band("initial", self.seed, self.band)
+        _check_numbers("initial", self, "decay", "amplitude_u", "amplitude_d")
+        _require(isinstance(self.director, tuple) and len(self.director) == 2
+                 and all(map(_finite, self.director)), "initial",
+                 f"director must be two finite reals, got {self.director!r}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +117,11 @@ class TwinSpec:
     def __post_init__(self):
         _require(self.mode in ("identical", "perturb"), "twin",
                  f"mode must be identical or perturb, got {self.mode!r}")
+        _check_numbers("twin", self, "delta", "decay")
         _require(self.delta >= 0, "twin",
                  f"delta must be nonnegative, got {self.delta}")
         _require(self.mode == "perturb" or self.delta == 0, "twin",
                  f"delta = {self.delta} needs mode = perturb")
-        _check_seed_and_band("twin", self.seed, self.band)
 
 
 @dataclass(frozen=True)
@@ -138,8 +153,8 @@ def _get(parser, section, key, cast):
     raw = parser.get(section, key)
     try:
         value = cast(raw)
-        numbers = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+        parts = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in parts if isinstance(v, float)):
             raise ValueError("not a finite number")
         return value
     except (ValueError, TypeError) as exc:
@@ -151,8 +166,6 @@ def _build(section, make, values):
     section."""
     try:
         return make(**values)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 

@@ -16,6 +16,10 @@ Low-pass operators follow S_q = sum_{k=-1}^{q-1} Delta_k (so S_0 = Delta_{-1},
 and S_q = 0 for q <= -1 wherever block sums reference it), with multiplier
 chi(2^{-q}|n|).
 
+besov_norm is the block characterization, the l^r norm over q of
+2^{qs} ||Delta_q f||_{L^p}, and hs_norm has a Fourier-weight and a block
+form.  An exponent p or r is a positive real or np.inf.
+
 _block_pair_samples samples (Delta_q, S_{q-1}) block pairs on band-sized
 grids for frakD and the harness identity checks.  It multiplies the N-grid
 stacks by their multipliers straight into the band of its inverses'
@@ -27,6 +31,7 @@ to all its records or trials, so the buffers live as long as that job.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -238,45 +243,21 @@ class DyadicPartition:
 # -- norms ---------------------------------------------------------------------
 
 
-def besov_norm(field, s, p, r, partition, variant="blocks"):
-    """Besov norm ||f||_{B^s_{p,r}}.
-
-    variant="blocks" is the l^r norm over q of 2^{qs} ||Delta_q f||_{L^p}.
-    variant="lowpass" uses 2^{qs} ||S_q f||_{L^p} over q >= 0, which is an
-    equivalent norm only for s < 0 (a two-sided bound); requesting it for
-    s >= 0 raises.  Since S_q f = f for q > q_max + 1, the infinite low-pass
-    tail is summed in closed form.  The L^p norms of all the pieces come
-    from one padded inverse on the 2N grid.
+def besov_norm(field, s, p, r, partition):
+    """Besov norm ||f||_{B^s_{p,r}}: the l^r norm over q = -1..q_max of
+    2^{qs} ||Delta_q f||_{L^p}, for p and r positive reals or np.inf.  The
+    L^p norms of all the blocks come from one padded inverse on the 2N grid.
     """
     if not math.isfinite(s):
         raise DyadicError(f"s must be finite, got {s}")
-    if not (r == np.inf or r == "inf" or r > 0):
+    if not (isinstance(r, numbers.Real) and r > 0):
         raise DyadicError(f"r must be positive or inf, got {r}")
-    if variant not in ("blocks", "lowpass"):
-        raise DyadicError(f"variant must be 'blocks' or 'lowpass', got {variant!r}")
-    if variant == "lowpass" and s >= 0:
-        raise DyadicError("the low-pass Besov characterization requires s < 0")
     partition._check_grid(field)
-    qm, mults, lows = _partition_tables(field.grid.n_modes)
-    first, cuts = (-1, mults) if variant == "blocks" else (0, lows)
-    norms = _lp_norms(_irfft_padded(field.coeffs * cuts, field.grid.padded_size),
+    mults = _partition_tables(field.grid.n_modes)[1]
+    norms = _lp_norms(_irfft_padded(field.coeffs * mults, field.grid.padded_size),
                       p).tolist()
-    terms = [2.0 ** (q * s) * n for q, n in enumerate(norms, first)]
-    if variant == "blocks":
-        return _lr(terms, r)
-    # the multiplier of S_{q_max + 1} is 1 on every populated mode, so its
-    # norm is that of f, and so is every later term's: geometric tail
-    full = norms[-1]
-    if r == np.inf or r == "inf":
-        tail = 2.0 ** ((qm + 2) * s) * full
-        return max(max(terms), tail)
-    a = 2.0 ** (s * r)
-    tail_r = full ** r * a ** (qm + 2) / (1.0 - a)
-    return float((sum(t ** r for t in terms) + tail_r) ** (1.0 / r))
-
-
-def _lr(terms, r):
-    if r == np.inf or r == "inf":
+    terms = [2.0 ** (q * s) * n for q, n in enumerate(norms, -1)]
+    if r == np.inf:
         return float(max(terms))
     return float(sum(t ** r for t in terms) ** (1.0 / r))
 

@@ -5,6 +5,9 @@ spectrum with the radial law (1 + |n|)^(-decay), optionally band-limited.
 Starting from real noise makes the fields real; they are stored as half
 spectra, like every real field (see grid).  All draws go through numpy's
 seeded Generator in a fixed order, so a seed pins the field bit-for-bit.
+
+Only the random_* generators take a band.  Every random field has zero mean,
+unless random_scalar is called with zero_mean=False.
 """
 
 from __future__ import annotations
@@ -53,16 +56,17 @@ def random_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0, zero_mean=True
 
 
 def random_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
-                  divergence_free=False, zero_mean=True):
-    """Random real 2-vector field; optionally Leray-projected, then rescaled."""
+                  divergence_free=False):
+    """Random real 2-vector field of two zero-mean random_scalar components;
+    optionally Leray-projected, then rescaled."""
     v = VectorField2(
-        random_scalar(grid, rng, decay, band, 1.0, zero_mean),
-        random_scalar(grid, rng, decay, band, 1.0, zero_mean),
+        random_scalar(grid, rng, decay, band, 1.0),
+        random_scalar(grid, rng, decay, band, 1.0),
     )
     return _rescaled(v, amplitude, divergence_free)
 
 
-def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
+def focused_scalar(grid, rng, decay=2.5, amplitude=1.0):
     """Random real scalar field whose dyadic blocks are phase-coherent.
 
     Coefficients carry the same (1+|n|)^(-decay) envelope as random_scalar,
@@ -93,19 +97,17 @@ def focused_scalar(grid, rng, decay=2.5, band=None, amplitude=1.0):
     envelope = (1.0 + t["radius"]) ** (-float(decay)) * np.exp(0.05 * amp_jitter)
     angle = -(t["nx"] * focus[0] + t["ny"] * focus[1]) + 0.05 * phase_jitter
     coeffs = sign * envelope * np.exp(1j * angle)
-    if band is not None:
-        coeffs[t["radius"] > band] = 0.0
     coeffs[t["nyquist"]] = 0.0
     coeffs[0, 0] = 0.0
     return _rescaled(SpectralField(grid, coeffs), amplitude)
 
 
-def focused_vector(grid, rng, decay=2.5, band=None, amplitude=1.0,
+def focused_vector(grid, rng, decay=2.5, amplitude=1.0,
                    divergence_free=False):
     """Two-component variant of focused_scalar; optionally Leray-projected."""
     v = VectorField2(
-        focused_scalar(grid, rng, decay, band, 1.0),
-        focused_scalar(grid, rng, decay, band, 1.0),
+        focused_scalar(grid, rng, decay, 1.0),
+        focused_scalar(grid, rng, decay, 1.0),
     )
     return _rescaled(v, amplitude, divergence_free)
 
@@ -145,8 +147,8 @@ def generate_initial(grid, profile="random", seed=0, decay=3.0, band=None,
             band = grid.n_modes / 4.0
         rng = np.random.default_rng(seed)
         u = random_vector(grid, rng, decay, band, amplitude_u,
-                          divergence_free=True, zero_mean=True)
-        pert = random_vector(grid, rng, decay, band, amplitude_d, zero_mean=True)
+                          divergence_free=True)
+        pert = random_vector(grid, rng, decay, band, amplitude_d)
         d = constant_vector(grid, director) + pert
         return u, d
     raise GridError(f"unknown initial profile {profile!r}")
@@ -164,6 +166,6 @@ def perturb(u, d, seed, delta, decay=2.5, band=None):
     if band is None:
         band = grid.n_modes / 4.0
     rng = np.random.default_rng(seed)
-    du = random_vector(grid, rng, decay, band, 1.0, divergence_free=True, zero_mean=True)
-    dd = random_vector(grid, rng, decay, band, 1.0, zero_mean=True)
+    du = random_vector(grid, rng, decay, band, 1.0, divergence_free=True)
+    dd = random_vector(grid, rng, decay, band, 1.0)
     return u + du * float(delta), d + dd * float(delta)

@@ -36,6 +36,7 @@ them pairwise.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -218,9 +219,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs)
 
     @property
     def mean(self):
@@ -554,13 +552,13 @@ def l2_norm(field):
 
 def _lp_norms(samples, p, out=None):
     """L^p norms over the last two axes of samples taken on a uniform grid of
-    the box, leading axes kept: the max of |f| for p = inf, otherwise
-    equal-weight quadrature.  |f|^p is formed in one array: out, of the
-    samples' shape (a fresh one without)."""
+    the box, leading axes kept: the max of |f| for p = np.inf, otherwise
+    equal-weight quadrature for a positive real p.  |f|^p is formed in one
+    array: out, of the samples' shape (a fresh one without)."""
     values = np.abs(samples, out=out)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return np.max(values, axis=(-2, -1))
-    if not p > 0:
+    if not (isinstance(p, numbers.Real) and p > 0):
         raise GridError(f"p must be positive or inf, got {p}")
     values **= p
     return np.mean(values, axis=(-2, -1)) ** (1.0 / p) * TWO_PI ** (2.0 / p)
@@ -570,7 +568,7 @@ def lp_norm(field, p):
     """L^p norm of one field from its samples on the 2N grid (see _lp_norms).
 
     The quadrature is exact for p = 2 and p = 4 on band-limited fields, a
-    controlled approximation otherwise; p = inf gives the max of |f| over
+    controlled approximation otherwise; p = np.inf gives the max of |f| over
     the 2N grid.  Callers that need many norms sample their fields once,
     batched, and call _lp_norms on the samples.
     """

@@ -20,6 +20,7 @@ from nematicflow import (
     hs_inner,
     hs_norm,
     l2_norm,
+    lp_norm,
     product,
     random_scalar,
 )
@@ -93,6 +94,9 @@ class TestPartitionOfUnity:
             part.delta(f, -2)
         with pytest.raises(DyadicError):
             part.low_pass(f, -1)
+        for q in (-2, part.q_max + 1):
+            with pytest.raises(DyadicError, match="block index"):
+                bony_block_decompose(f, f, q, part)
 
     def test_grid_mismatch_raises(self, grid64, grid32, rng):
         """A partition refuses fields from another grid."""
@@ -215,18 +219,35 @@ class TestBesovAndSobolev:
         binf = besov_norm(f, 0.5, 2, np.inf, part)
         assert b1 >= b2 >= binf > 0.0
 
-    @pytest.mark.parametrize("variant,s", [("blocks", 0.5), ("lowpass", -0.5)],
-                             ids=["blocks", "lowpass"])
-    @pytest.mark.parametrize("r", [0, -1])
-    def test_besov_rejects_nonpositive_r(self, grid16, rng, variant, s, r):
-        """Both variants take r > 0 or inf only, and a finite s only."""
+    @pytest.mark.parametrize("r", [0, -1, math.nan, "inf", None],
+                             ids=["0", "-1", "nan", "str_inf", "None"])
+    def test_besov_rejects_nonpositive_r(self, grid16, rng, r):
+        """besov_norm takes a real r > 0 or np.inf only, and a finite s
+        only; infinity is spelled np.inf, not "inf"."""
         f = _rand(grid16, rng)
         part = DyadicPartition(grid16)
         with pytest.raises(DyadicError, match="r must be positive"):
-            besov_norm(f, s, 2, r, part, variant=variant)
+            besov_norm(f, 0.5, 2, r, part)
         for bad in (math.nan, -math.inf, math.inf):
             with pytest.raises(DyadicError, match="s must be finite"):
-                besov_norm(f, bad, 2, 2, part, variant=variant)
+                besov_norm(f, bad, 2, 2, part)
+
+    @pytest.mark.parametrize("p", [0, math.nan, "inf", "x"],
+                             ids=["0", "nan", "str_inf", "str_x"])
+    def test_besov_rejects_a_p_that_is_not_a_positive_real(self, grid16, rng,
+                                                           p):
+        f = _rand(grid16, rng)
+        with pytest.raises(GridError, match="p must be positive or inf"):
+            besov_norm(f, 0.5, p, 2, DyadicPartition(grid16))
+
+    def test_besov_inf_r_is_the_largest_weighted_block(self, grid16, rng):
+        """r = np.inf gives max_q 2^{qs} ||Delta_q f||_{L^p}, block by block."""
+        f = _rand(grid16, rng)
+        part = DyadicPartition(grid16)
+        want = max(2.0 ** (q * 0.5) * lp_norm(part.delta(f, q), 4)
+                   for q in part.q_range)
+        assert besov_norm(f, 0.5, 4, np.inf, part) == pytest.approx(
+            want, rel=1e-12)
 
     def test_sobolev_forms_are_equivalent(self, grid64, rng):
         """The Fourier-weight and block forms of H^s agree within constants."""
@@ -236,6 +257,10 @@ class TestBesovAndSobolev:
             a = hs_norm(f, s, form="fourier")
             b = hs_norm(f, s, form="lp", partition=part)
             assert 0.1 * a <= b <= 10.0 * a
+
+    def test_hs_norm_has_two_forms_only(self, grid16, rng):
+        with pytest.raises(DyadicError, match="form must be"):
+            hs_norm(_rand(grid16, rng), 1.0, form="besov")
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_lp_form_is_the_block_sum(self, n, rng):

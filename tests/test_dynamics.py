@@ -10,6 +10,7 @@ from nematicflow import (
     CoefficientError,
     DivergenceError,
     ExperimentConfig,
+    GridError,
     GridSpec,
     InitialSpec,
     LeslieCoefficients,
@@ -217,6 +218,19 @@ class TestCoefficients:
         with pytest.raises(CoefficientError):
             LeslieCoefficients(*mu)
         assert LeslieCoefficients(*map(np.float64, (1, -1, 0, 2, 3, 1))).is_ansatz
+
+    def test_rejects_a_negative_mu5_plus_mu6(self):
+        with pytest.raises(CoefficientError, match="mu5 \\+ mu6"):
+            LeslieCoefficients(1.0, -1.0, 0.0, 2.0, -3.0, 1.0)
+
+    def test_the_parodi_branch_accepts_a_set_the_general_bound_refuses(self):
+        """mu2 + mu3 = mu6 - mu5 with lambda2 = 0 and mu5 + mu6 = 0 passes
+        the Parodi-relation branch alone: the general bound
+        |lambda2 - mu2 - mu3| < 2 sqrt(-lambda1 (mu5 + mu6)) reads 0 < 0."""
+        c = LeslieCoefficients(1.0, -1.0, 1.0, 2.0, 0.0, 0.0)
+        assert (c.lambda1, c.lambda2) == (-2.0, 0.0)
+        with pytest.raises(CoefficientError, match="dissipativity"):
+            LeslieCoefficients(1.0, -1.0, 1.0 + 1e-9, 2.0, 0.0, 0.0)
 
     def test_rejects_dissipativity_violation(self):
         """Large |lambda2| with small mu5 + mu6 fails both admissible branches."""
@@ -829,6 +843,11 @@ class TestStepping:
             with pytest.raises(ValueError, match="finite"):
                 State(grid16, u, d, bad)
         assert State(grid16, u, d, np.float64(0.5)).t == 0.5
+
+    def test_state_rejects_fields_on_a_foreign_grid(self, grid16, grid32):
+        u, d = generate_initial(grid32, profile="random", seed=1)
+        with pytest.raises(GridError, match="different grid"):
+            State(grid16, u, d)
 
 
 class TestSchemeAccuracy:

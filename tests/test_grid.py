@@ -154,6 +154,22 @@ class TestTransforms:
         with pytest.raises(GridError, match="non-finite"):
             SpectralField.from_coeffs(grid16, coeffs)
 
+    @pytest.mark.parametrize("shape", [(16, 9), (8, 8), (16,)])
+    def test_arrays_of_the_wrong_shape_are_rejected(self, grid16, shape):
+        """from_samples and from_coeffs take full N x N arrays only."""
+        with pytest.raises(GridError, match="sample array must be 16 x 16"):
+            SpectralField.from_samples(grid16, np.zeros(shape))
+        with pytest.raises(GridError,
+                           match="coefficient array must be 16 x 16"):
+            SpectralField.from_coeffs(grid16, np.zeros(shape))
+
+    def test_fields_on_different_grids_do_not_mix(self, grid16, grid32):
+        f, g = SpectralField.zero(grid16), SpectralField.zero(grid32)
+        for mix in (lambda: f + g, lambda: f - g, lambda: VectorField2(f, g),
+                    lambda: inner(f, g), lambda: product(f, g)):
+            with pytest.raises(GridError, match="different grids"):
+                mix()
+
     @pytest.mark.parametrize("n", [8, 10, 16, 64])
     def test_the_mirror_table_indexes_minus_k(self, n):
         """The one mirror index: row -k of k = 0..N-1 in FFT order,
@@ -190,6 +206,11 @@ class TestCalculus:
         f = SpectralField.from_samples(grid32, np.cos(4 * y))
         df = derivative(f, 1)
         assert np.max(np.abs(to_physical(df) + 4 * np.sin(4 * y))) <= 1e-12
+
+    @pytest.mark.parametrize("axis", [-1, 2, "x"])
+    def test_derivative_rejects_an_axis_other_than_0_or_1(self, grid16, axis):
+        with pytest.raises(GridError, match="axis must be 0 or 1"):
+            derivative(SpectralField.zero(grid16), axis)
 
     def test_laplacian_is_mode_multiplication(self, grid32, real_mode):
         """lap sin(n.x) = -|n|^2 sin(n.x)."""
@@ -316,6 +337,7 @@ class TestVectorOps:
             SpectralField.zero(grid32),
             SpectralField.from_samples(grid32, np.cos(y)),
         )
+        assert t.grid == grid32
         d = tensor_divergence(t)
         assert np.max(np.abs(to_physical(d.x) - np.cos(x))) <= 1e-13
         assert np.max(np.abs(to_physical(d.y) + np.sin(y))) <= 1e-13
@@ -347,14 +369,15 @@ class TestIntegralsAndNorms:
         assert inner(f, g) == pytest.approx(quad, rel=1e-12)
 
     def test_lp_norm_special_cases(self, grid32):
-        """p = 2 matches Parseval and p = inf is the sup of |f|; a
-        nonpositive or NaN p, and a non-finite H^s index s, raise."""
+        """p = 2 matches Parseval and p = np.inf is the sup of |f|; a p
+        that is not a positive real or np.inf ("inf" included), and a
+        non-finite H^s index s, raise."""
         x, _ = grid32.points()
         f = SpectralField.from_samples(grid32, np.cos(3 * x))
         assert lp_norm(f, 2) == pytest.approx(l2_norm(f), rel=1e-12)
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
-        for p in (-1, math.nan):
-            with pytest.raises(GridError):
+        for p in (-1, math.nan, "inf", "x", None):
+            with pytest.raises(GridError, match="p must be positive or inf"):
                 lp_norm(f, p)
         for s in (math.nan, math.inf):
             with pytest.raises(GridError, match="s must be finite"):

@@ -121,6 +121,19 @@ class TestVerifierReports:
             rep = verifier(small_spec)
             assert rep.worst_uniformity <= rep.cap
 
+    def test_a_trial_with_a_nan_ratio_fails_the_verdict(self):
+        """A NaN ratio passes every comparison with a bound, so it is caught
+        by itself: one in any trial makes the verdict False, and the same
+        report without it holds."""
+        spec = EnsembleSpec(grid_n=16, n_trials=30, seed=3)
+
+        def ratios(bad):
+            return lambda grid, rng, kept: {"f": {1: 1.0, 2: bad}}
+
+        assert harness._ratio_report(spec, "c", ratios(1.0)).verdict
+        report = harness._ratio_report(spec, "c", ratios(math.nan))
+        assert report.verdict is False
+
     def test_no_swept_ratio_is_degenerate(self, grid16):
         """No family carries a ratio that reads exactly 0 or 1 whatever the
         field, such as a norm over itself or a tail past the resolved ball:

@@ -128,6 +128,9 @@ class TestOsgoodIntegral:
             osgood_divergence_certificate([1e-6])
         with pytest.raises(OsgoodError):
             osgood_divergence_certificate([1e-12, 1e-6])
+        for eps in ([1.5, 1e-6], [1e-6, 0.0], [1e-3, -1e-6]):
+            with pytest.raises(OsgoodError, match="lie in"):
+                osgood_divergence_certificate(eps)
 
 
 class TestComparisonOde:
@@ -312,6 +315,10 @@ class TestMasterInequality:
 
     def test_trace_validation(self):
         t = np.linspace(0.0, 1.0, 5)
+        for phi, f in ((np.ones(4), np.ones(5)), (np.ones(5), np.ones(6)),
+                       (np.ones((5, 1)), np.ones(5))):
+            with pytest.raises(OsgoodError, match="equal length"):
+                OsgoodTrace(times=t, phi=phi, f=f)
         with pytest.raises(OsgoodError):
             OsgoodTrace(times=t, phi=-np.ones(5), f=np.ones(5))
         with pytest.raises(OsgoodError):

@@ -1,6 +1,7 @@
 """Snapshot persistence, configuration parsing, and the command line."""
 
 import csv
+import math
 import operator
 import struct
 
@@ -11,11 +12,13 @@ from nematicflow import (
     ConfigError,
     ExperimentConfig,
     GridSpec,
+    InitialSpec,
     LeslieCoefficients,
     SnapshotFormatError,
     SnapshotSizeError,
     SolverConfig,
     State,
+    TwinSpec,
     generate_initial,
     load,
     parse_config,
@@ -323,6 +326,39 @@ class TestConfigParsing:
                 parse_config(path)
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: InitialSpec(amplitude_u="x"),
+        lambda: InitialSpec(amplitude_d=math.nan),
+        lambda: InitialSpec(decay=None),
+        lambda: InitialSpec(band=math.inf),
+        lambda: InitialSpec(director=(1.0,)),
+        lambda: InitialSpec(director=(1.0, math.nan)),
+        lambda: InitialSpec(director=[1.0, 0.0]),
+        lambda: InitialSpec(seed=1.5),
+        lambda: InitialSpec(seed="3"),
+        lambda: TwinSpec(mode="perturb", delta=math.inf),
+        lambda: TwinSpec(delta=None),
+        lambda: TwinSpec(decay="x"),
+        lambda: TwinSpec(seed=2.0),
+    ], ids=["str_amplitude_u", "nan_amplitude_d", "none_decay", "inf_band",
+            "short_director", "nan_director", "list_director", "float_seed",
+            "str_seed", "inf_delta", "none_delta", "str_twin_decay",
+            "float_twin_seed"])
+    def test_specs_refuse_values_of_the_wrong_type(self, make):
+        """InitialSpec and TwinSpec take integer seeds, finite reals and a
+        director of two finite reals: anything else is a ConfigError, not a
+        TypeError from a comparison or a failure later."""
+        with pytest.raises(ConfigError, match=r"^\[(initial|twin)\] "):
+            make()
+
+    def test_specs_take_numpy_numbers(self):
+        spec = InitialSpec(seed=np.int64(4), decay=np.float64(2.0), band=3,
+                           director=(np.float64(0.6), 0.8))
+        assert spec.seed == 4
+        assert TwinSpec(mode="perturb", seed=np.int64(1),
+                        delta=np.float64(1e-6)).delta == 1e-6
+
+
 # Every config key set to a value that is not its default: (section, key,
 # raw value, attribute of the ExperimentConfig it lands in, parsed value).
 # The one preset, "ansatz", has no other value.  Explicit mu1..mu6 replace
@@ -492,6 +528,105 @@ class TestCli:
             header, rows = _read_csv(out / f"decompose_{comp}.csv")
             assert header == ["q", "block_l2", "weighted_block_l2"]
             assert len(rows) >= 3
+
+    @pytest.mark.parametrize("command", ["twin", "decompose"])
+    def test_a_seed_flag_is_a_configured_seed(self, tmp_path, command):
+        """--seed 8 writes the files that [initial] seed = 8 writes, and
+        they differ from those of the configured seed 3."""
+        cfg, cfg8 = tmp_path / "c.ini", tmp_path / "c8.ini"
+        extra = "[twin]\nmode = perturb\ndelta = 1e-5\n"
+        _write_run_config(cfg, extra=extra)
+        cfg8.write_text(cfg.read_text().replace("seed = 3", "seed = 8"))
+        outs = {}
+        for name, config, flag in (("flag", cfg, ["--seed", "8"]),
+                                   ("config", cfg8, []), ("base", cfg, [])):
+            out = tmp_path / name
+            assert cli.main([command, "--config", str(config), "--out",
+                             str(out), "--quiet"] + flag) == 0
+            outs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(outs["flag"]) == (5 if command == "twin" else 4)
+        assert outs["flag"] == outs["config"]
+        assert outs["flag"] != outs["base"]
+
+    def test_decompose_without_a_snapshot_reads_the_configured_state(
+            self, tmp_path):
+        """Without --snapshot, decompose writes the CSVs of the persisted
+        make_initial_state."""
+        cfg = tmp_path / "d.ini"
+        _write_run_config(cfg)
+        snap = tmp_path / "s.lcsf"
+        persist(experiments.make_initial_state(parse_config(cfg)), snap)
+        outs = []
+        for name, flag in (("a", []), ("b", ["--snapshot", str(snap)])):
+            out = tmp_path / name
+            assert cli.main(["decompose", "--config", str(cfg), "--out",
+                             str(out), "--quiet"] + flag) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
+
+    def test_initial_decay_and_band_shape_the_initial_state(self, tmp_path,
+                                                            grid16):
+        """[initial] decay and band reach generate_initial."""
+        cfg = tmp_path / "c.ini"
+        _write_run_config(cfg, extra="decay = 2.0\nband = 3\n")
+        state = experiments.make_initial_state(parse_config(cfg))
+        want = generate_initial(grid16, seed=3, decay=2.0, band=3.0)
+        default = generate_initial(grid16, seed=3)
+        for got, exp, other in zip((state.u, state.d), want, default):
+            for c in ("x", "y"):
+                a = getattr(got, c).coeffs
+                assert np.array_equal(a, getattr(exp, c).coeffs)
+                assert not np.array_equal(a, getattr(other, c).coeffs)
+
+    def test_decompose_without_snapshot_or_grid_exits_2(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "d.ini"
+        cfg.write_text("[initial]\nseed = 3\n")
+        out = tmp_path / "o"
+        rc = cli.main(["decompose", "--config", str(cfg), "--out", str(out),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("configuration error: this command needs a [grid] "
+                       "section with n set\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["run"], ["run finished at t = 0.01: E_total = "]),
+        (["twin"], ["twin finished: max Phi = "]),
+        (["verify", "--checks", "skew,osgood"],
+         ["N=16 skew_symmetry: verdict = True (max ratio ",
+          "osgood certificate: increasing = True, control settling = True"]),
+        (["decompose"], ["wrote block spectra for 4 components to "]),
+    ], ids=["run", "twin", "verify", "decompose"])
+    def test_drivers_print_their_summary_unless_quiet(self, tmp_path, capsys,
+                                                      argv, lines):
+        """Each driver prints its summary lines to stdout, and nothing under
+        --quiet; the files are the same either way."""
+        cfg = tmp_path / "c.ini"
+        _write_run_config(cfg, extra="[twin]\nmode = perturb\ndelta = 1e-5\n"
+                                     "[verify]\nn_trials = 30\ngrids = 16\n")
+        outs = []
+        for name, quiet in (("loud", []), ("quiet", ["--quiet"])):
+            out = tmp_path / name
+            assert cli.main(argv[:1] + ["--config", str(cfg), "--out",
+                                        str(out)] + argv[1:] + quiet) == 0
+            printed = capsys.readouterr()
+            assert printed.err == ""
+            outs.append((printed.out.splitlines(),
+                         {f.name: f.read_bytes() for f in out.iterdir()}))
+        (loud, loud_files), (quiet, quiet_files) = outs
+        assert len(loud) == len(lines)
+        assert all(got.startswith(want) for got, want in zip(loud, lines))
+        assert quiet == [] and loud_files == quiet_files
+
+    def test_verify_help_lists_every_check(self, capsys):
+        """--checks' help is the keys of experiments.VERIFY_ALIASES."""
+        assert cli.main(["verify", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        listed = text.split("comma-separated subset: ")[1].split(", ")
+        listed[-1] = listed[-1].split()[0]
+        assert listed == list(experiments.VERIFY_ALIASES)
 
     def test_verify_subset_passes(self, tmp_path):
         cfg = tmp_path / "v.ini"
